@@ -7,7 +7,7 @@ seeded (--seed, default 0) and all numeric output uses 12 significant
 digits, so identical invocations print identical bytes.
 
 Exit codes: 0 success, 2 input error, 3 numerical failure, 4 cap
-exceeded.  QCL_THREADS caps worker parallelism for grid scans.
+exceeded.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .induced import induced_laplacian, partitions_of
-from .netgraph import generator_laplacian
 from .optimize import BudgetConstraint, maximize_rate, pareto_scan
 from .permgroup import (
     CapExceededError,
@@ -43,11 +42,11 @@ from .quantum import (
     uniform_site_hamiltonian,
 )
 from .spectra import (
-    INCLUSION_TOL,
     NumericalFailureError,
     convergence_rates,
     eigenvalues,
     intertwining_check,
+    rates_coincide,
 )
 
 TOPOLOGY_GRAMMAR = """\
@@ -148,8 +147,8 @@ def parse_topology(text: str, source: str = "<topology>") -> TopologySpec:
         raise TopologyError(f"{source}: at least one generator required")
     if d < 2:
         raise TopologyError(f"{source}: d must be >= 2")
-    if budget <= 0:
-        raise TopologyError(f"{source}: budget must be positive")
+    if not 0 < budget < np.inf:
+        raise TopologyError(f"{source}: budget must be positive and finite")
 
     perms = []
     labels = []
@@ -219,6 +218,8 @@ def resolve_weights(spec: TopologySpec, weights_arg: str | None) -> np.ndarray:
     for lb in spec.gens.labels:
         out.append(spec.fixed[lb] if lb in spec.fixed else next(it))
     w = np.array(out, dtype=float)
+    if not np.all(np.isfinite(w)):
+        raise TopologyError("weights must be finite")
     if np.any(w < 0):
         raise TopologyError("weights must be nonnegative")
     return w
@@ -265,8 +266,7 @@ def cmd_rates(args) -> int:
         print(f"  ({','.join(map(str, parts))}): {fmt(rates.per_partition[parts])}")
     print(f"lambda_cons: {fmt(rates.lambda_cons)}")
     print(f"lambda_synch: {fmt(rates.lambda_synch)}")
-    vals = list(rates.per_partition.values())
-    aldous = (max(vals) - min(vals)) <= INCLUSION_TOL
+    aldous = rates_coincide(rates.per_partition.values())
     print(f"aldous: {'true' if aldous else 'false'}")
     return 0
 

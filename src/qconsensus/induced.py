@@ -21,7 +21,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .permgroup import GeneratorSet, Permutation, is_full_symmetric
+from .permgroup import DEFAULT_GROUP_CAP, CapExceededError, GeneratorSet, Permutation
 
 Partition = tuple[int, ...]
 Tabloid = tuple[int, ...]
@@ -92,6 +92,62 @@ def canonical_tabloid(parts: Partition) -> Tabloid:
 
 
 @dataclass(frozen=True)
+class ShapeAction:
+    """One shape's sorted canonical-tabloid orbit (every tabloid under S_N)
+    and its Laplacian sum_p w_p (I - P_p) as a linear map of w: the nonzero
+    entries sit at flat positions ``flat`` and equal ``w @ coeffs``."""
+
+    partition: Partition
+    vertices: tuple[Tabloid, ...]
+    flat: np.ndarray
+    coeffs: np.ndarray
+
+    def laplacians(self, w_batch) -> np.ndarray:
+        """(k, V, V) Laplacians for a (k, m) batch of finite weight rows."""
+        w = np.asarray(w_batch, dtype=float)
+        if w.ndim != 2 or w.shape[1] != len(self.coeffs):
+            raise ValueError("one weight per generator required")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
+        v = len(self.vertices)
+        out = np.zeros((len(w), v * v))
+        # + 0.0 turns the -0.0 of a zero weight into 0.0
+        out[:, self.flat] = w @ self.coeffs + 0.0
+        return out.reshape(-1, v, v)
+
+
+def shape_action(parts: Partition, gens: GeneratorSet) -> ShapeAction:
+    """The :class:`ShapeAction` of one shape; an orbit past
+    ``DEFAULT_GROUP_CAP`` tabloids raises :class:`CapExceededError`."""
+    if sum(parts) != gens.n:
+        raise ValueError(f"partition {parts} does not partition {gens.n}")
+    images: dict[Tabloid, list[Tabloid]] = {}
+    queue: deque[Tabloid] = deque([canonical_tabloid(parts)])
+    while queue:
+        t = queue.popleft()
+        if t in images:
+            continue
+        if len(images) == DEFAULT_GROUP_CAP:
+            raise CapExceededError(f"orbit of {parts} exceeds cap {DEFAULT_GROUP_CAP}")
+        images[t] = [act_on_tabloid(t, p) for p in gens.perms]
+        queue.extend(images[t])
+    verts = sorted(images)
+    index = {t: i for i, t in enumerate(verts)}
+    v, m = len(verts), len(gens)
+    # generator g adds w_g at (i, i) and -w_g at (i, j) when it moves i to j
+    coeff: dict[int, np.ndarray] = {}
+    for i, t in enumerate(verts):
+        for g, u in enumerate(images[t]):
+            j = index[u]
+            if j != i:
+                coeff.setdefault(i * v + i, np.zeros(m))[g] += 1.0
+                coeff.setdefault(i * v + j, np.zeros(m))[g] -= 1.0
+    flat = np.array(sorted(coeff), dtype=int)
+    coeffs = np.array([coeff[f] for f in flat]).reshape(-1, m).T
+    return ShapeAction(tuple(parts), tuple(verts), flat, coeffs)
+
+
+@dataclass(frozen=True)
 class InducedGraph:
     partition: Partition
     vertices: tuple[Tabloid, ...]
@@ -101,42 +157,15 @@ class InducedGraph:
 def induced_laplacian(
     parts: Partition, gens: GeneratorSet, weights
 ) -> InducedGraph:
-    """Weighted Laplacian of the generator action on tabloids of one shape.
+    """Weighted Laplacian of the generator action on one shape's orbit.
 
-    When the generators produce the full symmetric group the action is
-    transitive and all tabloids appear.  Otherwise only the orbit of the
-    canonical tabloid is kept, which is the component the dynamics of a
-    canonically-labeled coefficient actually explores.
+    The orbit is that of the canonical tabloid, the component the
+    dynamics of a canonically-labeled coefficient explores; it holds
+    every tabloid when the generators produce the full symmetric group.
     """
-    if sum(parts) != gens.n:
-        raise ValueError(f"partition {parts} does not partition {gens.n}")
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (len(gens),):
-        raise ValueError("one weight per generator required")
-
-    if is_full_symmetric(gens):
-        verts = enumerate_tabloids(parts)
-    else:
-        start = canonical_tabloid(parts)
-        orbit = {start}
-        queue: deque[Tabloid] = deque([start])
-        while queue:
-            t = queue.popleft()
-            for p in gens.perms:
-                u = act_on_tabloid(t, p)
-                if u not in orbit:
-                    orbit.add(u)
-                    queue.append(u)
-        verts = sorted(orbit)
-
-    index = {t: i for i, t in enumerate(verts)}
-    m = len(verts)
-    L = np.zeros((m, m))
-    for p, w in zip(gens.perms, weights):
-        for t, i in index.items():
-            j = index[act_on_tabloid(t, p)]
-            if j == i:
-                continue
-            L[i, i] += w
-            L[i, j] -= w
-    return InducedGraph(partition=tuple(parts), vertices=tuple(verts), laplacian=L)
+    action = shape_action(parts, gens)
+    return InducedGraph(
+        partition=action.partition,
+        vertices=action.vertices,
+        laplacian=action.laplacians([weights])[0],
+    )

@@ -15,9 +15,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .induced import induced_laplacian, partitions_of
+from .induced import partitions_of, shape_action
 from .permgroup import GeneratorSet
-from .spectra import lambda2_re_batch
+from .spectra import batch_rates
 
 CHUNK = 2048
 
@@ -47,52 +47,15 @@ class ParetoPoint:
     on_front: bool = False
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("QCL_THREADS", "").strip()
-    if raw:
-        return max(1, int(raw))
-    return 1
-
-
 class _RateEvaluator:
-    """Batched (lambda_cons, lambda_synch) over many weight vectors.
-
-    Per partition the Laplacian is linear in the weights, so one stack
-    of per-generator base matrices turns a whole grid chunk into a
-    single batched eigenvalue call.
-    """
+    """Batched (lambda_cons, lambda_synch) over the shape actions of one topology."""
 
     def __init__(self, gens: GeneratorSet, d: int = 2, synch_only: bool = False):
-        self.synch_shape = (gens.n - 1, 1)
-        shapes = [self.synch_shape] if synch_only else partitions_of(gens.n, d * d)
-        m = len(gens)
-        eye = np.eye(m)
-        self.stacks = []
-        for parts in shapes:
-            base = np.stack(
-                [induced_laplacian(parts, gens, eye[i]).laplacian for i in range(m)]
-            )
-            self.stacks.append((parts, base))
+        shapes = [(gens.n - 1, 1)] if synch_only else partitions_of(gens.n, d * d)
+        self.actions = [shape_action(p, gens) for p in shapes]
 
-    def rates(self, w_batch: np.ndarray, threads: int = 1):
-        k = w_batch.shape[0]
-        cons = np.full(k, np.inf)
-        synch = np.zeros(k)
-        slices = [slice(i, min(i + CHUNK, k)) for i in range(0, k, CHUNK)]
-        for parts, base in self.stacks:
-            def one(sl, base=base):
-                ls = np.einsum("km,mij->kij", w_batch[sl], base)
-                return lambda2_re_batch(np.linalg.eigvals(ls))
-            if threads > 1 and len(slices) > 1:
-                with ThreadPoolExecutor(max_workers=threads) as ex:
-                    pieces = list(ex.map(one, slices))
-            else:
-                pieces = [one(sl) for sl in slices]
-            r = np.concatenate(pieces)
-            np.minimum(cons, r, out=cons)
-            if parts == self.synch_shape:
-                synch = r
-        return cons, synch
+    def rates(self, w_batch: np.ndarray):
+        return batch_rates(self.actions, w_batch)[1:]
 
 
 def _compositions(total: int, parts: int):
@@ -142,25 +105,25 @@ def pareto_scan(
     constraint: BudgetConstraint,
     resolution: int | None = None,
     d: int = 2,
-    threads: int | None = None,
 ) -> list[ParetoPoint]:
     """Rates over a uniform simplex grid on the budget face.
 
-    Output order is lexicographic in the grid composition index and is
-    identical whether or not evaluation is threaded.
+    Chunks of ``CHUNK`` points run on up to one thread per CPU; output
+    order is lexicographic in the grid composition index.
     """
     m = len(gens)
     if resolution is None:
         resolution = 200 if m <= 3 else 60
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
-    if threads is None:
-        threads = _thread_count()
     lengths = np.asarray(constraint.lengths, dtype=float)
     grid = np.array(list(_compositions(resolution, m)), dtype=float)
     w_all = constraint.budget * grid / (resolution * lengths[None, :])
     ev = _RateEvaluator(gens, d=d)
-    cons, synch = ev.rates(w_all, threads=threads)
+    chunks = [w_all[i:i + CHUNK] for i in range(0, len(w_all), CHUNK)]
+    with ThreadPoolExecutor(max_workers=min(os.cpu_count() or 1, len(chunks))) as ex:
+        pieces = list(ex.map(ev.rates, chunks))
+    cons, synch = (np.concatenate(x) for x in zip(*pieces))
     mask = front_mask(cons, synch)
     return [
         ParetoPoint(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .induced import Partition, induced_laplacian, partitions_of, dominates
+from .induced import Partition, ShapeAction, dominates, partitions_of, shape_action
 from .permgroup import GeneratorSet, parity
 
 ZERO_TOL = 1e-9
@@ -44,45 +44,48 @@ def eigenvalues(m: np.ndarray) -> np.ndarray:
 
 
 def lambda2_re(spectrum: np.ndarray, zero_tol: float = ZERO_TOL) -> float:
-    """Smallest real part after discarding the single trivial eigenvalue.
-
-    Exactly one eigenvalue of smallest modulus is removed; it must be
-    below ``zero_tol`` in modulus or the input was not a Laplacian
-    spectrum.  If further near-zero eigenvalues remain the graph is
-    disconnected and the rate is 0.
-    """
-    vals = np.asarray(spectrum)
-    if vals.size == 0:
-        raise ValueError("empty spectrum")
-    mags = np.abs(vals)
-    i0 = int(mags.argmin())
-    if mags[i0] >= zero_tol:
-        raise NotALaplacianError(
-            f"no eigenvalue within {zero_tol} of zero (closest {vals[i0]})"
-        )
-    rest = np.delete(vals, i0)
-    if rest.size == 0 or np.any(np.abs(rest) < zero_tol):
-        return 0.0
-    return float(rest.real.min())
+    """:func:`lambda2_re_batch` of a single spectrum."""
+    return float(lambda2_re_batch(np.asarray(spectrum)[None], zero_tol)[0])
 
 
 def lambda2_re_batch(spectra: np.ndarray, zero_tol: float = ZERO_TOL) -> np.ndarray:
-    """Vectorized :func:`lambda2_re` over a (k, V) stack of spectra."""
+    """Per (k, V) row, the smallest real part once the one zero is dropped.
+
+    Zero means a modulus within ``zero_tol`` times the row's largest, so
+    rates scale exactly with the weights.  A row without a zero is not a
+    Laplacian spectrum; one with several (or of one vertex) has rate 0.
+    """
     vals = np.asarray(spectra)
-    k, v = vals.shape
-    if v == 1:
-        return np.zeros(k)
     mags = np.abs(vals)
-    i0 = mags.argmin(axis=1)
-    rows = np.arange(k)
-    if np.any(mags[rows, i0] >= zero_tol):
-        raise NotALaplacianError("a spectrum in the batch has no trivial eigenvalue")
-    keep = np.ones((k, v), dtype=bool)
-    keep[rows, i0] = False
-    rest = vals[keep].reshape(k, v - 1)
-    rates = rest.real.min(axis=1)
-    rates[np.any(np.abs(rest) < zero_tol, axis=1)] = 0.0
+    zero = mags <= zero_tol * mags.max(axis=1, keepdims=True)
+    count = zero.sum(axis=1)
+    if np.any(count == 0):
+        raise NotALaplacianError(f"a spectrum has no eigenvalue within {zero_tol} of 0")
+    rates = np.where(zero, np.inf, vals.real).min(axis=1)
+    rates[(count > 1) | (count == vals.shape[1])] = 0.0
     return rates
+
+
+def batch_rates(actions: list[ShapeAction], w) -> tuple[np.ndarray, ...]:
+    """The one rate path: per-shape rates for each row of a (k, m) weight batch.
+
+    Returns the (shapes, k) table, lambda_cons (its column minima) and
+    lambda_synch: the ``(n-1, 1)`` row if that orbit holds all n sites,
+    else 0, as an intransitive group never equalizes its orbits.  Bad
+    weights raise ValueError, a failed solve NumericalFailureError.
+    """
+    try:
+        table = np.array(
+            [lambda2_re_batch(np.linalg.eigvals(a.laplacians(w))) for a in actions]
+        )
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"eigenvalue solve failed: {exc}") from exc
+    n = sum(actions[0].partition)
+    synch = np.zeros(len(w))
+    for a, row in zip(actions, table):
+        if a.partition == (n - 1, 1) and len(a.vertices) == n:
+            synch = row
+    return table, table.min(axis=0), synch
 
 
 @dataclass(frozen=True)
@@ -96,20 +99,25 @@ def convergence_rates(gens: GeneratorSet, weights, d: int = 2) -> ConvergenceRat
     """(lambda_cons, lambda_synch) plus the per-partition breakdown.
 
     Partitions run over all shapes of n with at most d*d parts (the
-    coefficient space of a d-level site supports no finer split).
+    coefficient space of a d-level site supports no finer split).  For
+    generators not transitive on sites ``lambda_synch`` is 0 and may sit
+    below ``lambda_cons``, the slowest canonical orbit.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
-    per: dict[Partition, float] = {}
-    for parts in partitions_of(gens.n, d * d):
-        ig = induced_laplacian(parts, gens, weights)
-        per[parts] = lambda2_re(eigenvalues(ig.laplacian))
-    synch_shape = (gens.n - 1, 1) if gens.n > 2 else (1, 1)
+    actions = [shape_action(p, gens) for p in partitions_of(gens.n, d * d)]
+    table, cons, synch = batch_rates(actions, [weights])
     return ConvergenceRates(
-        lambda_cons=min(per.values()),
-        lambda_synch=per[synch_shape],
-        per_partition=per,
+        lambda_cons=float(cons[0]),
+        lambda_synch=float(synch[0]),
+        per_partition={a.partition: float(r[0]) for a, r in zip(actions, table)},
     )
+
+
+def rates_coincide(rates, tol: float = INCLUSION_TOL) -> bool:
+    """Do the rates agree to ``tol`` relative to the largest of them?"""
+    vals = np.asarray(list(rates), dtype=float)
+    return bool(vals.max() - vals.min() <= tol * np.abs(vals).max())
 
 
 def alternating_mode_rate(gens: GeneratorSet, weights) -> float:
@@ -178,7 +186,7 @@ def intertwining_check(
     """
     shapes = partitions_of(gens.n, d * d)
     spectra = {
-        p: eigenvalues(induced_laplacian(p, gens, weights).laplacian) for p in shapes
+        p: eigenvalues(shape_action(p, gens).laplacians([weights])[0]) for p in shapes
     }
     checks: list[PairCheck] = []
     for a in shapes:
@@ -221,6 +229,4 @@ def aldous_check(
     verdict means consensus and synchronization decay at the same speed.
     """
     rates = convergence_rates(gens, weights, d=d).per_partition
-    vals = list(rates.values())
-    spread = max(vals) - min(vals)
-    return spread <= tol, rates
+    return rates_coincide(rates.values(), tol), rates

@@ -172,6 +172,55 @@ def test_rates_fixed_weight_file(tmp_path, capsys):
     assert "lambda_cons: 0.4" in out
 
 
+def test_rates_intransitive_synch_is_zero(tmp_path, capsys):
+    topo = tmp_path / "split.topo"
+    topo.write_text(
+        "name: split\nN: 4\n"
+        "generator: (1 2) weight a\n"
+        "generator: (3 4) weight b\n"
+    )
+    code, out, _ = run(capsys, "rates", str(topo), "--weights", "1,1")
+    assert code == 0
+    assert "lambda_synch: 0\n" in out
+    code, out, _ = run(capsys, "optimize", str(topo), "--objective", "synchronization")
+    assert code == 0
+    assert "best value: 0\n" in out
+
+
+def test_rates_at_extreme_weight_scales(capsys):
+    code, out, _ = run(capsys, "rates", "g1-3", "--weights", "3e-10,1e-10")
+    assert code == 0
+    assert "lambda_cons: 2e-10" in out
+    assert "aldous: false" in out
+    code, out, _ = run(capsys, "rates", "g1-3", "--weights", "3e8,1e8")
+    assert code == 0
+    assert "lambda_cons: 200000000" in out
+    assert "aldous: false" in out
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_nonfinite_weights_rejected_before_output(tmp_path, capsys, bad):
+    code, out, err = run(capsys, "rates", "g1-3", f"--weights={bad},0.1")
+    assert code == 2 and out == ""
+    assert "finite" in err
+    topo = tmp_path / "fixed.topo"
+    topo.write_text(f"name: t\nN: 3\ngenerator: (1 2 3) weight {bad}\n")
+    code, out, err = run(capsys, "rates", str(topo))
+    assert code == 2 and out == ""
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_nonfinite_budget_rejected(capsys, tmp_path, bad):
+    text = f"name: t\nN: 3\nbudget: {bad}\ngenerator: (1 2 3) weight w\n"
+    with pytest.raises(TopologyError, match="budget"):
+        parse_topology(text)
+    topo = tmp_path / "budget.topo"
+    topo.write_text(text)
+    code, out, _ = run(capsys, "optimize", str(topo))
+    assert code == 2 and out == ""
+
+
 # --- exit codes ---
 
 
@@ -193,7 +242,8 @@ def test_group_cap_exit_code(tmp_path, capsys):
         "generator: (1 2 3 4 5 6 7 8) weight wc\n"
         "generator: (1 2) weight wt\n"
     )
-    code, _, err = run(capsys, "rates", str(topo), "--weights", "0.1,0.1")
+    # at d=3 the (1^8) shape has 40320 tabloids, past the orbit cap
+    code, _, err = run(capsys, "rates", str(topo), "--weights", "0.1,0.1", "--d", "3")
     assert code == 4
     assert "cap" in err.lower()
 
@@ -339,6 +389,20 @@ def test_spectrum_single_partition(capsys):
     assert code == 0
     assert "partition: (2,1)  vertices: 3" in out
     assert "laplacian:" in out and "spectrum:" in out
+
+
+def test_spectrum_eight_site_vertex_shape(tmp_path, capsys):
+    topo = tmp_path / "ring8.topo"
+    topo.write_text(
+        "name: ring8\nN: 8\n"
+        "generator: (1 2 3 4 5 6 7 8) weight wc\n"
+        "generator: (1 2) weight wt\n"
+    )
+    code, out, _ = run(
+        capsys, "spectrum", str(topo), "--weights", "0.1,0.1", "--partition", "7,1"
+    )
+    assert code == 0
+    assert "partition: (7,1)  vertices: 8" in out
 
 
 def test_spectrum_rejects_trivial_partition(capsys):

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from qconsensus.induced import (
@@ -20,9 +20,19 @@ from qconsensus.induced import (
     enumerate_tabloids,
     induced_laplacian,
     partitions_of,
+    shape_action,
 )
 from qconsensus.netgraph import cayley_graph, generator_laplacian, laplacian_of
-from qconsensus.permgroup import compose, from_cycles, generator_set, identity
+from qconsensus.permgroup import (
+    CapExceededError,
+    GeneratorSet,
+    compose,
+    from_cycles,
+    generator_set,
+    identity,
+)
+from qconsensus.quantum import build_lq
+from qconsensus.spectra import eigenvalues, multiset_contained
 
 
 def multinomial(parts):
@@ -204,3 +214,65 @@ def test_induced_partition_recorded():
     gens = g13()
     ind = induced_laplacian((2, 1), gens, [0.1, 0.1])
     assert ind.partition == (2, 1)
+
+
+def ring_swap(n):
+    return generator_set(n, [[list(range(1, n + 1))], [[1, 2]]], ["wring", "wswap"])
+
+
+def test_eight_site_vertex_shape_is_the_site_graph():
+    # the (7,1) graph has 8 vertices even though S_8 has 40320 elements
+    gens = ring_swap(8)
+    w = [0.3, 0.7]
+    ind = induced_laplacian((7, 1), gens, w)
+    assert len(ind.vertices) == 8
+    # tabloid k in lex order has its singleton at site 8 - k
+    order = list(range(7, -1, -1))
+    assert np.array_equal(ind.laplacian, generator_laplacian(gens, w)[np.ix_(order, order)])
+
+
+def test_orbit_past_cap_raises():
+    with pytest.raises(CapExceededError, match="cap"):
+        shape_action((1,) * 8, ring_swap(8))
+
+
+@st.composite
+def small_generator_sets(draw):
+    n = draw(st.integers(min_value=2, max_value=4))
+    ident = tuple(range(1, n + 1))
+    perm = st.permutations(ident).map(tuple).filter(lambda p: p != ident)
+    perms = draw(st.lists(perm, min_size=1, max_size=3))
+    return GeneratorSet(n=n, perms=tuple(perms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_generator_sets(), st.data())
+def test_shape_action_is_the_orbit_laplacian(gens, data):
+    """Every shape, generating S_N or not, against a from-scratch build.
+
+    Dyadic weights make the sum w_p (I - P_p) exact in any order, so the
+    Laplacian must match bit for bit; the spectrum must sit inside the
+    full coefficient-space generator, of which each orbit is a block.
+    """
+    m = len(gens)
+    ints = data.draw(st.lists(st.integers(0, 16), min_size=m, max_size=m))
+    dyadic = np.array(ints) / 8.0
+    # distinct irrational offsets keep the spectral check off defective points
+    generic = dyadic + np.sqrt([2.0, 3.0, 5.0][:m]) / 10.0
+    lq_spectrum = eigenvalues(build_lq(gens, generic))
+    for parts in partitions_of(gens.n, 4):
+        action = shape_action(parts, gens)
+        verts = action.vertices
+        assert canonical_tabloid(parts) in verts
+        assert list(verts) == sorted(set(verts))
+        index = {t: i for i, t in enumerate(verts)}
+        ref = np.zeros((len(verts), len(verts)))
+        for p, w in zip(gens.perms, dyadic):
+            perm = np.zeros_like(ref)
+            for t, i in index.items():
+                perm[i, index[act_on_tabloid(t, p)]] = 1.0
+            ref += w * (np.eye(len(verts)) - perm)
+        assert np.array_equal(action.laplacians(dyadic[None])[0], ref)
+        block = eigenvalues(action.laplacians(generic[None])[0])
+        ok, defect, witness = multiset_contained(block, lq_spectrum, tol=1e-9)
+        assert ok, (parts, defect, witness)

@@ -6,12 +6,14 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from qconsensus.optimize import (
+    CHUNK,
     BudgetConstraint,
     ParetoPoint,
     front_mask,
     maximize_rate,
     pareto_front,
     pareto_scan,
+    _RateEvaluator,
 )
 from qconsensus.permgroup import generator_set
 from qconsensus.spectra import convergence_rates
@@ -142,13 +144,16 @@ def test_scan_is_deterministic():
     assert a == b
 
 
-def test_scan_thread_count_does_not_change_results(monkeypatch):
+def test_multi_chunk_scan_matches_one_batch():
+    # 4501 grid points span three chunks, evaluated on a worker pool
     gens = g13()
     c = BudgetConstraint.for_generators(gens, 1.0)
-    base = pareto_scan(gens, c, resolution=30)
-    monkeypatch.setenv("QCL_THREADS", "3")
-    threaded = pareto_scan(gens, c, resolution=30)
-    assert base == threaded
+    pts = pareto_scan(gens, c, resolution=4500)
+    assert len(pts) > 2 * CHUNK
+    w_all = np.array([p.weights for p in pts])
+    cons, synch = _RateEvaluator(gens).rates(w_all)
+    assert [p.lambda_cons for p in pts] == cons.tolist()
+    assert [p.lambda_synch for p in pts] == synch.tolist()
 
 
 def test_scan_extremes_single_cycle():
@@ -210,6 +215,13 @@ def test_maximize_synch_four_sites():
     w, value = maximize_rate(gens, c, objective="synchronization")
     assert_allclose(value, 0.25, atol=1e-6)
     assert_allclose(w, (1 / 6, 1 / 12, 1 / 12), atol=1e-4)
+
+
+def test_maximize_synch_is_zero_for_intransitive_group():
+    gens = generator_set(4, [[[1, 2]], [[3, 4]]])
+    c = BudgetConstraint.for_generators(gens, 1.0)
+    _, value = maximize_rate(gens, c, objective="synchronization")
+    assert value == 0.0
 
 
 def test_maximize_never_loses_to_its_own_grid():

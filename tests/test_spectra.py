@@ -29,6 +29,7 @@ from qconsensus.spectra import (
     lambda2_re,
     lambda2_re_batch,
     multiset_contained,
+    rates_coincide,
 )
 
 
@@ -106,6 +107,16 @@ def test_lambda2_batch_matches_scalar():
 def test_lambda2_batch_trivial_block():
     spectra = np.zeros((3, 1), dtype=complex)
     assert_allclose(lambda2_re_batch(spectra), np.zeros(3))
+
+
+def test_lambda2_zero_test_is_relative_to_spectrum_scale():
+    base = np.array([1e-17, 1.5 - 0.5j, 1.5 + 0.5j, 2.0])
+    for c in (1e-12, 1.0, 1e12):
+        assert lambda2_re_batch((c * base)[None])[0] == c * 1.5
+    # a spectrum that is all zeros belongs to the zero Laplacian: rate 0
+    assert lambda2_re_batch(np.zeros((2, 3)))[0] == 0.0
+    # a second zero relative to the scale still means disconnected
+    assert lambda2_re(1e12 * np.array([0.0, 1e-15, 1.0])) == 0.0
 
 
 # --- closed forms as oracles ---
@@ -190,6 +201,43 @@ def test_rates_scale_linearly_with_weights():
     assert_allclose(r3.lambda_synch, 3.0 * r1.lambda_synch, rtol=1e-12)
 
 
+@pytest.mark.parametrize("make, w", [(g13, [0.3, 0.1]), (g14, [0.31, 0.17, 0.23])])
+@pytest.mark.parametrize("c", [1e-9, 1e9])
+def test_rates_exactly_linear_at_extreme_scales(make, w, c):
+    gens = make()
+    ref = convergence_rates(gens, w)
+    got = convergence_rates(gens, c * np.asarray(w))
+    assert_allclose(got.lambda_cons, c * ref.lambda_cons, rtol=1e-9, atol=0)
+    assert_allclose(got.lambda_synch, c * ref.lambda_synch, rtol=1e-9, atol=0)
+    for parts, rate in ref.per_partition.items():
+        assert_allclose(got.per_partition[parts], c * rate, rtol=1e-9, atol=0)
+    assert aldous_check(gens, c * np.asarray(w))[0] == aldous_check(gens, w)[0]
+
+
+def test_synch_is_zero_when_group_is_intransitive():
+    # sites {1,2} never interact with {3,4}
+    gens = generator_set(4, [[[1, 2]], [[3, 4]]])
+    rates = convergence_rates(gens, [1.0, 1.0])
+    assert rates.lambda_synch == 0.0
+    # the per-shape rates still describe each canonical orbit
+    assert_allclose(rates.per_partition[(3, 1)], 2.0, atol=1e-12)
+    assert rates.lambda_cons == min(rates.per_partition.values())
+
+
+def test_cons_exceeds_synch_for_intransitive_group():
+    gens = generator_set(3, [[[2, 3]]])
+    rates = convergence_rates(gens, [0.35])
+    assert_allclose(rates.lambda_cons, 0.7, atol=1e-12)
+    assert rates.lambda_synch == 0.0
+
+
+def test_rates_reject_nonfinite_weights():
+    with pytest.raises(ValueError, match="finite"):
+        convergence_rates(g13(), [np.nan, 0.1])
+    with pytest.raises(ValueError, match="one weight per generator"):
+        convergence_rates(g13(), [0.1])
+
+
 def test_alternating_mode_rate():
     assert_allclose(alternating_mode_rate(g33(), [0.3, 0.4]), 1.4)
     # the reversed cycle is even, transposition odd
@@ -260,6 +308,13 @@ def test_aldous_holds_for_undirected_pair():
         assert equal
         vals = list(per.values())
         assert max(vals) - min(vals) < 1e-7
+
+
+def test_rates_coincide_tolerance_is_relative():
+    assert rates_coincide([1e9, 1e9 + 1.0])
+    assert not rates_coincide([1e-9, 1.1e-9])
+    assert rates_coincide([0.0, 0.0])
+    assert not rates_coincide([0.0, 1e-12])
 
 
 def test_aldous_fails_for_directed_cycle_family():

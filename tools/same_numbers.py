@@ -1,0 +1,140 @@
+"""Check that a change keeps every printed number of ``qcl``.
+
+``dump`` runs a fixed list of ``qcl`` commands in process against the
+``qconsensus`` package under SRC and writes each command's exit code,
+stdout and CSV output to a JSON file.  ``compare`` reports every command
+whose record differs between two dumps.  The list covers ``rates``,
+``spectrum --all``, ``spectrum --partition`` (graphs of up to 120
+vertices), ``optimize`` (both objectives) and ``pareto`` on the four
+presets and on ring+swap for N = 3..7 at d = 2 and 3, at fixed weights
+and seeds.  ``--heavy`` adds ``rates`` on ring+swap N = 7 at d = 3, whose
+5040-vertex graph takes about a minute per weight draw.
+
+    python tools/same_numbers.py dump /path/to/old/src old.json
+    python tools/same_numbers.py dump src new.json
+    python tools/same_numbers.py compare old.json new.json
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+PRESETS = {
+    "g1-3": (3, [(0.3, 0.1), (0.2, 0.2), (0.05, 0.41)]),
+    "g2-3": (3, [(0.2, 0.2, 0.2), (0.3, 0.1, 0.25), (0.01, 0.7, 0.02)]),
+    "g3-3": (3, [(0.3, 0.4), (0.25, 0.25), (0.9, 0.01)]),
+    "g1-4": (4, [(0.1, 0.1, 0.1), (0.11, 0.13, 0.17), (0.46, 0.29, 0.29),
+                 (0.1, 0.2, 0.15)]),
+}
+
+
+def commands(work, heavy):
+    """The command list; ring+swap topology files are written to ``work``."""
+    import numpy as np
+    from qconsensus.induced import enumerate_tabloids, partitions_of
+
+    def wa(w):
+        return ",".join(repr(float(x)) for x in w)
+
+    def shapes(n, d):
+        return [",".join(map(str, p)) for p in partitions_of(n, d * d)]
+
+    cmds = []
+    for name, (n, draws) in PRESETS.items():
+        for w in draws:
+            for d in (2, 3):
+                base = (name, "--weights", wa(w), "--d", str(d))
+                cmds.append(("rates",) + base)
+                cmds.append(("spectrum",) + base + ("--all",))
+                cmds += [("spectrum",) + base + ("--partition", p) for p in shapes(n, d)]
+        for obj in ("consensus", "synchronization"):
+            for seed in ("0", "1"):
+                cmds.append(("optimize", name, "--objective", obj, "--seed", seed))
+        cmds.append(("pareto", name, "--out", "@CSV"))
+        cmds.append(("pareto", name, "--resolution", "25", "--out", "@CSV"))
+        cmds.append(("pareto", name, "--d", "3", "--resolution", "12", "--out", "@CSV"))
+
+    draws = 1.0 - np.random.default_rng(20261018).random((3, 2))
+    for n in range(3, 8):
+        path = os.path.join(work, f"ring-swap-{n}.txt")
+        with open(path, "w") as fh:
+            ring = " ".join(map(str, range(1, n + 1)))
+            fh.write(f"name: ring-swap-{n}\nN: {n}\n"
+                     f"generator: ({ring}) weight wring\ngenerator: (1 2) weight wswap\n")
+        for w in draws:
+            for d in (2, 3):
+                if n == 7 and d == 3 and not heavy:
+                    continue
+                base = (path, "--weights", wa(w), "--d", str(d))
+                cmds.append(("rates",) + base)
+                if n <= (6 if d == 2 else 5):
+                    cmds.append(("spectrum",) + base + ("--all",))
+                for p in partitions_of(n, d * d):
+                    if len(enumerate_tabloids(p)) <= 120:
+                        part = ",".join(map(str, p))
+                        cmds.append(("spectrum",) + base + ("--partition", part))
+        if n <= 5:
+            cmds.append(("optimize", path, "--objective", "consensus"))
+            cmds.append(("optimize", path, "--objective", "synchronization"))
+            cmds.append(("pareto", path, "--resolution", "30", "--out", "@CSV"))
+        if n == 6:
+            cmds.append(("optimize", path))
+            cmds.append(("pareto", path, "--resolution", "10", "--out", "@CSV"))
+    return cmds
+
+
+def dump(src, out_json, heavy):
+    sys.path.insert(0, os.path.abspath(src))
+    from qconsensus.cli import main
+
+    with tempfile.TemporaryDirectory() as work:
+        results = {}
+        for i, argv in enumerate(commands(work, heavy)):
+            csv_path = os.path.join(work, f"c{i}.csv")
+            argv = [csv_path if a == "@CSV" else a for a in argv]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            rec = {"code": code, "out": out.getvalue().replace(work, "<work>")}
+            if os.path.exists(csv_path):
+                with open(csv_path) as fh:
+                    rec["csv"] = fh.read()
+            results[" ".join(argv).replace(work, "<work>")] = rec
+    with open(out_json, "w") as fh:
+        json.dump(results, fh, indent=0, sort_keys=True)
+    print(f"{len(results)} commands written to {out_json}")
+
+
+def compare(a_json, b_json):
+    with open(a_json) as fh:
+        a = json.load(fh)
+    with open(b_json) as fh:
+        b = json.load(fh)
+    if a.keys() != b.keys():
+        print("the two dumps ran different command lists")
+        return 1
+    bad = [k for k in a if a[k] != b[k]]
+    for k in bad:
+        print("DIFF:", k)
+        for x, y in zip(a[k]["out"].splitlines(), b[k]["out"].splitlines()):
+            if x != y:
+                print("   -", x)
+                print("   +", y)
+        if a[k].get("csv") != b[k].get("csv"):
+            print("   csv differs")
+        if a[k]["code"] != b[k]["code"]:
+            print("   exit code", a[k]["code"], "->", b[k]["code"])
+    print(f"{len(a) - len(bad)} of {len(a)} identical")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) >= 4 and sys.argv[1] == "dump":
+        dump(sys.argv[2], sys.argv[3], "--heavy" in sys.argv[4:])
+    elif len(sys.argv) == 4 and sys.argv[1] == "compare":
+        sys.exit(compare(sys.argv[2], sys.argv[3]))
+    else:
+        sys.exit(__doc__)
