@@ -14,7 +14,6 @@ from qconsensus import (
     evolve,
     fit_decay_rate,
     frobenius_distances,
-    generate_group,
     generator_set,
     generic_state,
     symmetric_state,
@@ -32,8 +31,8 @@ print(f"predicted synch rate:     {rates.lambda_synch:.6f}")
 rho0 = generic_state(2, 3, seed=1, gens=gens, weights=weights)
 traj = evolve(rho0, None, gens, weights, t_final=20.0, dt=1e-3, store_every=10)
 
-group = generate_group(gens)
-target = symmetric_state(rho0, group)
+# average over the group the generators generate; it is never enumerated
+target = symmetric_state(rho0, gens.perms)
 dist = frobenius_distances(traj.states, target)
 sync = np.array([sync_distance(s) for s in traj.states])
 

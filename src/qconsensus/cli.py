@@ -26,13 +26,13 @@ from .permgroup import (
     CapExceededError,
     GeneratorSet,
     from_cycles,
-    generate_group,
     to_cycles,
 )
 from .quantum import (
     InsufficientDecayError,
     StepSizeError,
     check_density,
+    check_steps,
     evolve,
     fit_decay_rate,
     frobenius_distances,
@@ -255,9 +255,7 @@ def _echo_config(spec: TopologySpec, w: np.ndarray, d: int) -> None:
     print(f"budget used: {fmt(cost)} of {fmt(spec.budget)}")
 
 
-def cmd_rates(args) -> int:
-    spec = load_topology(args.topology)
-    d = args.d if args.d else spec.d
+def cmd_rates(args, spec: TopologySpec, d: int) -> int:
     w = resolve_weights(spec, args.weights)
     _echo_config(spec, w, d)
     rates = convergence_rates(spec.gens, w, d=d)
@@ -271,9 +269,7 @@ def cmd_rates(args) -> int:
     return 0
 
 
-def cmd_pareto(args) -> int:
-    spec = load_topology(args.topology)
-    d = args.d if args.d else spec.d
+def cmd_pareto(args, spec: TopologySpec, d: int) -> int:
     constraint = BudgetConstraint.for_generators(spec.gens, spec.budget)
     points = pareto_scan(spec.gens, constraint, resolution=args.resolution, d=d)
     out = args.out or f"{spec.name}-pareto.csv"
@@ -297,9 +293,7 @@ def cmd_pareto(args) -> int:
     return 0
 
 
-def cmd_optimize(args) -> int:
-    spec = load_topology(args.topology)
-    d = args.d if args.d else spec.d
+def cmd_optimize(args, spec: TopologySpec, d: int) -> int:
     constraint = BudgetConstraint.for_generators(spec.gens, spec.budget)
     weights, value = maximize_rate(
         spec.gens, constraint, objective=args.objective, d=d, seed=args.seed
@@ -335,10 +329,9 @@ def _load_rho0(path: str, d: int) -> np.ndarray:
     return rho
 
 
-def cmd_simulate(args) -> int:
-    spec = load_topology(args.topology)
-    d = args.d if args.d else spec.d
+def cmd_simulate(args, spec: TopologySpec, d: int) -> int:
     w = resolve_weights(spec, args.weights)
+    check_steps(args.t, args.dt, args.store_every)
     _echo_config(spec, w, d)
     h0 = None
     if args.h0 == "zsum":
@@ -351,8 +344,7 @@ def cmd_simulate(args) -> int:
         rho0, h0, spec.gens, w, t_final=args.t, dt=args.dt,
         frame=args.frame, d=d, store_every=args.store_every,
     )
-    group = generate_group(spec.gens)
-    target = symmetric_state(rho0, group, d=d)
+    target = symmetric_state(rho0, spec.gens.perms, d=d)
     sync = np.array([sync_distance(s, d) for s in traj.states])
     dist = frobenius_distances(traj.states, target)
     out = args.out or f"{spec.name}-trajectory.csv"
@@ -379,9 +371,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_spectrum(args) -> int:
-    spec = load_topology(args.topology)
-    d = args.d if args.d else spec.d
+def cmd_spectrum(args, spec: TopologySpec, d: int) -> int:
     w = resolve_weights(spec, args.weights)
     _echo_config(spec, w, d)
     if args.all:
@@ -436,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, weights: bool = True) -> None:
         p.add_argument("topology", help="preset name or topology file path")
-        p.add_argument("--d", type=int, default=0, help="override site dimension")
+        p.add_argument("--d", type=int, default=None, help="override site dimension")
         p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
         if weights:
             p.add_argument(
@@ -484,7 +474,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return int(args.func(args) or 0)
+        spec = load_topology(args.topology)
+        d = spec.d if args.d is None else args.d
+        if d < 2:
+            raise TopologyError(f"--d must be >= 2, got {d}")
+        return int(args.func(args, spec, d) or 0)
     except TopologyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

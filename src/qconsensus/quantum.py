@@ -12,24 +12,20 @@ Gell-Mann basis obeys dX/dt = -L X for the same pull-rule Laplacian the
 induced graphs use, which is what :func:`build_lq` assembles and what
 the cross-validation tests lean on.
 
-All operators are plain dense numpy arrays; sites are 1-based and d is
-the per-site dimension.
+States are plain dense numpy arrays and every U_p acts on them as an
+index gather (:func:`_pull_map`); sites are 1-based and d is the
+per-site dimension.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .permgroup import (
-    GeneratorSet,
-    Permutation,
-    compose,
-    identity,
-    inverse,
-)
+from .permgroup import CapExceededError, GeneratorSet, Permutation
 
 EVOLVE_DIM_CAP = 256
 LQ_DIM_CAP = 4096
@@ -125,24 +121,35 @@ def reconstruct(coeffs: np.ndarray, d: int = 2) -> np.ndarray:
     return t.reshape(dim, dim)
 
 
+@functools.lru_cache(maxsize=256)
+def _pull_map(p: Permutation, base: int) -> np.ndarray:
+    """Read-only index map s: s[x] has base-ary digit k equal to x's digit p(k).
+
+    Digits are sites, most significant first.  On kets (base d) U_p has
+    a one in each (x, s[x]), so (U_p rho U_p^dag)[a, b] = rho[s[a], s[b]];
+    on Gell-Mann coefficients (base d*d) s is the induced graphs' pull rule.
+    """
+    n = len(p)
+    place = base ** np.arange(n - 1, -1, -1)
+    digits = (np.arange(base**n)[:, None] // place) % base
+    s = digits[:, [k - 1 for k in p]] @ place
+    s.flags.writeable = False
+    return s
+
+
 def permutation_unitary(p: Permutation, d: int, n_sites: int | None = None) -> np.ndarray:
     """Unitary that transports the state of site j to site p(j).
 
     On basis kets: U_p |y_1 .. y_N> = |x_1 .. x_N> with x_k = y_{p^{-1}(k)}.
-    The map p -> U_p is a group homomorphism.
+    The map p -> U_p is a group homomorphism.  Dense reference only: the
+    dynamics applies U_p as a gather.
     """
     n = n_sites if n_sites is not None else len(p)
     if len(p) != n:
         raise ValueError("permutation degree does not match site count")
-    dim = d**n
-    pinv = inverse(p)
-    place = d ** np.arange(n - 1, -1, -1)
-    idx = np.arange(dim)
-    digits = (idx[:, None] // place[None, :]) % d
-    new_digits = digits[:, [pinv[k] - 1 for k in range(n)]]
-    target = new_digits @ place
-    u = np.zeros((dim, dim))
-    u[target, idx] = 1.0
+    s = _pull_map(tuple(p), d)
+    u = np.zeros((s.size, s.size))
+    u[np.arange(s.size), s] = 1.0
     return u
 
 
@@ -152,21 +159,20 @@ def lindblad_rhs(
     gens: GeneratorSet,
     weights,
     d: int = 2,
-    unitaries: list[np.ndarray] | None = None,
 ) -> np.ndarray:
     """Right-hand side of the master equation at one state."""
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (len(gens),):
         raise ValueError("one weight per generator required")
-    if unitaries is None:
-        n = _sites_of(rho.shape[0], d)
-        unitaries = [permutation_unitary(p, d, n) for p in gens.perms]
+    if rho.shape[0] != d**gens.n:
+        raise ValueError(f"state size {rho.shape[0]} is not d^N = {d}^{gens.n}")
     out = np.zeros_like(rho, dtype=complex)
     if h0 is not None:
         out -= 1j * (h0 @ rho - rho @ h0)
-    for u, w in zip(unitaries, weights):
+    for p, w in zip(gens.perms, weights):
         if w != 0.0:
-            out += w * (u @ rho @ u.T - rho)
+            s = _pull_map(p, d)
+            out += w * (rho[s[:, None], s[None, :]] - rho)
     return out
 
 
@@ -196,29 +202,17 @@ def evolve(
     state is re-Hermitized and trace-renormalized; drift beyond 1e-6 per
     step unit raises :class:`StepSizeError`.
     """
-    if dt <= 0 or t_final < 0:
-        raise ValueError("need dt > 0 and t_final >= 0")
+    steps = check_steps(t_final, dt, store_every)
     if frame not in ("lab", "interaction"):
         raise ValueError(f"unknown frame {frame!r}")
     rho0 = np.asarray(rho0, dtype=complex)
     dim = rho0.shape[0]
     if dim > dim_cap:
-        from .permgroup import CapExceededError
-
         raise CapExceededError(f"state dimension {dim} exceeds cap {dim_cap}")
-    n = _sites_of(dim, d)
     check_density(rho0, d)
     ham = None if frame == "interaction" else h0
-    us = [permutation_unitary(p, d, n) for p in gens.perms]
     weights = np.asarray(weights, dtype=float)
-
-    def rhs(r: np.ndarray) -> np.ndarray:
-        return lindblad_rhs(r, ham, gens, weights, d=d, unitaries=us)
-
-    steps = int(round(t_final / dt))
-    stored_idx = [i for i in range(steps + 1) if i % store_every == 0]
-    if stored_idx[-1] != steps:
-        stored_idx.append(steps)
+    stored_idx = list(range(0, steps, store_every)) + [steps]
     states = np.empty((len(stored_idx), dim, dim), dtype=complex)
     times = np.array([i * dt for i in stored_idx])
 
@@ -226,15 +220,13 @@ def evolve(
     # stored states are exactly Hermitian with unit trace
     rho = 0.5 * (rho0 + rho0.conj().T)
     rho = rho / np.trace(rho).real
-    pos = 0
-    if stored_idx[0] == 0:
-        states[0] = rho
-        pos = 1
+    states[0] = rho
+    pos = 1
     for i in range(1, steps + 1):
-        k1 = rhs(rho)
-        k2 = rhs(rho + 0.5 * dt * k1)
-        k3 = rhs(rho + 0.5 * dt * k2)
-        k4 = rhs(rho + dt * k3)
+        k1 = lindblad_rhs(rho, ham, gens, weights, d)
+        k2 = lindblad_rhs(rho + 0.5 * dt * k1, ham, gens, weights, d)
+        k3 = lindblad_rhs(rho + 0.5 * dt * k2, ham, gens, weights, d)
+        k4 = lindblad_rhs(rho + dt * k3, ham, gens, weights, d)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         tr = np.trace(rho)
         herm_defect = float(np.abs(rho - rho.conj().T).max())
@@ -251,6 +243,16 @@ def evolve(
     return Trajectory(times=times, states=states, d=d)
 
 
+def check_steps(t_final: float, dt: float, store_every: int) -> int:
+    """Step count round(t_final / dt), or ValueError unless dt > 0, t_final >= 0
+    and their ratio are finite and store_every is an integer >= 1."""
+    if not (0 < dt < math.inf and 0 <= t_final and t_final / dt < math.inf):
+        raise ValueError("need finite dt > 0, t_final >= 0 and t_final / dt")
+    if not (isinstance(store_every, (int, np.integer)) and store_every >= 1):
+        raise ValueError(f"store_every must be an integer >= 1, got {store_every!r}")
+    return int(round(t_final / dt))
+
+
 def check_density(rho: np.ndarray, d: int = 2) -> None:
     """Raise ValueError unless rho is Hermitian, unit-trace and positive."""
     rho = np.asarray(rho)
@@ -265,30 +267,30 @@ def check_density(rho: np.ndarray, d: int = 2) -> None:
         raise ValueError("density matrix has an eigenvalue below -1e-9")
 
 
-def symmetric_state(rho: np.ndarray, group, d: int = 2) -> np.ndarray:
-    """Group average (1/|G|) sum_g U_g rho U_g^dag.
+def symmetric_state(rho: np.ndarray, perms, d: int = 2) -> np.ndarray:
+    """Group average (1/|G|) sum_g U_g rho U_g^dag over the group G = <perms>.
 
-    ``group`` must be closed under composition; the result is invariant
-    under every element's unitary and is the consensus target when the
-    group is the full symmetric group.
+    ``perms`` may generate G or be G; G is never enumerated.  Gathers move
+    entry (a, b) to (s[a], s[b]), so a label matrix gathered and minimised
+    until it settles gives each entry its orbit's smallest flat index, and
+    the orbit mean (orbit-stabilizer) is the group average: the consensus
+    target, invariant under every U_g.
     """
-    members = sorted(set(group))
-    if not members:
-        raise ValueError("group is empty")
-    n = len(members[0])
-    gset = set(members)
-    if identity(n) not in gset:
-        raise ValueError("not a group: identity missing")
-    for a in members:
-        for b in members:
-            if compose(a, b) not in gset:
-                raise ValueError(f"not a group: {a} o {b} escapes the set")
     rho = np.asarray(rho, dtype=complex)
-    out = np.zeros_like(rho)
-    for g in members:
-        u = permutation_unitary(g, d, n)
-        out += u @ rho @ u.T
-    return out / len(members)
+    dim = rho.shape[0]
+    maps = [_pull_map(tuple(p), d) for p in perms]
+    if any(s.size != dim for s in maps):
+        raise ValueError(f"permutation degree does not match a state of size {dim}")
+    label = np.arange(dim * dim).reshape(dim, dim)
+    while True:
+        before = label
+        for s in maps:
+            label = np.minimum(label, label[s[:, None], s[None, :]])
+        if np.array_equal(label, before):
+            break
+    label, flat = label.ravel(), rho.ravel()
+    sums = np.bincount(label, flat.real) + 1j * np.bincount(label, flat.imag)
+    return (sums[label] / np.bincount(label)[label]).reshape(dim, dim)
 
 
 def reduced_state(rho: np.ndarray, k: int, d: int = 2) -> np.ndarray:
@@ -334,12 +336,10 @@ def is_permutation_invariant(
 ) -> bool:
     """True iff H0 commutes with every generator's unitary."""
     h0 = np.asarray(h0, dtype=complex)
-    n = _sites_of(h0.shape[0], d)
-    for p in gens.perms:
-        u = permutation_unitary(p, d, n)
-        if np.abs(h0 @ u - u @ h0).max() >= tol:
-            return False
-    return True
+    if _sites_of(h0.shape[0], d) != gens.n:
+        raise ValueError("permutation degree does not match site count")
+    maps = (_pull_map(p, d) for p in gens.perms)
+    return all(np.abs(h0 - h0[s[:, None], s[None, :]]).max() < tol for s in maps)
 
 
 def uniform_site_hamiltonian(d: int, n_sites: int) -> np.ndarray:
@@ -384,15 +384,11 @@ def build_lq(
     q = d * d
     dim = q**n
     if dim > dim_cap:
-        from .permgroup import CapExceededError
-
         raise CapExceededError(f"coefficient dimension {dim} exceeds cap {dim_cap}")
-    place = q ** np.arange(n - 1, -1, -1)
     idx = np.arange(dim)
-    digits = (idx[:, None] // place[None, :]) % q
     L = np.zeros((dim, dim))
     for p, w in zip(gens.perms, weights):
-        target = digits[:, [p[k] - 1 for k in range(n)]] @ place
+        target = _pull_map(p, q)
         moved = target != idx
         rows = idx[moved]
         L[rows, target[moved]] -= w

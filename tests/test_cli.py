@@ -248,6 +248,42 @@ def test_group_cap_exit_code(tmp_path, capsys):
     assert "cap" in err.lower()
 
 
+@pytest.mark.parametrize("argv", [
+    ("rates", "g1-3", "--weights", "0.2,0.2"),
+    ("spectrum", "g1-3", "--weights", "0.2,0.2", "--all"),
+    ("optimize", "g1-3"),
+    ("pareto", "g1-3", "--out", "@CSV"),
+    ("simulate", "g1-3", "--weights", "0.2,0.2", "--t", "1", "--out", "@CSV"),
+], ids=lambda argv: argv[0])
+def test_site_dimension_below_two_rejected_before_output(tmp_path, capsys, argv):
+    csv = tmp_path / "out.csv"
+    argv = [str(csv) if a == "@CSV" else a for a in argv]
+    code, out, err = run(capsys, *argv, "--d", "1")
+    assert code == 2
+    assert out == ""
+    assert "--d must be >= 2" in err
+    assert not csv.exists()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--store-every", "0"),
+    ("--store-every", "-3"),
+    ("--t", "inf"),
+    ("--t", "nan"),
+    ("--dt", "nan"),
+])
+def test_simulate_bad_step_inputs_rejected_before_output(tmp_path, capsys, flag, value):
+    csv = tmp_path / "traj.csv"
+    code, out, err = run(
+        capsys, "simulate", "g1-3", "--weights", "0.2,0.2", "--t", "1",
+        "--out", str(csv), flag, value,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert not csv.exists()
+
+
 def test_step_size_failure_exit_code(capsys, tmp_path):
     out = tmp_path / "t.csv"
     code, _, err = run(

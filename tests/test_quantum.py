@@ -16,6 +16,7 @@ from numpy.testing import assert_allclose
 from qconsensus.induced import act_on_tabloid, induced_laplacian
 from qconsensus.permgroup import (
     CapExceededError,
+    compose,
     from_cycles,
     generate_group,
     generator_set,
@@ -51,6 +52,10 @@ def swap2():
 
 def g13():
     return generator_set(3, [[[1, 2, 3]], [[1, 2]]], ["w123", "w12"])
+
+
+def g14():
+    return generator_set(4, [[[1, 2, 3, 4]], [[1, 2]], [[3, 4]]])
 
 
 def random_density(rng, dim):
@@ -206,6 +211,24 @@ def test_rhs_is_trace_free_and_hermitian():
     assert_allclose(out, out.conj().T, atol=1e-12)
 
 
+@pytest.mark.parametrize("gens,weights,d", [
+    (g13(), [0.3, 0.2], 2),
+    (g14(), [0.46, 0.29, 0.17], 2),
+    (g13(), [0.3, 0.2], 3),
+], ids=["g1-3", "g1-4", "g1-3-d3"])
+def test_rhs_gathers_equal_dense_unitary_products(gens, weights, d):
+    # a permutation-matrix product only moves entries, so the gathers
+    # reproduce sum_p w_p (U_p rho U_p^T - rho) bit for bit
+    rng = np.random.default_rng(19)
+    dim = d**gens.n
+    rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    expected = np.zeros((dim, dim), dtype=complex)
+    for p, w in zip(gens.perms, weights):
+        u = permutation_unitary(p, d)
+        expected += w * (u @ rho @ u.T - rho)
+    np.testing.assert_array_equal(lindblad_rhs(rho, None, gens, weights, d=d), expected)
+
+
 # --- integration ---
 
 
@@ -262,6 +285,22 @@ def test_evolve_validates_arguments():
         evolve(rho0, None, swap2(), [0.1], t_final=1.0, frame="rotating")
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"store_every": 0},
+    {"store_every": -3},
+    {"t_final": math.inf},
+    {"t_final": math.nan},
+    {"dt": math.nan},
+    {"dt": math.inf},
+    {"t_final": 1e300, "dt": 1e-300},
+], ids=["store-every-0", "store-every-negative", "t-inf", "t-nan", "dt-nan", "dt-inf",
+        "step-count-overflow"])
+def test_evolve_rejects_bad_step_inputs(kwargs):
+    args = {"t_final": 1.0, "dt": 1e-3, "store_every": 1, **kwargs}
+    with pytest.raises(ValueError):
+        evolve(np.eye(4) / 4.0, None, swap2(), [0.1], **args)
+
+
 def test_evolve_flags_exploding_step():
     rho0 = generic_state(2, 2, seed=3)
     with pytest.raises(StepSizeError):
@@ -292,10 +331,50 @@ def test_symmetric_state_invariant_under_each_unitary():
         assert_allclose(u @ sym @ u.conj().T, sym, atol=1e-12)
 
 
-def test_symmetric_state_rejects_non_group():
-    rho = np.eye(8) / 8.0
-    with pytest.raises(ValueError, match="not a group"):
-        symmetric_state(rho, [identity(3), from_cycles(3, [[1, 2, 3]])])
+def dense_group_average(rho, group, d=2):
+    out = np.zeros_like(rho)
+    for g in group:
+        u = permutation_unitary(g, d)
+        out += u @ rho @ u.T
+    return out / len(group)
+
+
+def test_symmetric_state_of_c3_generators():
+    # identity plus a 3-cycle is not closed; the average runs over the
+    # cyclic group C3 that they generate
+    rng = np.random.default_rng(20)
+    rho = random_density(rng, 8)
+    c = from_cycles(3, [[1, 2, 3]])
+    c3 = [identity(3), c, compose(c, c)]
+    got = symmetric_state(rho, [identity(3), c])
+    assert_allclose(got, dense_group_average(rho, c3), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("gens,d", [
+    (g13(), 2),
+    (g14(), 2),
+    (g13(), 3),
+    (generator_set(4, [[[1, 2], [3, 4]]]), 3),
+], ids=["g1-3", "g1-4", "g1-3-d3", "double-swap-d3"])
+def test_symmetric_state_from_generators_is_dense_group_average(gens, d):
+    rng = np.random.default_rng(21)
+    rho = random_density(rng, d**gens.n)
+    expected = dense_group_average(rho, generate_group(gens), d)
+    got = symmetric_state(rho, gens.perms, d=d)
+    assert_allclose(got, expected, rtol=0, atol=1e-15)
+
+
+def test_symmetric_state_ring_swap_seven_sites():
+    # |G| = 5040: the target comes from the two generators alone
+    gens = generator_set(7, [[[1, 2, 3, 4, 5, 6, 7]], [[1, 2]]])
+    rng = np.random.default_rng(22)
+    rho = random_density(rng, 2**7)
+    sym = symmetric_state(rho, gens.perms)
+    for p in gens.perms:
+        u = permutation_unitary(p, 2)
+        assert_allclose(u @ sym @ u.T, sym, rtol=0, atol=1e-15)
+    assert_allclose(symmetric_state(sym, gens.perms), sym, rtol=0, atol=1e-15)
+    assert abs(np.trace(sym) - 1.0) < 1e-13
 
 
 def test_symmetric_state_averages_coefficients():
