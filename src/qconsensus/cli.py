@@ -2,9 +2,10 @@
 
 Subcommands: rates, pareto, optimize, simulate, spectrum.  Topologies
 come from a small text format (described at the end of this help) or
-from one of the built-in presets g1-3, g2-3, g3-3, g1-4.  All randomness is
-seeded (--seed, default 0) and all numeric output uses 12 significant
-digits, so identical invocations print identical bytes.
+from one of the built-in presets g1-3, g2-3, g3-3, g1-4.  Only optimize
+(its starts) and simulate (its initial state) draw random numbers, and
+only they take --seed (default 0).  All numeric output uses 12
+significant digits, so identical invocations print identical bytes.
 
 Exit codes: 0 success, 2 input error, 3 numerical failure, 4 cap
 exceeded.
@@ -32,6 +33,7 @@ from .quantum import (
     InsufficientDecayError,
     StepSizeError,
     check_density,
+    check_state_dim,
     check_steps,
     evolve,
     fit_decay_rate,
@@ -332,6 +334,7 @@ def _load_rho0(path: str, d: int) -> np.ndarray:
 def cmd_simulate(args, spec: TopologySpec, d: int) -> int:
     w = resolve_weights(spec, args.weights)
     check_steps(args.t, args.dt, args.store_every)
+    check_state_dim(d**spec.n)
     _echo_config(spec, w, d)
     h0 = None
     if args.h0 == "zsum":
@@ -427,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, weights: bool = True) -> None:
         p.add_argument("topology", help="preset name or topology file path")
         p.add_argument("--d", type=int, default=None, help="override site dimension")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
         if weights:
             p.add_argument(
                 "--weights", default=None,
@@ -446,6 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="maximize one rate on the budget face")
     common(p, weights=False)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument(
         "--objective", choices=("consensus", "synchronization"), default="consensus"
     )
@@ -453,6 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="integrate the master equation, fit rates")
     common(p)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--rho0", default="generic", help="'generic' or matrix file path")
     p.add_argument("--t", type=float, default=20.0)
     p.add_argument("--dt", type=float, default=1e-3)

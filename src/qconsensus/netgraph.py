@@ -13,13 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .permgroup import (
-    DEFAULT_GROUP_CAP,
-    GeneratorSet,
-    compose,
-    generate_group,
-    inverse,
-)
+from .permgroup import GeneratorSet, compose, generate_group, inverse
 
 
 @dataclass(frozen=True)
@@ -113,9 +107,7 @@ def is_strongly_connected(g: WeightedDigraph) -> bool:
     return reaches_all(fwd) and reaches_all(bwd)
 
 
-def cayley_graph(
-    gens: GeneratorSet, weights=None, cap: int = DEFAULT_GROUP_CAP
-) -> WeightedDigraph:
+def cayley_graph(gens: GeneratorSet, weights=None) -> WeightedDigraph:
     """Cayley digraph of the generated group: edge x -> x*s per generator s.
 
     Vertices are the group elements in sorted (lexicographic) order;
@@ -126,7 +118,7 @@ def cayley_graph(
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (len(gens),):
         raise ValueError("one weight per generator required")
-    group = sorted(generate_group(gens, cap=cap))
+    group = sorted(generate_group(gens))
     index = {x: i + 1 for i, x in enumerate(group)}
     acc: dict[tuple[int, int], float] = {}
     for x in group:

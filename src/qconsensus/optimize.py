@@ -20,6 +20,8 @@ from .permgroup import GeneratorSet
 from .spectra import batch_rates
 
 CHUNK = 2048
+N_STARTS = 20
+STEP_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -34,9 +36,9 @@ class BudgetConstraint:
     def cost(self, weights) -> float:
         return float(np.dot(self.lengths, weights))
 
-    def is_feasible(self, weights, tol: float = 1e-12) -> bool:
+    def is_feasible(self, weights) -> bool:
         w = np.asarray(weights, dtype=float)
-        return bool(np.all(w >= -tol) and self.cost(w) <= self.budget + tol)
+        return bool(np.all(w >= -1e-12) and self.cost(w) <= self.budget + 1e-12)
 
 
 @dataclass(frozen=True)
@@ -141,22 +143,21 @@ def maximize_rate(
     constraint: BudgetConstraint,
     objective: str = "consensus",
     d: int = 2,
-    n_starts: int = 20,
     seed: int = 0,
-    step_floor: float = 1e-8,
 ) -> tuple[tuple[float, ...], float]:
     """Best-found weights for one rate objective on the budget face.
 
-    Multi-start pattern search over simplex coordinates: all pairwise
-    mass transfers at the current step size, doubling on success and
-    halving on failure down to ``step_floor``.  Deterministic for a
-    fixed seed.
+    Multi-start pattern search over simplex coordinates from ``N_STARTS``
+    starts: all pairwise mass transfers at the current step size,
+    doubling on success and halving on failure down to ``STEP_FLOOR``.
+    Deterministic for a fixed seed.
 
     Rate landscapes here routinely have flat ridges (an inactive
     spectral branch can absorb weight changes without moving the
     minimum), so a polish phase walks along value-preserving directions
     to the balanced representative: among equally fast weight vectors
-    the one of least Euclidean norm is returned.
+    (to 1e-11 times the budget, so the optimum scales with it as the
+    rates do) the one of least Euclidean norm is returned.
     """
     if objective not in ("consensus", "synchronization"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -171,13 +172,9 @@ def maximize_rate(
         w = constraint.budget * u_batch / lengths[None, :]
         return ev.rates(w)[pick]
 
-    if m == 1:
-        w = (constraint.budget / lengths[0],)
-        return w, float(f_batch(np.array([[1.0]]))[0])
-
     rng = np.random.default_rng(seed)
     starts = [np.full(m, 1.0 / m)]
-    starts += [rng.dirichlet(np.ones(m)) for _ in range(max(0, n_starts - 1))]
+    starts += [rng.dirichlet(np.ones(m)) for _ in range(N_STARTS - 1)]
 
     moves = [(i, j) for i in range(m) for j in range(m) if i != j]
 
@@ -197,7 +194,7 @@ def maximize_rate(
         u = u0.copy()
         v = float(f_batch(u[None, :])[0])
         step = 0.25
-        while step >= step_floor:
+        while step >= STEP_FLOOR:
             batch = transfers(u, step)
             if len(batch):
                 vals = f_batch(batch)
@@ -216,12 +213,12 @@ def maximize_rate(
     u = best_u.copy()
     norm = float(np.sum((u / lengths) ** 2))
     step = 0.25
-    while step >= step_floor:
+    while step >= STEP_FLOOR:
         batch = transfers(u, step)
         if len(batch):
             vals = f_batch(batch)
             norms = np.sum((batch / lengths[None, :]) ** 2, axis=1)
-            keep = vals >= best_v - 1e-11
+            keep = vals >= best_v - 1e-11 * constraint.budget
             keep &= norms < norm - 1e-15
             if np.any(keep):
                 idx = np.where(keep)[0]

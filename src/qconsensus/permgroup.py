@@ -12,6 +12,7 @@ budget used elsewhere in this package.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -175,11 +176,9 @@ def generate_group(
     return group
 
 
-def is_full_symmetric(gens: GeneratorSet, cap: int = DEFAULT_GROUP_CAP) -> bool:
+def is_full_symmetric(gens: GeneratorSet) -> bool:
     """True iff the generators generate all n! permutations."""
-    import math
-
     full = math.factorial(gens.n)
-    if full > cap:
-        raise CapExceededError(f"{gens.n}! = {full} exceeds cap of {cap}")
-    return len(generate_group(gens, cap=cap)) == full
+    if full > DEFAULT_GROUP_CAP:
+        raise CapExceededError(f"{gens.n}! = {full} exceeds cap of {DEFAULT_GROUP_CAP}")
+    return len(generate_group(gens)) == full

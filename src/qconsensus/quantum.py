@@ -137,16 +137,13 @@ def _pull_map(p: Permutation, base: int) -> np.ndarray:
     return s
 
 
-def permutation_unitary(p: Permutation, d: int, n_sites: int | None = None) -> np.ndarray:
+def permutation_unitary(p: Permutation, d: int) -> np.ndarray:
     """Unitary that transports the state of site j to site p(j).
 
     On basis kets: U_p |y_1 .. y_N> = |x_1 .. x_N> with x_k = y_{p^{-1}(k)}.
     The map p -> U_p is a group homomorphism.  Dense reference only: the
     dynamics applies U_p as a gather.
     """
-    n = n_sites if n_sites is not None else len(p)
-    if len(p) != n:
-        raise ValueError("permutation degree does not match site count")
     s = _pull_map(tuple(p), d)
     u = np.zeros((s.size, s.size))
     u[np.arange(s.size), s] = 1.0
@@ -180,7 +177,6 @@ def lindblad_rhs(
 class Trajectory:
     times: np.ndarray
     states: np.ndarray
-    d: int
 
 
 def evolve(
@@ -193,7 +189,6 @@ def evolve(
     frame: str = "lab",
     d: int = 2,
     store_every: int = 1,
-    dim_cap: int = EVOLVE_DIM_CAP,
 ) -> Trajectory:
     """Fixed-step 4th-order integration of the master equation.
 
@@ -207,8 +202,7 @@ def evolve(
         raise ValueError(f"unknown frame {frame!r}")
     rho0 = np.asarray(rho0, dtype=complex)
     dim = rho0.shape[0]
-    if dim > dim_cap:
-        raise CapExceededError(f"state dimension {dim} exceeds cap {dim_cap}")
+    check_state_dim(dim)
     check_density(rho0, d)
     ham = None if frame == "interaction" else h0
     weights = np.asarray(weights, dtype=float)
@@ -240,7 +234,7 @@ def evolve(
         if pos < len(stored_idx) and stored_idx[pos] == i:
             states[pos] = rho
             pos += 1
-    return Trajectory(times=times, states=states, d=d)
+    return Trajectory(times=times, states=states)
 
 
 def check_steps(t_final: float, dt: float, store_every: int) -> int:
@@ -251,6 +245,12 @@ def check_steps(t_final: float, dt: float, store_every: int) -> int:
     if not (isinstance(store_every, (int, np.integer)) and store_every >= 1):
         raise ValueError(f"store_every must be an integer >= 1, got {store_every!r}")
     return int(round(t_final / dt))
+
+
+def check_state_dim(dim: int) -> None:
+    """Raise CapExceededError if a dim x dim state is past ``EVOLVE_DIM_CAP``."""
+    if dim > EVOLVE_DIM_CAP:
+        raise CapExceededError(f"state dimension {dim} exceeds cap {EVOLVE_DIM_CAP}")
 
 
 def check_density(rho: np.ndarray, d: int = 2) -> None:
@@ -331,15 +331,13 @@ def expectation_consensus_gap(rho: np.ndarray, sigma: np.ndarray, d: int = 2) ->
     return max(vals) - min(vals)
 
 
-def is_permutation_invariant(
-    h0: np.ndarray, gens: GeneratorSet, d: int = 2, tol: float = 1e-10
-) -> bool:
-    """True iff H0 commutes with every generator's unitary."""
+def is_permutation_invariant(h0: np.ndarray, gens: GeneratorSet, d: int = 2) -> bool:
+    """True iff H0 commutes with every generator's unitary (to 1e-10)."""
     h0 = np.asarray(h0, dtype=complex)
     if _sites_of(h0.shape[0], d) != gens.n:
         raise ValueError("permutation degree does not match site count")
     maps = (_pull_map(p, d) for p in gens.perms)
-    return all(np.abs(h0 - h0[s[:, None], s[None, :]]).max() < tol for s in maps)
+    return all(np.abs(h0 - h0[s[:, None], s[None, :]]).max() < 1e-10 for s in maps)
 
 
 def uniform_site_hamiltonian(d: int, n_sites: int) -> np.ndarray:
@@ -362,29 +360,20 @@ def uniform_site_hamiltonian(d: int, n_sites: int) -> np.ndarray:
     return out
 
 
-def build_lq(
-    gens: GeneratorSet,
-    weights,
-    d: int = 2,
-    n_sites: int | None = None,
-    dim_cap: int = LQ_DIM_CAP,
-) -> np.ndarray:
+def build_lq(gens: GeneratorSet, weights, d: int = 2) -> np.ndarray:
     """Laplacian of the coefficient dynamics on all d^(2N) multi-indices.
 
     Row nu couples to nu o p (entry -w) for every generator p: the same
     pull rule as the induced graphs, of which this matrix is the direct
     sum over index-pattern classes.
     """
-    n = n_sites if n_sites is not None else gens.n
-    if n != gens.n:
-        raise ValueError("site count must match generator degree")
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (len(gens),):
         raise ValueError("one weight per generator required")
     q = d * d
-    dim = q**n
-    if dim > dim_cap:
-        raise CapExceededError(f"coefficient dimension {dim} exceeds cap {dim_cap}")
+    dim = q**gens.n
+    if dim > LQ_DIM_CAP:
+        raise CapExceededError(f"coefficient dimension {dim} exceeds cap {LQ_DIM_CAP}")
     idx = np.arange(dim)
     L = np.zeros((dim, dim))
     for p, w in zip(gens.perms, weights):
@@ -402,25 +391,21 @@ def frobenius_distances(states: np.ndarray, reference: np.ndarray) -> np.ndarray
     return np.linalg.norm(diff.reshape(diff.shape[0], -1), axis=1)
 
 
-def fit_decay_rate(
-    times: np.ndarray,
-    values: np.ndarray,
-    window: tuple[float, float] = (1e-6, 1e-2),
-    min_samples: int = 10,
-) -> float:
+def fit_decay_rate(times: np.ndarray, values: np.ndarray) -> float:
     """Exponential decay rate from the log-linear regime of a series.
 
     Fits log(values) against time by least squares over the samples
-    whose value lies inside ``window`` and returns the negated slope.
+    whose value lies inside [1e-6, 1e-2] (at least 10 of them) and
+    returns the negated slope.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    lo, hi = window
+    lo, hi = 1e-6, 1e-2
     mask = (values >= lo) & (values <= hi)
-    if int(mask.sum()) < min_samples:
+    if int(mask.sum()) < 10:
         raise InsufficientDecayError(
             f"only {int(mask.sum())} samples inside [{lo:g}, {hi:g}] "
-            f"(need {min_samples}); no usable decay regime"
+            "(need 10); no usable decay regime"
         )
     slope = np.polyfit(times[mask], np.log(values[mask]), 1)[0]
     return float(-slope)
@@ -439,11 +424,13 @@ def generic_state(
     vector has essentially no component along the slowest decaying mode
     are rejected and redrawn, so decay-rate fits see that mode.
     """
+    if gens is not None and gens.n != n_sites:
+        raise ValueError("site count must match generator degree")
     rng = np.random.default_rng(seed)
     dim = d**n_sites
     mode = None
     if gens is not None and weights is not None and (d * d) ** n_sites <= LQ_DIM_CAP:
-        lq = build_lq(gens, weights, d=d, n_sites=n_sites)
+        lq = build_lq(gens, weights, d=d)
         vals, vecs = np.linalg.eig(lq.T)
         nontrivial = np.abs(vals) > 1e-9
         if np.any(nontrivial):

@@ -43,24 +43,24 @@ def eigenvalues(m: np.ndarray) -> np.ndarray:
     return np.sort_complex(vals)
 
 
-def lambda2_re(spectrum: np.ndarray, zero_tol: float = ZERO_TOL) -> float:
+def lambda2_re(spectrum: np.ndarray) -> float:
     """:func:`lambda2_re_batch` of a single spectrum."""
-    return float(lambda2_re_batch(np.asarray(spectrum)[None], zero_tol)[0])
+    return float(lambda2_re_batch(np.asarray(spectrum)[None])[0])
 
 
-def lambda2_re_batch(spectra: np.ndarray, zero_tol: float = ZERO_TOL) -> np.ndarray:
+def lambda2_re_batch(spectra: np.ndarray) -> np.ndarray:
     """Per (k, V) row, the smallest real part once the one zero is dropped.
 
-    Zero means a modulus within ``zero_tol`` times the row's largest, so
+    Zero means a modulus within ``ZERO_TOL`` times the row's largest, so
     rates scale exactly with the weights.  A row without a zero is not a
     Laplacian spectrum; one with several (or of one vertex) has rate 0.
     """
     vals = np.asarray(spectra)
     mags = np.abs(vals)
-    zero = mags <= zero_tol * mags.max(axis=1, keepdims=True)
+    zero = mags <= ZERO_TOL * mags.max(axis=1, keepdims=True)
     count = zero.sum(axis=1)
     if np.any(count == 0):
-        raise NotALaplacianError(f"a spectrum has no eigenvalue within {zero_tol} of 0")
+        raise NotALaplacianError(f"a spectrum has no eigenvalue within {ZERO_TOL} of 0")
     rates = np.where(zero, np.inf, vals.real).min(axis=1)
     rates[(count > 1) | (count == vals.shape[1])] = 0.0
     return rates
@@ -114,10 +114,10 @@ def convergence_rates(gens: GeneratorSet, weights, d: int = 2) -> ConvergenceRat
     )
 
 
-def rates_coincide(rates, tol: float = INCLUSION_TOL) -> bool:
-    """Do the rates agree to ``tol`` relative to the largest of them?"""
+def rates_coincide(rates) -> bool:
+    """Do the rates agree to ``INCLUSION_TOL`` relative to the largest of them?"""
     vals = np.asarray(list(rates), dtype=float)
-    return bool(vals.max() - vals.min() <= tol * np.abs(vals).max())
+    return bool(vals.max() - vals.min() <= INCLUSION_TOL * np.abs(vals).max())
 
 
 def alternating_mode_rate(gens: GeneratorSet, weights) -> float:
@@ -221,7 +221,7 @@ def intertwining_check(
 
 
 def aldous_check(
-    gens: GeneratorSet, weights, d: int = 2, tol: float = INCLUSION_TOL
+    gens: GeneratorSet, weights, d: int = 2
 ) -> tuple[bool, dict[Partition, float]]:
     """Do all induced graphs share one second-eigenvalue real part?
 
@@ -229,4 +229,4 @@ def aldous_check(
     verdict means consensus and synchronization decay at the same speed.
     """
     rates = convergence_rates(gens, weights, d=d).per_partition
-    return rates_coincide(rates.values(), tol), rates
+    return rates_coincide(rates.values()), rates

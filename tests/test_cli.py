@@ -284,6 +284,42 @@ def test_simulate_bad_step_inputs_rejected_before_output(tmp_path, capsys, flag,
     assert not csv.exists()
 
 
+@pytest.mark.parametrize("n", [9, 20])
+def test_simulate_state_cap_before_output(tmp_path, capsys, n):
+    # 2^9 and 2^20 both pass the 256 cap; the check runs before any state
+    # or Hamiltonian of that size is built
+    ring = " ".join(map(str, range(1, n + 1)))
+    topo = tmp_path / "ring.topo"
+    topo.write_text(
+        f"name: ring\nN: {n}\ngenerator: ({ring}) weight wc\n"
+        "generator: (1 2) weight wt\n"
+    )
+    csv = tmp_path / "traj.csv"
+    code, out, err = run(
+        capsys, "simulate", str(topo), "--weights", "0.1,0.1", "--h0", "zsum",
+        "--out", str(csv),
+    )
+    assert code == 4
+    assert out == ""
+    assert f"state dimension {2**n} exceeds cap 256" in err
+    assert not csv.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("rates", "g1-3", "--weights", "0.2,0.2"),
+    ("pareto", "g1-3", "--out", "@CSV"),
+    ("spectrum", "g1-3", "--weights", "0.2,0.2", "--all"),
+], ids=lambda argv: argv[0])
+def test_seed_only_on_randomized_subcommands(tmp_path, capsys, argv):
+    csv = tmp_path / "out.csv"
+    argv = [str(csv) if a == "@CSV" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert not csv.exists()
+
+
 def test_step_size_failure_exit_code(capsys, tmp_path):
     out = tmp_path / "t.csv"
     code, _, err = run(

@@ -247,6 +247,24 @@ def test_maximize_seed_changes_paths_not_optimum():
     assert_allclose(v0, v9, atol=1e-6)
 
 
+def test_maximize_consensus_at_tiny_budget():
+    # the search stops 1.4e-9 (relative) below 0.4 at D = 1 already; at
+    # D = 1e-9 it must stop at the same point, scaled
+    gens = g13()
+    _, unit = maximize_rate(gens, BudgetConstraint.for_generators(gens, 1.0))
+    _, value = maximize_rate(gens, BudgetConstraint.for_generators(gens, 1e-9))
+    assert_allclose(value, 0.4e-9, rtol=1e-8, atol=0)
+    assert_allclose(value, 1e-9 * unit, rtol=1e-12, atol=0)
+
+
+def test_maximize_synch_plateau_at_huge_budget():
+    # the least-norm tie-break must see ties relative to the budget
+    gens = g13()
+    c = BudgetConstraint.for_generators(gens, 1e9)
+    w, _ = maximize_rate(gens, c, objective="synchronization")
+    assert_allclose(w, (3e9 / 13.0, 2e9 / 13.0), rtol=1e-6, atol=0)
+
+
 def test_maximize_rejects_unknown_objective():
     gens = g13()
     c = BudgetConstraint.for_generators(gens, 1.0)

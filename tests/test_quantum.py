@@ -541,6 +541,11 @@ def test_generic_state_is_reproducible_density():
     assert generic_state(2, 3, seed=1) is not None
 
 
+def test_generic_state_rejects_mismatched_site_count():
+    with pytest.raises(ValueError, match="site count"):
+        generic_state(2, 4, gens=g13(), weights=[0.3, 0.2])
+
+
 def test_generic_state_overlaps_slowest_mode():
     gens = g13()
     w = [0.3, 0.2]

@@ -7,8 +7,11 @@ whose record differs between two dumps.  The list covers ``rates``,
 ``spectrum --all``, ``spectrum --partition`` (graphs of up to 120
 vertices), ``optimize`` (both objectives) and ``pareto`` on the four
 presets and on ring+swap for N = 3..7 at d = 2 and 3, at fixed weights
-and seeds.  ``--heavy`` adds ``rates`` on ring+swap N = 7 at d = 3, whose
-5040-vertex graph takes about a minute per weight draw.
+and seeds, and ``simulate`` to t = 2 (stdout and trajectory CSV) on
+g1-3, g1-4 and g3-3 at d = 2 and g1-3 at d = 3, seeds 0 and 3, plus one
+g1-3 run each with ``--h0 zsum``, ``--h0 zsum --frame interaction`` and
+``--store-every 1``.  ``--heavy`` adds ``rates`` on ring+swap N = 7 at
+d = 3, whose 5040-vertex graph takes about a minute per weight draw.
 
     python tools/same_numbers.py dump /path/to/old/src old.json
     python tools/same_numbers.py dump src new.json
@@ -56,6 +59,16 @@ def commands(work, heavy):
         cmds.append(("pareto", name, "--out", "@CSV"))
         cmds.append(("pareto", name, "--resolution", "25", "--out", "@CSV"))
         cmds.append(("pareto", name, "--d", "3", "--resolution", "12", "--out", "@CSV"))
+
+    for name, d in (("g1-3", 2), ("g1-4", 2), ("g3-3", 2), ("g1-3", 3)):
+        base = ("simulate", name, "--weights", wa(PRESETS[name][1][0]), "--d", str(d),
+                "--t", "2", "--out", "@CSV")
+        cmds += [base + ("--seed", seed) for seed in ("0", "3")]
+    base = ("simulate", "g1-3", "--weights", wa(PRESETS["g1-3"][1][0]), "--t", "2",
+            "--out", "@CSV")
+    cmds.append(base + ("--h0", "zsum"))
+    cmds.append(base + ("--h0", "zsum", "--frame", "interaction"))
+    cmds.append(base + ("--store-every", "1"))
 
     draws = 1.0 - np.random.default_rng(20261018).random((3, 2))
     for n in range(3, 8):
