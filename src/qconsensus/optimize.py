@@ -19,7 +19,7 @@ from .induced import partitions_of, shape_action
 from .permgroup import GeneratorSet
 from .spectra import batch_rates
 
-CHUNK = 2048
+CHUNK = 256
 N_STARTS = 20
 STEP_FLOOR = 1e-8
 
@@ -150,6 +150,9 @@ def maximize_rate(
     Multi-start pattern search over simplex coordinates from ``N_STARTS``
     starts: all pairwise mass transfers at the current step size,
     doubling on success and halving on failure down to ``STEP_FLOOR``.
+    The starts advance in lockstep, one batched rate evaluation per
+    round over every live start's transfers, each start keeping its own
+    step; the first start with the strictly largest value wins.
     Deterministic for a fixed seed.
 
     Rate landscapes here routinely have flat ridges (an inactive
@@ -157,7 +160,11 @@ def maximize_rate(
     minimum), so a polish phase walks along value-preserving directions
     to the balanced representative: among equally fast weight vectors
     (to 1e-11 times the budget, so the optimum scales with it as the
-    rates do) the one of least Euclidean norm is returned.
+    rates do) the one of least Euclidean norm is returned.  Besides the
+    transfers, each polish round tries the pattern moves ``2u - h``
+    (Hooke & Jeeves) from the points one and two acceptances back, so a
+    walk that zigzags along a ridge speeds up instead of crawling at a
+    small step; an accepted pattern move keeps the step.
     """
     if objective not in ("consensus", "synchronization"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -188,23 +195,29 @@ def maximize_rate(
                 cands.append(c / c.sum())
         return np.array(cands) if cands else np.empty((0, m))
 
+    us = list(starts)
+    vs = [float(x) for x in f_batch(np.array(starts))]
+    steps = [0.25] * len(starts)
+    live = list(range(len(starts)))
+    while live:
+        batches = [transfers(us[s], steps[s]) for s in live]
+        ends = np.cumsum([len(b) for b in batches])
+        vals_all = f_batch(np.concatenate(batches)) if ends[-1] else np.empty(0)
+        for s, batch, vals in zip(live, batches, np.split(vals_all, ends[:-1])):
+            if len(batch):
+                k = int(np.argmax(vals))
+                if vals[k] > vs[s]:
+                    us[s] = batch[k]
+                    vs[s] = float(vals[k])
+                    steps[s] = min(steps[s] * 2.0, 0.5)
+                    continue
+            steps[s] *= 0.5
+        live = [s for s in live if steps[s] >= STEP_FLOOR]
+
+    # a NaN value never wins, as it compares false
     best_u = starts[0]
     best_v = -np.inf
-    for u0 in starts:
-        u = u0.copy()
-        v = float(f_batch(u[None, :])[0])
-        step = 0.25
-        while step >= STEP_FLOOR:
-            batch = transfers(u, step)
-            if len(batch):
-                vals = f_batch(batch)
-                k = int(np.argmax(vals))
-                if vals[k] > v:
-                    u = batch[k]
-                    v = float(vals[k])
-                    step = min(step * 2.0, 0.5)
-                    continue
-            step *= 0.5
+    for u, v in zip(us, vs):
         if v > best_v:
             best_v = v
             best_u = u
@@ -212,9 +225,14 @@ def maximize_rate(
     # polish: drift along flat directions toward the least-norm optimum
     u = best_u.copy()
     norm = float(np.sum((u / lengths) ** 2))
+    back = []  # the points one and two acceptances back
     step = 0.25
     while step >= STEP_FLOOR:
         batch = transfers(u, step)
+        n_transfers = len(batch)
+        patterns = [c / c.sum() for c in (2.0 * u - h for h in back) if np.all(c >= 0)]
+        if patterns:
+            batch = np.concatenate([batch, patterns])
         if len(batch):
             vals = f_batch(batch)
             norms = np.sum((batch / lengths[None, :]) ** 2, axis=1)
@@ -223,10 +241,12 @@ def maximize_rate(
             if np.any(keep):
                 idx = np.where(keep)[0]
                 k = idx[int(np.argmin(norms[idx]))]
+                back = [u] + back[:1]
                 u = batch[k]
                 norm = float(norms[k])
                 best_v = max(best_v, float(vals[k]))
-                step = min(step * 2.0, 0.5)
+                if k < n_transfers:
+                    step = min(step * 2.0, 0.5)
                 continue
         step *= 0.5
     best_u = u

@@ -23,6 +23,12 @@ def g13():
     return generator_set(3, [[[1, 2, 3]], [[1, 2]]], ["w123", "w12"])
 
 
+def g23():
+    return generator_set(
+        3, [[[1, 2, 3]], [[3, 2, 1]], [[1, 2]]], ["w123", "w321", "w12"]
+    )
+
+
 def g33():
     return generator_set(3, [[[1, 2]], [[2, 3]]], ["w12", "w23"])
 
@@ -145,7 +151,7 @@ def test_scan_is_deterministic():
 
 
 def test_multi_chunk_scan_matches_one_batch():
-    # 4501 grid points span three chunks, evaluated on a worker pool
+    # 4501 grid points span many chunks, evaluated on a worker pool
     gens = g13()
     c = BudgetConstraint.for_generators(gens, 1.0)
     pts = pareto_scan(gens, c, resolution=4500)
@@ -263,6 +269,35 @@ def test_maximize_synch_plateau_at_huge_budget():
     c = BudgetConstraint.for_generators(gens, 1e9)
     w, _ = maximize_rate(gens, c, objective="synchronization")
     assert_allclose(w, (3e9 / 13.0, 2e9 / 13.0), rtol=1e-6, atol=0)
+
+
+@pytest.mark.parametrize("budget", [0.5, 1.0, 2.0])
+def test_maximize_synch_three_generators_settles_the_tie(budget):
+    # the whole synchronization optimum is a plateau here; the polish must
+    # walk it to a smaller norm than the 0.0492204 * D**2 it once stopped at
+    gens = g23()
+    c = BudgetConstraint.for_generators(gens, budget)
+    w, value = maximize_rate(gens, c, objective="synchronization", seed=0)
+    assert value >= 0.5 * budget - 1e-11 * budget
+    assert np.sum(np.square(w)) < 0.049220 * budget**2
+
+
+def test_maximize_takes_few_batched_solves(monkeypatch):
+    # a polish that zigzags along the w12 = w34 ridge at a tiny step once
+    # took 75,799 rate calls here; pattern moves and lockstep starts batch it
+    calls = []
+    rates = _RateEvaluator.rates
+
+    def counted(self, w_batch):
+        calls.append(len(w_batch))
+        return rates(self, w_batch)
+
+    monkeypatch.setattr(_RateEvaluator, "rates", counted)
+    gens = g14()
+    c = BudgetConstraint.for_generators(gens, 1.0)
+    _, value = maximize_rate(gens, c, objective="synchronization", seed=0)
+    assert_allclose(value, 0.25, atol=1e-6)
+    assert len(calls) < 500
 
 
 def test_maximize_rejects_unknown_objective():

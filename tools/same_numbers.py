@@ -10,8 +10,10 @@ presets and on ring+swap for N = 3..7 at d = 2 and 3, at fixed weights
 and seeds, and ``simulate`` to t = 2 (stdout and trajectory CSV) on
 g1-3, g1-4 and g3-3 at d = 2 and g1-3 at d = 3, seeds 0 and 3, plus one
 g1-3 run each with ``--h0 zsum``, ``--h0 zsum --frame interaction`` and
-``--store-every 1``.  ``--heavy`` adds ``rates`` on ring+swap N = 7 at
-d = 3, whose 5040-vertex graph takes about a minute per weight draw.
+``--store-every 1``, and ``optimize`` (both objectives, seed 0) on g1-4
+and g2-3 at budgets 0.5 and 2.  ``--heavy`` adds ``rates`` on ring+swap
+N = 7 at d = 3, whose 5040-vertex graph takes about a minute per weight
+draw.
 
     python tools/same_numbers.py dump /path/to/old/src old.json
     python tools/same_numbers.py dump src new.json
@@ -35,8 +37,9 @@ PRESETS = {
 
 
 def commands(work, heavy):
-    """The command list; ring+swap topology files are written to ``work``."""
+    """The command list; its topology files are written to ``work``."""
     import numpy as np
+    from qconsensus.cli import PRESETS as TOPOLOGIES
     from qconsensus.induced import enumerate_tabloids, partitions_of
 
     def wa(w):
@@ -69,6 +72,14 @@ def commands(work, heavy):
     cmds.append(base + ("--h0", "zsum"))
     cmds.append(base + ("--h0", "zsum", "--frame", "interaction"))
     cmds.append(base + ("--store-every", "1"))
+
+    for name in ("g1-4", "g2-3"):
+        for budget in ("0.5", "2"):
+            path = os.path.join(work, f"{name}-budget-{budget}.txt")
+            with open(path, "w") as fh:
+                fh.write(TOPOLOGIES[name] + f"budget: {budget}\n")
+            for obj in ("consensus", "synchronization"):
+                cmds.append(("optimize", path, "--objective", obj, "--seed", "0"))
 
     draws = 1.0 - np.random.default_rng(20261018).random((3, 2))
     for n in range(3, 8):
