@@ -28,7 +28,7 @@ rates = convergence_rates(gens, weights)
 print(f"predicted consensus rate: {rates.lambda_cons:.6f}")
 print(f"predicted synch rate:     {rates.lambda_synch:.6f}")
 
-rho0 = generic_state(2, 3, seed=1, gens=gens, weights=weights)
+rho0 = generic_state(2, 3, seed=1)
 traj = evolve(rho0, None, gens, weights, t_final=20.0, dt=1e-3, store_every=10)
 
 # average over the group the generators generate; it is never enumerated

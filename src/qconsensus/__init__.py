@@ -1,85 +1,29 @@
 """Convergence rates and weight optimization for permutation-driven
 qudit consensus networks.
 
-The classical layer (permutations, digraphs, tabloid-induced graphs,
-spectra) predicts the decay rates of the quantum dynamics; the quantum
-layer (density matrices under weighted permutation swaps) is simulated
+The classical layer (permutations, tabloid-induced graphs, spectra)
+predicts the decay rates of the quantum dynamics; the quantum layer
+(density matrices under weighted permutation swaps) is simulated
 directly so the prediction can be checked end to end.  The `qcl`
-console script exposes the whole pipeline.
+console script exposes the whole pipeline; the names below are the
+ones the `demos/` scripts use, and everything else is imported from its
+module.
 """
 
-from .permgroup import (
-    CapExceededError,
-    GeneratorSet,
-    Permutation,
-    compose,
-    effective_cycle_length,
-    from_cycles,
-    generate_group,
-    generator_set,
-    identity,
-    inverse,
-    is_full_symmetric,
-    parity,
-    to_cycles,
-)
-from .netgraph import (
-    WeightedDigraph,
-    cayley_graph,
-    generator_laplacian,
-    is_strongly_connected,
-    laplacian_of,
-    underlying_graph,
-)
-from .induced import (
-    InducedGraph,
-    Partition,
-    Tabloid,
-    act_on_tabloid,
-    canonical_tabloid,
-    dominates,
-    enumerate_tabloids,
-    induced_laplacian,
-    partitions_of,
-)
+from .permgroup import generator_set
+from .induced import dominates, enumerate_tabloids, induced_laplacian, partitions_of
 from .spectra import (
-    ConvergenceRates,
-    IntertwiningReport,
-    NotALaplacianError,
-    NumericalFailureError,
-    aldous_check,
-    alternating_mode_rate,
     convergence_rates,
     eigenvalues,
     intertwining_check,
-    lambda2_re,
     multiset_contained,
 )
-from .optimize import (
-    BudgetConstraint,
-    ParetoPoint,
-    maximize_rate,
-    pareto_front,
-    pareto_scan,
-)
+from .optimize import BudgetConstraint, maximize_rate, pareto_scan
 from .quantum import (
-    InsufficientDecayError,
-    StepSizeError,
-    Trajectory,
-    build_lq,
-    check_density,
-    decompose,
     evolve,
-    expectation_consensus_gap,
     fit_decay_rate,
     frobenius_distances,
-    gellmann_basis,
     generic_state,
-    is_permutation_invariant,
-    lindblad_rhs,
-    permutation_unitary,
-    reconstruct,
-    reduced_state,
     symmetric_state,
     sync_distance,
     uniform_site_hamiltonian,

@@ -155,6 +155,7 @@ def parse_topology(text: str, source: str = "<topology>") -> TopologySpec:
     perms = []
     labels = []
     fixed: dict[str, float] = {}
+    written = {w_text for _, _, w_text in raw_gens}
     for lineno, cyc_text, w_text in raw_gens:
         groups = _CYCLE_RE.findall(cyc_text)
         leftover = _CYCLE_RE.sub("", cyc_text).strip()
@@ -174,9 +175,9 @@ def parse_topology(text: str, source: str = "<topology>") -> TopologySpec:
         except ValueError:
             labels.append(w_text)
         else:
-            # invent a positional label; skip any name already taken
+            # invent a positional label; skip any name taken or in the file
             k = len(labels) + 1
-            while f"w{k}" in labels:
+            while f"w{k}" in labels or f"w{k}" in written:
                 k += 1
             label = f"w{k}"
             labels.append(label)
@@ -231,9 +232,10 @@ def fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def fmt_c(z: complex) -> str:
+def fmt_c(z: complex, scale: float) -> str:
+    """z to 12 digits; an imaginary part within 1e-15 * scale prints as real."""
     re_part = fmt(z.real)
-    if abs(z.imag) < 1e-15:
+    if abs(z.imag) <= 1e-15 * scale:
         return re_part
     sign = "+" if z.imag >= 0 else "-"
     return f"{re_part}{sign}{fmt(abs(z.imag))}i"
@@ -311,7 +313,7 @@ def cmd_optimize(args, spec: TopologySpec, d: int) -> int:
     return 0
 
 
-def _load_rho0(path: str, d: int) -> np.ndarray:
+def _load_rho0(path: str, d: int, n: int) -> np.ndarray:
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -325,6 +327,8 @@ def _load_rho0(path: str, d: int) -> np.ndarray:
             rows.append(entries)
     rho = np.array(rows, dtype=complex)
     try:
+        if rho.shape != (d**n, d**n):
+            raise ValueError(f"N={n}, d={d} needs {d**n}x{d**n}, got shape {rho.shape}")
         check_density(rho, d)
     except ValueError as exc:
         raise TopologyError(f"{path}: bad initial state: {exc}") from exc
@@ -335,14 +339,14 @@ def cmd_simulate(args, spec: TopologySpec, d: int) -> int:
     w = resolve_weights(spec, args.weights)
     check_steps(args.t, args.dt, args.store_every)
     check_state_dim(d**spec.n)
+    if args.rho0 == "generic":
+        rho0 = generic_state(d, spec.n, seed=args.seed)
+    else:
+        rho0 = _load_rho0(args.rho0, d, spec.n)
     _echo_config(spec, w, d)
     h0 = None
     if args.h0 == "zsum":
         h0 = uniform_site_hamiltonian(d, spec.n)
-    if args.rho0 == "generic":
-        rho0 = generic_state(d, spec.n, seed=args.seed, gens=spec.gens, weights=w)
-    else:
-        rho0 = _load_rho0(args.rho0, d)
     traj = evolve(
         rho0, h0, spec.gens, w, t_final=args.t, dt=args.dt,
         frame=args.frame, d=d, store_every=args.store_every,
@@ -383,7 +387,9 @@ def cmd_spectrum(args, spec: TopologySpec, d: int) -> int:
         for pc in report.pairs:
             inner = ",".join(map(str, pc.inner))
             outer = ",".join(map(str, pc.outer))
-            verdict = "ok" if pc.included else f"VIOLATED at {fmt_c(pc.witness)}"
+            verdict = "ok"
+            if not pc.included:
+                verdict = f"VIOLATED at {fmt_c(pc.witness, abs(pc.witness))}"
             print(
                 f"  ({inner}) into ({outer}) [{pc.kind}]: {verdict} "
                 f"(max defect {pc.max_defect:.3e})"
@@ -413,8 +419,10 @@ def cmd_spectrum(args, spec: TopologySpec, d: int) -> int:
     for row in ig.laplacian:
         print("  " + " ".join(fmt(v) for v in row))
     print("spectrum:")
-    for z in eigenvalues(ig.laplacian):
-        print("  " + fmt_c(z))
+    vals = eigenvalues(ig.laplacian)
+    scale = float(np.abs(vals).max())
+    for z in vals:
+        print("  " + fmt_c(z, scale))
     return 0
 
 

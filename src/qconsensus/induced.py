@@ -4,9 +4,9 @@ set induces on them.
 A tabloid of shape ``parts`` is stored as a ``row_of`` tuple: position k
 (1-based) sits in row ``row_of[k-1]``.  A permutation p acts by pulling
 row labels along positions, ``(t . p)[k] = t[p(k)]``; the induced
-Laplacian applies the same attend-to-image rule as the site-label graph
-in :mod:`qconsensus.netgraph`, so the shape ``(n-1, 1)`` graph is the
-underlying graph up to relabeling vertices by their singleton position.
+Laplacian applies the same attend-to-image rule as the site-label
+Laplacian in :mod:`qconsensus.netgraph`, so the shape ``(n-1, 1)`` graph
+is that Laplacian up to relabeling vertices by their singleton position.
 
 Partitions compare in the dominance order (prefix sums); enumeration
 orders are fixed (descending lexicographic for partitions, ascending

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,18 +88,6 @@ def front_mask(cons: np.ndarray, synch: np.ndarray) -> np.ndarray:
             best_above = group_best
         i = j
     return mask
-
-
-def pareto_front(points: list[ParetoPoint]) -> list[ParetoPoint]:
-    """Non-dominated subset, sorted by lambda_synch ascending."""
-    if not points:
-        return []
-    cons = np.array([p.lambda_cons for p in points])
-    synch = np.array([p.lambda_synch for p in points])
-    mask = front_mask(cons, synch)
-    kept = [replace(p, on_front=True) for p, m in zip(points, mask) if m]
-    kept.sort(key=lambda p: (p.lambda_synch, p.lambda_cons, p.weights))
-    return kept
 
 
 def pareto_scan(

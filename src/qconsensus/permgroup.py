@@ -88,10 +88,6 @@ def inverse(p: Permutation) -> Permutation:
     return tuple(out)
 
 
-def apply(p: Permutation, i: int) -> int:
-    return p[i - 1]
-
-
 def effective_cycle_length(p: Permutation) -> int:
     """Summed length of all cycles of length >= 2 (fixed points cost nothing)."""
     return sum(len(c) for c in to_cycles(p))

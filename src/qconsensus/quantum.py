@@ -104,23 +104,6 @@ def decompose(rho: np.ndarray, d: int = 2) -> np.ndarray:
     return flat.real.copy()
 
 
-def reconstruct(coeffs: np.ndarray, d: int = 2) -> np.ndarray:
-    """Inverse of :func:`decompose` (includes the 1/d^N prefactor)."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    n = _sites_of(coeffs.size, d * d)
-    basis = gellmann_basis(d)
-    h = basis.reshape(d * d, d * d).T / d
-    t = coeffs.reshape((d * d,) * n).astype(complex)
-    for _ in range(n):
-        t = np.tensordot(t, h, axes=([0], [1]))
-    t = t.reshape((d, d) * n)
-    rows = [2 * k for k in range(n)]
-    cols = [2 * k + 1 for k in range(n)]
-    t = np.transpose(t, rows + cols)
-    dim = d**n
-    return t.reshape(dim, dim)
-
-
 @functools.lru_cache(maxsize=256)
 def _pull_map(p: Permutation, base: int) -> np.ndarray:
     """Read-only index map s: s[x] has base-ary digit k equal to x's digit p(k).
@@ -135,19 +118,6 @@ def _pull_map(p: Permutation, base: int) -> np.ndarray:
     s = digits[:, [k - 1 for k in p]] @ place
     s.flags.writeable = False
     return s
-
-
-def permutation_unitary(p: Permutation, d: int) -> np.ndarray:
-    """Unitary that transports the state of site j to site p(j).
-
-    On basis kets: U_p |y_1 .. y_N> = |x_1 .. x_N> with x_k = y_{p^{-1}(k)}.
-    The map p -> U_p is a group homomorphism.  Dense reference only: the
-    dynamics applies U_p as a gather.
-    """
-    s = _pull_map(tuple(p), d)
-    u = np.zeros((s.size, s.size))
-    u[np.arange(s.size), s] = 1.0
-    return u
 
 
 def lindblad_rhs(
@@ -318,28 +288,6 @@ def sync_distance(rho: np.ndarray, d: int = 2) -> float:
     return worst
 
 
-def expectation_consensus_gap(rho: np.ndarray, sigma: np.ndarray, d: int = 2) -> float:
-    """Largest spread of a single-site observable's expectation across sites."""
-    sigma = np.asarray(sigma, dtype=complex)
-    if np.abs(sigma - sigma.conj().T).max() > 1e-10:
-        raise ValueError("observable must be Hermitian")
-    n = _sites_of(np.asarray(rho).shape[0], d)
-    vals = [
-        float(np.trace(reduced_state(rho, k, d) @ sigma).real)
-        for k in range(1, n + 1)
-    ]
-    return max(vals) - min(vals)
-
-
-def is_permutation_invariant(h0: np.ndarray, gens: GeneratorSet, d: int = 2) -> bool:
-    """True iff H0 commutes with every generator's unitary (to 1e-10)."""
-    h0 = np.asarray(h0, dtype=complex)
-    if _sites_of(h0.shape[0], d) != gens.n:
-        raise ValueError("permutation degree does not match site count")
-    maps = (_pull_map(p, d) for p in gens.perms)
-    return all(np.abs(h0 - h0[s[:, None], s[None, :]]).max() < 1e-10 for s in maps)
-
-
 def uniform_site_hamiltonian(d: int, n_sites: int) -> np.ndarray:
     """Sum over sites of one diagonal single-site term (sigma_z for d=2).
 
@@ -420,34 +368,17 @@ def generic_state(
 ) -> np.ndarray:
     """Random product state with a 1e-2 maximally-mixed floor.
 
-    When a weighted generator set is supplied, draws whose coefficient
-    vector has essentially no component along the slowest decaying mode
-    are rejected and redrawn, so decay-rate fits see that mode.
+    ``gens`` and ``weights`` are accepted for callers that pass their
+    topology along; the draw reads neither, and ``gens`` only has its
+    site count checked against ``n_sites``.
     """
     if gens is not None and gens.n != n_sites:
         raise ValueError("site count must match generator degree")
     rng = np.random.default_rng(seed)
+    psi = None
+    for _ in range(n_sites):
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        v /= np.linalg.norm(v)
+        psi = v if psi is None else np.kron(psi, v)
     dim = d**n_sites
-    mode = None
-    if gens is not None and weights is not None and (d * d) ** n_sites <= LQ_DIM_CAP:
-        lq = build_lq(gens, weights, d=d)
-        vals, vecs = np.linalg.eig(lq.T)
-        nontrivial = np.abs(vals) > 1e-9
-        if np.any(nontrivial):
-            positive = np.where(nontrivial)[0]
-            slow = positive[np.argmin(vals[positive].real)]
-            mode = vecs[:, slow]
-    for _ in range(64):
-        psi = None
-        for _ in range(n_sites):
-            v = rng.normal(size=d) + 1j * rng.normal(size=d)
-            v /= np.linalg.norm(v)
-            psi = v if psi is None else np.kron(psi, v)
-        rho = 0.99 * np.outer(psi, psi.conj()) + 0.01 * np.eye(dim) / dim
-        if mode is None:
-            return rho
-        x = decompose(rho, d)
-        overlap = abs(np.vdot(mode, x)) / (np.linalg.norm(mode) * np.linalg.norm(x))
-        if overlap >= 1e-6:
-            return rho
-    raise RuntimeError("could not draw a state overlapping the slow mode")
+    return 0.99 * np.outer(psi, psi.conj()) + 0.01 * np.eye(dim) / dim

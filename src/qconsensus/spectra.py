@@ -43,11 +43,6 @@ def eigenvalues(m: np.ndarray) -> np.ndarray:
     return np.sort_complex(vals)
 
 
-def lambda2_re(spectrum: np.ndarray) -> float:
-    """:func:`lambda2_re_batch` of a single spectrum."""
-    return float(lambda2_re_batch(np.asarray(spectrum)[None])[0])
-
-
 def lambda2_re_batch(spectra: np.ndarray) -> np.ndarray:
     """Per (k, V) row, the smallest real part once the one zero is dropped.
 
@@ -218,15 +213,3 @@ def intertwining_check(
     return IntertwiningReport(
         pairs=tuple(checks), ok=all(c.included for c in checks)
     )
-
-
-def aldous_check(
-    gens: GeneratorSet, weights, d: int = 2
-) -> tuple[bool, dict[Partition, float]]:
-    """Do all induced graphs share one second-eigenvalue real part?
-
-    Returns the verdict plus the per-partition rates as witness.  A True
-    verdict means consensus and synchronization decay at the same speed.
-    """
-    rates = convergence_rates(gens, weights, d=d).per_partition
-    return rates_coincide(rates.values()), rates

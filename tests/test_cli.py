@@ -77,6 +77,18 @@ def test_parse_topology_mixed_fixed_and_symbolic():
     assert spec.fixed == {"w2": 0.1}
 
 
+def test_invented_label_skips_later_symbolic_label():
+    text = (
+        "name: t\nN: 3\n"
+        "generator: (1 2 3) weight 0.25\n"
+        "generator: (1 2) weight w1\n"
+    )
+    spec = parse_topology(text)
+    assert spec.gens.labels == ("w2", "w1")
+    assert spec.fixed == {"w2": 0.25}
+    assert list(resolve_weights(spec, "0.1")) == [0.25, 0.1]
+
+
 def test_parse_topology_disjoint_cycles_one_generator():
     text = "name: t\nN: 4\ngenerator: (1 2)(3 4) weight wd\n"
     spec = parse_topology(text)
@@ -451,6 +463,25 @@ def test_simulate_rejects_bad_rho0(tmp_path, capsys):
     assert "bad initial state" in err
 
 
+@pytest.mark.parametrize("content", [
+    None,
+    "0.5 0\n0 x\n",
+    "0.25 0 0 0\n0 0.25 0 0\n0 0 0.25 0\n0 0 0 0.25\n",
+], ids=["missing", "non-numeric", "4x4-for-three-qubits"])
+def test_simulate_bad_rho0_rejected_before_output(tmp_path, capsys, content):
+    rho_file = tmp_path / "rho.txt"
+    if content is not None:
+        rho_file.write_text(content)
+    csv = tmp_path / "traj.csv"
+    code, out, _ = run(
+        capsys, "simulate", "g1-3", "--weights", "0.2,0.2", "--t", "1",
+        "--rho0", str(rho_file), "--out", str(csv),
+    )
+    assert code == 2
+    assert out == ""
+    assert not csv.exists()
+
+
 # --- spectrum ---
 
 
@@ -475,6 +506,19 @@ def test_spectrum_eight_site_vertex_shape(tmp_path, capsys):
     )
     assert code == 0
     assert "partition: (7,1)  vertices: 8" in out
+
+
+def test_spectrum_prints_one_pattern_at_every_scale(capsys):
+    def spectrum(weights):
+        code, out, _ = run(
+            capsys, "spectrum", "g1-3", "--weights", weights, "--partition", "1,1,1"
+        )
+        assert code == 0
+        return out.split("spectrum:\n")[1].split()
+
+    unit, tiny = spectrum("0.3,0.1"), spectrum("3e-17,1e-17")
+    assert sum(z.endswith("i") for z in unit) == 4
+    assert [z.endswith("i") for z in tiny] == [z.endswith("i") for z in unit]
 
 
 def test_spectrum_rejects_trivial_partition(capsys):

@@ -1,18 +1,13 @@
-"""Vertex-level graphs: Laplacian construction, connectivity, Cayley graphs."""
+"""The site-label Laplacian, connectivity through its spectrum, and the
+Cayley-graph reference the all-singleton tabloid graph is checked against."""
 
 import numpy as np
-import pytest
 from numpy.testing import assert_allclose
 
-from qconsensus.netgraph import (
-    WeightedDigraph,
-    cayley_graph,
-    generator_laplacian,
-    is_strongly_connected,
-    laplacian_of,
-    underlying_graph,
-)
+from qconsensus.netgraph import generator_laplacian
 from qconsensus.permgroup import generate_group, generator_set
+from qconsensus.spectra import lambda2_re_batch
+from reference import cayley_laplacian
 
 
 def ring_gens(n):
@@ -24,28 +19,10 @@ def swap_plus_cycle_3():
     return generator_set(3, [[[1, 2, 3]], [[1, 2]]], ["w123", "w12"])
 
 
-# --- basic digraph validation ---
-
-
-def test_digraph_rejects_self_loop():
-    with pytest.raises(ValueError):
-        WeightedDigraph(2, ((1, 1, 0.5),))
-
-
-def test_digraph_rejects_duplicate_edge():
-    with pytest.raises(ValueError):
-        WeightedDigraph(3, ((1, 2, 0.5), (1, 2, 0.25)))
-
-
-def test_digraph_rejects_negative_weight():
-    with pytest.raises(ValueError):
-        WeightedDigraph(2, ((1, 2, -0.1),))
-
-
-def test_laplacian_of_single_edge():
-    g = WeightedDigraph(3, ((1, 2, 0.7),))
-    expected = np.array([[0.7, -0.7, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    assert_allclose(laplacian_of(g), expected)
+def connected(lap):
+    # every edge lies on a generator cycle, so weak and strong
+    # connectivity agree, and either means exactly one zero eigenvalue
+    return lambda2_re_batch(np.linalg.eigvals(lap)[None])[0] > 0
 
 
 # --- generator Laplacians ---
@@ -84,50 +61,22 @@ def test_row_sums_exactly_zero_for_dyadic_weights():
     assert np.all(lap.sum(axis=1) == 0.0)
 
 
-def test_generator_laplacian_matches_underlying_graph():
-    gens = swap_plus_cycle_3()
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        w = rng.uniform(0.01, 1.0, size=2)
-        direct = generator_laplacian(gens, w)
-        via_graph = laplacian_of(underlying_graph(gens, w))
-        assert_allclose(direct, via_graph, atol=1e-15)
-
-
-def test_underlying_graph_merges_parallel_edges():
-    # both generators contribute the edge 2 -> 1
-    gens = swap_plus_cycle_3()
-    g = underlying_graph(gens, [0.3, 0.2])
-    weights = {(u, v): w for u, v, w in g.edges}
-    assert_allclose(weights[(2, 1)], 0.5)
-    assert_allclose(weights[(1, 3)], 0.3)
-    assert_allclose(weights[(1, 2)], 0.2)
-
-
-def test_underlying_graph_drops_zero_weight():
-    gens = swap_plus_cycle_3()
-    g = underlying_graph(gens, [0.3, 0.0])
-    assert all(w > 0 for _, _, w in g.edges)
-    assert len(g.edges) == 3
-
-
 # --- connectivity ---
 
 
 def test_cycle_is_strongly_connected():
-    g = underlying_graph(ring_gens(4), [1.0])
-    assert is_strongly_connected(g)
+    assert connected(generator_laplacian(ring_gens(4), [1.0]))
 
 
 def test_transposition_alone_is_not():
     gens = generator_set(3, [[[1, 2]]])
-    assert not is_strongly_connected(underlying_graph(gens, [1.0]))
+    assert not connected(generator_laplacian(gens, [1.0]))
 
 
 def test_zero_weight_breaks_connectivity():
     gens = swap_plus_cycle_3()
-    assert is_strongly_connected(underlying_graph(gens, [0.2, 0.2]))
-    assert not is_strongly_connected(underlying_graph(gens, [0.0, 0.2]))
+    assert connected(generator_laplacian(gens, [0.2, 0.2]))
+    assert not connected(generator_laplacian(gens, [0.0, 0.2]))
 
 
 # --- Cayley graphs ---
@@ -135,27 +84,24 @@ def test_zero_weight_breaks_connectivity():
 
 def test_cayley_graph_s3():
     gens = swap_plus_cycle_3()
-    g = cayley_graph(gens, [0.3, 0.2])
-    assert g.n_vertices == 6
+    lap = cayley_laplacian(gens, [0.3, 0.2])
+    assert lap.shape == (6, 6)
     # every group element has one outgoing edge per generator
-    out_deg = {}
-    for u, v, w in g.edges:
-        out_deg[u] = out_deg.get(u, 0) + 1
-    assert all(out_deg[u] == 2 for u in range(1, 7))
-    assert is_strongly_connected(g)
-    lap = laplacian_of(g)
+    assert all(np.count_nonzero(row) == 3 for row in lap)
+    assert connected(lap)
     assert_allclose(lap.sum(axis=1), 0.0, atol=1e-15)
     assert_allclose(np.diag(lap), 0.5)
 
 
 def test_cayley_graph_default_unit_weights():
     gens = generator_set(3, [[[1, 2, 3]]])
-    g = cayley_graph(gens)
-    assert g.n_vertices == 3
-    assert all(w == 1.0 for _, _, w in g.edges)
+    lap = cayley_laplacian(gens)
+    assert lap.shape == (3, 3)
+    assert set(lap[~np.eye(3, dtype=bool)]) == {0.0, -1.0}
+    assert_allclose(np.diag(lap), 1.0)
 
 
 def test_cayley_graph_vertex_count_matches_group_order():
     gens = generator_set(4, [[[1, 2]], [[2, 3]], [[3, 4]]])
-    g = cayley_graph(gens, [1.0, 1.0, 1.0])
-    assert g.n_vertices == len(generate_group(gens))
+    lap = cayley_laplacian(gens, [1.0, 1.0, 1.0])
+    assert len(lap) == len(generate_group(gens))

@@ -8,10 +8,8 @@ from numpy.testing import assert_allclose
 from qconsensus.optimize import (
     CHUNK,
     BudgetConstraint,
-    ParetoPoint,
     front_mask,
     maximize_rate,
-    pareto_front,
     pareto_scan,
     _RateEvaluator,
 )
@@ -98,17 +96,6 @@ def test_front_mask_matches_brute_force(seed):
     cons = rng.integers(0, 6, n) / 4.0
     synch = rng.integers(0, 6, n) / 4.0
     assert np.array_equal(front_mask(cons, synch), brute_force_front(cons, synch))
-
-
-def test_pareto_front_filters_and_sorts():
-    pts = [
-        ParetoPoint((0.1,), 1.0, 1.0),
-        ParetoPoint((0.2,), 2.0, 0.0),
-        ParetoPoint((0.3,), 0.5, 0.5),
-    ]
-    front = pareto_front(pts)
-    assert [p.lambda_cons for p in front] == [2.0, 1.0]
-    assert all(p.on_front for p in front)
 
 
 # --- grid scan ---

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from qconsensus.permgroup import (
     CapExceededError,
     GeneratorSet,
-    apply,
     compose,
     effective_cycle_length,
     from_cycles,
@@ -93,7 +92,7 @@ def test_to_cycles_smallest_first(p):
         assert len(cyc) >= 2
 
 
-# --- composition, inverse, apply ---
+# --- composition and inverse ---
 
 
 def test_compose_applies_right_factor_first():
@@ -102,11 +101,6 @@ def test_compose_applies_right_factor_first():
     # (p o q)(x) = p(q(x)):  1 -> 1 -> 2,  2 -> 3 -> 3,  3 -> 2 -> 1
     assert compose(p, q) == (2, 3, 1)
     assert compose(q, p) == (3, 1, 2)
-
-
-def test_apply_matches_images():
-    p = from_cycles(4, [[1, 3, 2]])
-    assert [apply(p, x) for x in (1, 2, 3, 4)] == [3, 1, 2, 4]
 
 
 @given(perm_pairs())
@@ -157,7 +151,7 @@ def test_effective_cycle_length():
 
 @given(perms())
 def test_effective_length_counts_moved_points(p):
-    moved = sum(1 for x in range(1, len(p) + 1) if apply(p, x) != x)
+    moved = sum(1 for x in range(1, len(p) + 1) if p[x - 1] != x)
     assert effective_cycle_length(p) == moved
 
 

@@ -29,21 +29,18 @@ from qconsensus.quantum import (
     check_density,
     decompose,
     evolve,
-    expectation_consensus_gap,
     fit_decay_rate,
     frobenius_distances,
     gellmann_basis,
     generic_state,
-    is_permutation_invariant,
     lindblad_rhs,
-    permutation_unitary,
-    reconstruct,
     reduced_state,
     symmetric_state,
     sync_distance,
     uniform_site_hamiltonian,
 )
 from qconsensus.spectra import eigenvalues, multiset_contained
+from reference import permutation_unitary, reconstruct
 
 
 def swap2():
@@ -416,23 +413,18 @@ def test_sync_distance_extremes():
     assert sync_distance(np.kron(zero, zero)) < 1e-14
 
 
-def test_expectation_gap():
-    zero = np.diag([1.0, 0.0]).astype(complex)
-    one = np.diag([0.0, 1.0]).astype(complex)
-    sz = np.diag([1.0, -1.0]).astype(complex)
-    assert_allclose(expectation_consensus_gap(np.kron(zero, one), sz), 2.0)
-    assert_allclose(expectation_consensus_gap(np.kron(zero, zero), sz), 0.0)
-    with pytest.raises(ValueError):
-        expectation_consensus_gap(np.kron(zero, one), np.array([[0, 1], [0, 0]]))
-
-
 def test_uniform_site_hamiltonian_commutes_with_swaps():
     h = uniform_site_hamiltonian(2, 3)
     assert_allclose(np.diag(h), [3, 1, 1, -1, 1, -1, -1, -3])
-    assert is_permutation_invariant(h, g13())
+    unitaries = [permutation_unitary(p, 2) for p in g13().perms]
+
+    def commutes(m):
+        return all(np.abs(u @ m - m @ u).max() < 1e-10 for u in unitaries)
+
+    assert commutes(h)
     # a single-site term on one site only is not invariant
     lopsided = np.kron(np.diag([1.0, -1.0]), np.eye(4)).astype(complex)
-    assert not is_permutation_invariant(lopsided, g13())
+    assert not commutes(lopsided)
 
 
 def test_check_density_rejects_bad_inputs():
@@ -544,6 +536,20 @@ def test_generic_state_is_reproducible_density():
 def test_generic_state_rejects_mismatched_site_count():
     with pytest.raises(ValueError, match="site count"):
         generic_state(2, 4, gens=g13(), weights=[0.3, 0.2])
+
+
+def test_generic_state_solves_no_eigenproblem(monkeypatch):
+    # the topology keywords do not steer the draw, even where a dense
+    # eigensolve of the coefficient generator would still fit in memory
+    gens = generator_set(6, [[[1, 2, 3, 4, 5, 6]], [[1, 2]]])
+    plain = generic_state(2, 6, seed=0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("generic_state solved an eigenproblem")
+
+    monkeypatch.setattr(np.linalg, "eig", refuse)
+    got = generic_state(2, 6, seed=0, gens=gens, weights=[0.3, 0.2])
+    np.testing.assert_array_equal(got, plain)
 
 
 def test_generic_state_overlaps_slowest_mode():

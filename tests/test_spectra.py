@@ -20,13 +20,11 @@ from qconsensus.netgraph import generator_laplacian
 from qconsensus.permgroup import generator_set
 from qconsensus.spectra import (
     NotALaplacianError,
-    aldous_check,
     alternating_mode_rate,
     convergence_rates,
     distinct_values,
     eigenvalues,
     intertwining_check,
-    lambda2_re,
     lambda2_re_batch,
     multiset_contained,
     rates_coincide,
@@ -74,7 +72,7 @@ def test_lambda2_complete_graph():
     # complete graph on 3 vertices from its transpositions
     gens = generator_set(3, [[[1, 2]], [[2, 3]], [[1, 3]]])
     lap = generator_laplacian(gens, [1.0, 1.0, 1.0])
-    assert_allclose(lambda2_re(eigenvalues(lap)), 3.0, atol=1e-12)
+    assert_allclose(lambda2_re_batch(eigenvalues(lap)[None])[0], 3.0, atol=1e-12)
 
 
 def test_lambda2_zero_when_disconnected():
@@ -83,12 +81,12 @@ def test_lambda2_zero_when_disconnected():
     lap[0, 1] = lap[1, 0] = -1.0
     lap[2, 2] = lap[3, 3] = 1.0
     lap[2, 3] = lap[3, 2] = -1.0
-    assert lambda2_re(eigenvalues(lap)) == 0.0
+    assert lambda2_re_batch(eigenvalues(lap)[None])[0] == 0.0
 
 
 def test_lambda2_rejects_shifted_spectrum():
     with pytest.raises(NotALaplacianError):
-        lambda2_re(eigenvalues(np.eye(3)))
+        lambda2_re_batch(eigenvalues(np.eye(3))[None])
 
 
 def test_lambda2_batch_matches_scalar():
@@ -100,7 +98,7 @@ def test_lambda2_batch_matches_scalar():
     laps = np.stack(stacks)
     spectra = np.linalg.eigvals(laps)
     batch = lambda2_re_batch(spectra)
-    singles = [lambda2_re(np.sort_complex(s)) for s in spectra]
+    singles = [lambda2_re_batch(np.sort_complex(s)[None])[0] for s in spectra]
     assert_allclose(batch, singles, atol=1e-12)
 
 
@@ -116,7 +114,7 @@ def test_lambda2_zero_test_is_relative_to_spectrum_scale():
     # a spectrum that is all zeros belongs to the zero Laplacian: rate 0
     assert lambda2_re_batch(np.zeros((2, 3)))[0] == 0.0
     # a second zero relative to the scale still means disconnected
-    assert lambda2_re(1e12 * np.array([0.0, 1e-15, 1.0])) == 0.0
+    assert lambda2_re_batch(1e12 * np.array([[0.0, 1e-15, 1.0]]))[0] == 0.0
 
 
 # --- closed forms as oracles ---
@@ -211,7 +209,8 @@ def test_rates_exactly_linear_at_extreme_scales(make, w, c):
     assert_allclose(got.lambda_synch, c * ref.lambda_synch, rtol=1e-9, atol=0)
     for parts, rate in ref.per_partition.items():
         assert_allclose(got.per_partition[parts], c * rate, rtol=1e-9, atol=0)
-    assert aldous_check(gens, c * np.asarray(w))[0] == aldous_check(gens, w)[0]
+    aldous = rates_coincide(ref.per_partition.values())
+    assert rates_coincide(got.per_partition.values()) == aldous
 
 
 def test_synch_is_zero_when_group_is_intransitive():
@@ -304,8 +303,8 @@ def test_aldous_holds_for_undirected_pair():
     rng = np.random.default_rng(107)
     for _ in range(50):
         w = rng.uniform(0.01, 1.0, 2)
-        equal, per = aldous_check(g33(), w)
-        assert equal
+        per = convergence_rates(g33(), w).per_partition
+        assert rates_coincide(per.values())
         vals = list(per.values())
         assert max(vals) - min(vals) < 1e-7
 
@@ -318,6 +317,6 @@ def test_rates_coincide_tolerance_is_relative():
 
 
 def test_aldous_fails_for_directed_cycle_family():
-    equal, per = aldous_check(g13(), [0.3, 0.1])
-    assert not equal
+    per = convergence_rates(g13(), [0.3, 0.1]).per_partition
+    assert not rates_coincide(per.values())
     assert per[(1, 1, 1)] < per[(2, 1)]

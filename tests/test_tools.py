@@ -1,8 +1,10 @@
 """The repository's scripts keep pointing at names that exist."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
+import qconsensus
 import qconsensus.optimize
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -27,3 +29,13 @@ def test_traced_names_resolve():
     for module, attr, _, _ in spans.TRACED:
         assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
     assert callable(qconsensus.optimize._RateEvaluator.rates)
+
+
+def test_demo_imports_resolve():
+    # the package re-exports only what the demos use; no demo is run here
+    for script in sorted((ROOT / "demos").glob("*.py")):
+        tree = ast.parse(script.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "qconsensus":
+                for alias in node.names:
+                    assert hasattr(qconsensus, alias.name), (script.name, alias.name)
