@@ -21,11 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .induced import induced_laplacian, partitions_of
+from .induced import induced_laplacian
 from .optimize import BudgetConstraint, maximize_rate, pareto_scan
 from .permgroup import (
     CapExceededError,
     GeneratorSet,
+    check_weights,
     from_cycles,
     to_cycles,
 )
@@ -220,12 +221,10 @@ def resolve_weights(spec: TopologySpec, weights_arg: str | None) -> np.ndarray:
     out = []
     for lb in spec.gens.labels:
         out.append(spec.fixed[lb] if lb in spec.fixed else next(it))
-    w = np.array(out, dtype=float)
-    if not np.all(np.isfinite(w)):
-        raise TopologyError("weights must be finite")
-    if np.any(w < 0):
-        raise TopologyError("weights must be nonnegative")
-    return w
+    try:
+        return check_weights(out)
+    except ValueError as exc:
+        raise TopologyError(str(exc)) from exc
 
 
 def fmt(x: float) -> str:
@@ -264,8 +263,8 @@ def cmd_rates(args, spec: TopologySpec, d: int) -> int:
     _echo_config(spec, w, d)
     rates = convergence_rates(spec.gens, w, d=d)
     print("per-partition lambda2(Re):")
-    for parts in partitions_of(spec.n, d * d):
-        print(f"  ({','.join(map(str, parts))}): {fmt(rates.per_partition[parts])}")
+    for parts, rate in rates.per_partition.items():
+        print(f"  ({','.join(map(str, parts))}): {fmt(rate)}")
     print(f"lambda_cons: {fmt(rates.lambda_cons)}")
     print(f"lambda_synch: {fmt(rates.lambda_synch)}")
     aldous = rates_coincide(rates.per_partition.values())
@@ -273,7 +272,15 @@ def cmd_rates(args, spec: TopologySpec, d: int) -> int:
     return 0
 
 
+def _symbolic_only(spec: TopologySpec) -> None:
+    """Reject fixed weights for the commands that choose every weight."""
+    if spec.fixed:
+        fixed = ", ".join(f"{lb}={fmt(v)}" for lb, v in spec.fixed.items())
+        raise TopologyError(f"fixed weights ({fixed}); the search needs symbolic ones")
+
+
 def cmd_pareto(args, spec: TopologySpec, d: int) -> int:
+    _symbolic_only(spec)
     constraint = BudgetConstraint.for_generators(spec.gens, spec.budget)
     points = pareto_scan(spec.gens, constraint, resolution=args.resolution, d=d)
     out = args.out or f"{spec.name}-pareto.csv"
@@ -298,6 +305,7 @@ def cmd_pareto(args, spec: TopologySpec, d: int) -> int:
 
 
 def cmd_optimize(args, spec: TopologySpec, d: int) -> int:
+    _symbolic_only(spec)
     constraint = BudgetConstraint.for_generators(spec.gens, spec.budget)
     weights, value = maximize_rate(
         spec.gens, constraint, objective=args.objective, d=d, seed=args.seed
@@ -315,18 +323,18 @@ def cmd_optimize(args, spec: TopologySpec, d: int) -> int:
 
 def _load_rho0(path: str, d: int, n: int) -> np.ndarray:
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            entries = []
-            for tok in line.split():
-                re_s, _, im_s = tok.partition(",")
-                entries.append(complex(float(re_s), float(im_s or 0.0)))
-            rows.append(entries)
-    rho = np.array(rows, dtype=complex)
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                try:
+                    toks = [tok.partition(",") for tok in line.split()]
+                    rows.append([complex(float(a), float(b or 0)) for a, _, b in toks])
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: {exc}") from exc
+        rho = np.array(rows, dtype=complex)
         if rho.shape != (d**n, d**n):
             raise ValueError(f"N={n}, d={d} needs {d**n}x{d**n}, got shape {rho.shape}")
         check_density(rho, d)
@@ -347,10 +355,8 @@ def cmd_simulate(args, spec: TopologySpec, d: int) -> int:
     h0 = None
     if args.h0 == "zsum":
         h0 = uniform_site_hamiltonian(d, spec.n)
-    traj = evolve(
-        rho0, h0, spec.gens, w, t_final=args.t, dt=args.dt,
-        frame=args.frame, d=d, store_every=args.store_every,
-    )
+    traj = evolve(rho0, h0, spec.gens, w, t_final=args.t, dt=args.dt, d=d,
+                  store_every=args.store_every)
     target = symmetric_state(rho0, spec.gens.perms, d=d)
     sync = np.array([sync_distance(s, d) for s in traj.states])
     dist = frobenius_distances(traj.states, target)
@@ -468,7 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho0", default="generic", help="'generic' or matrix file path")
     p.add_argument("--t", type=float, default=20.0)
     p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--frame", choices=("lab", "interaction"), default="lab")
     p.add_argument("--h0", choices=("zero", "zsum"), default="zero")
     p.add_argument("--store-every", type=int, default=10)
     p.add_argument("--out", default=None)
@@ -476,8 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="induced Laplacian and its spectrum")
     common(p)
-    p.add_argument("--partition", default=None, help="e.g. '2,1'")
-    p.add_argument("--all", action="store_true", help="print intertwining report")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--partition", default=None, help="e.g. '2,1'")
+    which.add_argument("--all", action="store_true", help="print intertwining report")
     p.set_defaults(func=cmd_spectrum)
     return parser
 

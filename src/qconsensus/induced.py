@@ -21,7 +21,13 @@ from itertools import permutations
 
 import numpy as np
 
-from .permgroup import DEFAULT_GROUP_CAP, CapExceededError, GeneratorSet, Permutation
+from .permgroup import (
+    DEFAULT_GROUP_CAP,
+    CapExceededError,
+    GeneratorSet,
+    Permutation,
+    check_weights,
+)
 
 Partition = tuple[int, ...]
 Tabloid = tuple[int, ...]
@@ -52,6 +58,14 @@ def partitions_of(n: int, max_parts: int) -> list[Partition]:
     out = [p for p in out if p != (n,)]
     out.sort(reverse=True)
     return out
+
+
+def rate_shapes(n: int, d: int) -> list[Partition]:
+    """The shapes of every rate at site dimension d: at most d*d rows, most
+    dominant first, so the (n-1, 1) site graph of lambda_synch leads."""
+    if d < 2:
+        raise ValueError("d must be >= 2")
+    return partitions_of(n, d * d)
 
 
 def dominates(a: Partition, b: Partition) -> bool:
@@ -103,12 +117,11 @@ class ShapeAction:
     coeffs: np.ndarray
 
     def laplacians(self, w_batch) -> np.ndarray:
-        """(k, V, V) Laplacians for a (k, m) batch of finite weight rows."""
-        w = np.asarray(w_batch, dtype=float)
+        """(k, V, V) Laplacians for a (k, m) batch of finite, nonnegative
+        weight rows."""
+        w = check_weights(w_batch)
         if w.ndim != 2 or w.shape[1] != len(self.coeffs):
             raise ValueError("one weight per generator required")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
         v = len(self.vertices)
         out = np.zeros((len(w), v * v))
         # + 0.0 turns the -0.0 of a zero weight into 0.0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .induced import partitions_of, shape_action
+from .induced import rate_shapes, shape_action
 from .permgroup import GeneratorSet
 from .spectra import batch_rates
 
@@ -53,7 +53,7 @@ class _RateEvaluator:
     """Batched (lambda_cons, lambda_synch) over the shape actions of one topology."""
 
     def __init__(self, gens: GeneratorSet, d: int = 2, synch_only: bool = False):
-        shapes = [(gens.n - 1, 1)] if synch_only else partitions_of(gens.n, d * d)
+        shapes = rate_shapes(gens.n, d)[:1] if synch_only else rate_shapes(gens.n, d)
         self.actions = [shape_action(p, gens) for p in shapes]
 
     def rates(self, w_batch: np.ndarray):

@@ -16,6 +16,8 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
+import numpy as np
+
 Permutation = tuple[int, ...]
 
 DEFAULT_GROUP_CAP = 10080
@@ -135,6 +137,16 @@ class GeneratorSet:
 
     def cycle_costs(self) -> tuple[int, ...]:
         return tuple(effective_cycle_length(p) for p in self.perms)
+
+
+def check_weights(weights) -> np.ndarray:
+    """The weights as a float array, or ValueError unless finite and >= 0."""
+    w = np.asarray(weights, dtype=float)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
+    if np.any(w < 0):
+        raise ValueError("weights must be nonnegative")
+    return w
 
 
 def generator_set(

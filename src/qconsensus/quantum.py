@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .permgroup import CapExceededError, GeneratorSet, Permutation
+from .permgroup import CapExceededError, GeneratorSet, Permutation, check_weights
 
 EVOLVE_DIM_CAP = 256
 LQ_DIM_CAP = 4096
@@ -160,22 +160,20 @@ def evolve(
     d: int = 2,
     store_every: int = 1,
 ) -> Trajectory:
-    """Fixed-step 4th-order integration of the master equation.
+    """Fixed-step 4th-order integration of the master equation (lab frame).
 
-    ``frame='interaction'`` drops the Hamiltonian term (the dissipator
-    is unchanged there when H0 commutes with every swap).  Each stored
-    state is re-Hermitized and trace-renormalized; drift beyond 1e-6 per
-    step unit raises :class:`StepSizeError`.
+    Weights must be finite and nonnegative.  Every step re-Hermitizes and
+    trace-renormalizes the state; drift beyond 1e-6 per step unit, or NaN,
+    raises :class:`StepSizeError`.
     """
     steps = check_steps(t_final, dt, store_every)
-    if frame not in ("lab", "interaction"):
+    if frame != "lab":
         raise ValueError(f"unknown frame {frame!r}")
+    weights = check_weights(weights)
     rho0 = np.asarray(rho0, dtype=complex)
     dim = rho0.shape[0]
     check_state_dim(dim)
     check_density(rho0, d)
-    ham = None if frame == "interaction" else h0
-    weights = np.asarray(weights, dtype=float)
     stored_idx = list(range(0, steps, store_every)) + [steps]
     states = np.empty((len(stored_idx), dim, dim), dtype=complex)
     times = np.array([i * dt for i in stored_idx])
@@ -187,15 +185,15 @@ def evolve(
     states[0] = rho
     pos = 1
     for i in range(1, steps + 1):
-        k1 = lindblad_rhs(rho, ham, gens, weights, d)
-        k2 = lindblad_rhs(rho + 0.5 * dt * k1, ham, gens, weights, d)
-        k3 = lindblad_rhs(rho + 0.5 * dt * k2, ham, gens, weights, d)
-        k4 = lindblad_rhs(rho + dt * k3, ham, gens, weights, d)
+        k1 = lindblad_rhs(rho, h0, gens, weights, d)
+        k2 = lindblad_rhs(rho + 0.5 * dt * k1, h0, gens, weights, d)
+        k3 = lindblad_rhs(rho + 0.5 * dt * k2, h0, gens, weights, d)
+        k4 = lindblad_rhs(rho + dt * k3, h0, gens, weights, d)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         tr = np.trace(rho)
         herm_defect = float(np.abs(rho - rho.conj().T).max())
         drift = abs(tr - 1.0) + herm_defect
-        if drift > 1e-6:
+        if not drift <= 1e-6:
             raise StepSizeError(
                 f"invariant drift {drift:.2e} at t={i*dt:.6g}; reduce dt"
             )

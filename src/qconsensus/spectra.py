@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .induced import Partition, ShapeAction, dominates, partitions_of, shape_action
+from .induced import Partition, ShapeAction, dominates, rate_shapes, shape_action
 from .permgroup import GeneratorSet, parity
 
 ZERO_TOL = 1e-9
@@ -64,10 +64,11 @@ def lambda2_re_batch(spectra: np.ndarray) -> np.ndarray:
 def batch_rates(actions: list[ShapeAction], w) -> tuple[np.ndarray, ...]:
     """The one rate path: per-shape rates for each row of a (k, m) weight batch.
 
+    ``actions`` follow :func:`rate_shapes`, so the first is the site graph.
     Returns the (shapes, k) table, lambda_cons (its column minima) and
-    lambda_synch: the ``(n-1, 1)`` row if that orbit holds all n sites,
-    else 0, as an intransitive group never equalizes its orbits.  Bad
-    weights raise ValueError, a failed solve NumericalFailureError.
+    lambda_synch: the first row if that orbit holds all n sites, else 0,
+    as an intransitive group never equalizes its orbits.  Bad weights
+    raise ValueError, a failed solve NumericalFailureError.
     """
     try:
         table = np.array(
@@ -75,11 +76,8 @@ def batch_rates(actions: list[ShapeAction], w) -> tuple[np.ndarray, ...]:
         )
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigenvalue solve failed: {exc}") from exc
-    n = sum(actions[0].partition)
-    synch = np.zeros(len(w))
-    for a, row in zip(actions, table):
-        if a.partition == (n - 1, 1) and len(a.vertices) == n:
-            synch = row
+    site = actions[0]
+    synch = table[0] if len(site.vertices) == sum(site.partition) else np.zeros(len(w))
     return table, table.min(axis=0), synch
 
 
@@ -93,14 +91,11 @@ class ConvergenceRates:
 def convergence_rates(gens: GeneratorSet, weights, d: int = 2) -> ConvergenceRates:
     """(lambda_cons, lambda_synch) plus the per-partition breakdown.
 
-    Partitions run over all shapes of n with at most d*d parts (the
-    coefficient space of a d-level site supports no finer split).  For
-    generators not transitive on sites ``lambda_synch`` is 0 and may sit
-    below ``lambda_cons``, the slowest canonical orbit.
+    Partitions run over :func:`rate_shapes`.  For generators not
+    transitive on sites ``lambda_synch`` is 0 and may sit below
+    ``lambda_cons``, the slowest canonical orbit.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    actions = [shape_action(p, gens) for p in partitions_of(gens.n, d * d)]
+    actions = [shape_action(p, gens) for p in rate_shapes(gens.n, d)]
     table, cons, synch = batch_rates(actions, [weights])
     return ConvergenceRates(
         lambda_cons=float(cons[0]),
@@ -179,7 +174,7 @@ def intertwining_check(
     set; that mode is the one eigenvalue living outside the coarser
     graph.
     """
-    shapes = partitions_of(gens.n, d * d)
+    shapes = rate_shapes(gens.n, d)
     spectra = {
         p: eigenvalues(shape_action(p, gens).laplacians([weights])[0]) for p in shapes
     }

@@ -362,6 +362,27 @@ def test_optimize_consensus(capsys):
     assert_allclose(float(vals["w12"]), 0.2, atol=1e-4)
 
 
+@pytest.mark.parametrize("argv", [
+    ("optimize", "@TOPO"),
+    ("optimize", "@TOPO", "--objective", "synchronization"),
+    ("pareto", "@TOPO", "--out", "@CSV"),
+], ids=["optimize-consensus", "optimize-synchronization", "pareto"])
+def test_search_commands_reject_fixed_weights(tmp_path, capsys, argv):
+    topo = tmp_path / "fixed.topo"
+    topo.write_text(
+        "name: t\nN: 3\n"
+        "generator: (1 2 3) weight w123\n"
+        "generator: (1 2) weight 0.05\n"
+    )
+    csv = tmp_path / "out.csv"
+    argv = [{"@TOPO": str(topo), "@CSV": str(csv)}.get(a, a) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "fixed weights (w2=0.05)" in err
+    assert not csv.exists()
+
+
 def test_optimize_synchronization(capsys):
     code, out, _ = run(capsys, "optimize", "g1-4", "--objective", "synchronization")
     assert code == 0
@@ -463,22 +484,24 @@ def test_simulate_rejects_bad_rho0(tmp_path, capsys):
     assert "bad initial state" in err
 
 
-@pytest.mark.parametrize("content", [
-    None,
-    "0.5 0\n0 x\n",
-    "0.25 0 0 0\n0 0.25 0 0\n0 0 0.25 0\n0 0 0 0.25\n",
+@pytest.mark.parametrize("content,message", [
+    (None, "i/o error: "),
+    ("0.5 0\n0 x\n", "@: bad initial state: line 2: could not convert string to float: 'x'"),
+    ("0.25 0 0 0\n0 0.25 0 0\n0 0 0.25 0\n0 0 0 0.25\n",
+     "@: bad initial state: N=3, d=2 needs 8x8"),
 ], ids=["missing", "non-numeric", "4x4-for-three-qubits"])
-def test_simulate_bad_rho0_rejected_before_output(tmp_path, capsys, content):
+def test_simulate_bad_rho0_rejected_before_output(tmp_path, capsys, content, message):
     rho_file = tmp_path / "rho.txt"
     if content is not None:
         rho_file.write_text(content)
     csv = tmp_path / "traj.csv"
-    code, out, _ = run(
+    code, out, err = run(
         capsys, "simulate", "g1-3", "--weights", "0.2,0.2", "--t", "1",
         "--rho0", str(rho_file), "--out", str(csv),
     )
     assert code == 2
     assert out == ""
+    assert message.replace("@", str(rho_file)) in err
     assert not csv.exists()
 
 
@@ -539,3 +562,10 @@ def test_spectrum_all_prints_verdict(capsys):
 def test_spectrum_needs_partition_or_all(capsys):
     code, _, err = run(capsys, "spectrum", "g1-3", "--weights", "0.2,0.2")
     assert code == 2
+    # and takes only one of them
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "g1-3", "--weights", "0.2,0.2", "--all", "--partition", "9,9"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err

@@ -20,6 +20,7 @@ from qconsensus.induced import (
     enumerate_tabloids,
     induced_laplacian,
     partitions_of,
+    rate_shapes,
     shape_action,
 )
 from qconsensus.netgraph import generator_laplacian
@@ -66,6 +67,17 @@ def test_partitions_sorted_most_dominant_first():
         for q in parts[i + 1:]:
             # later entries never dominate earlier ones
             assert not (dominates(q, p) and q != p)
+
+
+def test_rate_shapes_start_at_the_site_graph():
+    for n in range(2, 8):
+        for d in (2, 3):
+            shapes = rate_shapes(n, d)
+            assert shapes == partitions_of(n, d * d)
+            assert shapes[0] == (n - 1, 1)
+    for d in (1, 0, -2):
+        with pytest.raises(ValueError, match=r"^d must be >= 2$"):
+            rate_shapes(4, d)
 
 
 @given(st.integers(min_value=2, max_value=8))
@@ -230,6 +242,16 @@ def test_eight_site_vertex_shape_is_the_site_graph():
     # tabloid k in lex order has its singleton at site 8 - k
     order = list(range(7, -1, -1))
     assert np.array_equal(ind.laplacian, generator_laplacian(gens, w)[np.ix_(order, order)])
+
+
+def test_shape_action_rejects_negative_and_nonfinite_weights():
+    action = shape_action((2, 1), generator_set(3, [[[1, 2, 3]], [[1, 2]]]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        action.laplacians([[-0.5, 0.2]])
+    with pytest.raises(ValueError, match="finite"):
+        action.laplacians([[0.3, np.inf]])
+    # a zero weight of either sign is allowed
+    assert np.array_equal(action.laplacians([[-0.0, 0.2]]), action.laplacians([[0.0, 0.2]]))
 
 
 def test_orbit_past_cap_raises():

@@ -287,6 +287,26 @@ def test_maximize_takes_few_batched_solves(monkeypatch):
     assert len(calls) < 500
 
 
+def test_each_objective_builds_each_shape_once(monkeypatch):
+    import qconsensus.optimize as optimize
+
+    built = []
+    real = optimize.shape_action
+
+    def counted(parts, gens):
+        built.append(parts)
+        return real(parts, gens)
+
+    monkeypatch.setattr(optimize, "shape_action", counted)
+    gens = g13()
+    c = BudgetConstraint.for_generators(gens, 1.0)
+    maximize_rate(gens, c, objective="synchronization")
+    assert built == [(2, 1)]
+    built.clear()
+    maximize_rate(gens, c, objective="consensus")
+    assert built == [(2, 1), (1, 1, 1)]
+
+
 def test_maximize_rejects_unknown_objective():
     gens = g13()
     c = BudgetConstraint.for_generators(gens, 1.0)

@@ -256,14 +256,12 @@ def test_evolve_store_grid_includes_endpoints():
     assert_allclose(traj.states[0], rho0, atol=1e-14)
 
 
-def test_interaction_frame_drops_invariant_hamiltonian():
-    rng = np.random.default_rng(13)
-    rho0 = random_density(rng, 4)
-    h = uniform_site_hamiltonian(2, 2)
-    a = evolve(rho0, h, swap2(), [0.5], t_final=2.0, frame="interaction",
-               store_every=400)
-    b = evolve(rho0, None, swap2(), [0.5], t_final=2.0, store_every=400)
-    assert_allclose(a.states[-1], b.states[-1], atol=1e-12)
+def test_evolve_nan_drift_is_a_step_size_error():
+    # finite weights this large overflow the first step to inf - inf = NaN
+    rho0 = generic_state(2, 3, seed=3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(StepSizeError, match="nan"):
+            evolve(rho0, None, g13(), [1e200, 0.2], t_final=0.01)
 
 
 def test_evolve_rejects_oversized_state():
@@ -280,6 +278,10 @@ def test_evolve_validates_arguments():
         evolve(rho0, None, swap2(), [0.1], t_final=1.0, dt=0.0)
     with pytest.raises(ValueError):
         evolve(rho0, None, swap2(), [0.1], t_final=1.0, frame="rotating")
+    for weights, match in (([math.nan], "finite"), ([math.inf], "finite"),
+                           ([-0.5], "nonnegative")):
+        with pytest.raises(ValueError, match=match):
+            evolve(rho0, None, swap2(), weights, t_final=1.0)
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qconsensus.induced import induced_laplacian, partitions_of
+from qconsensus.induced import induced_laplacian
 from qconsensus.netgraph import generator_laplacian
+from qconsensus.optimize import BudgetConstraint, maximize_rate, pareto_scan
 from qconsensus.permgroup import generator_set
 from qconsensus.spectra import (
     NotALaplacianError,
@@ -235,6 +236,24 @@ def test_rates_reject_nonfinite_weights():
         convergence_rates(g13(), [np.nan, 0.1])
     with pytest.raises(ValueError, match="one weight per generator"):
         convergence_rates(g13(), [0.1])
+    with pytest.raises(ValueError, match="nonnegative"):
+        convergence_rates(g13(), [-0.5, 0.2])
+
+
+@pytest.mark.parametrize("d", [1, 0])
+def test_every_rate_consumer_rejects_d_below_two(d):
+    gens = g13()
+    budget = BudgetConstraint.for_generators(gens)
+    consumers = [
+        lambda: convergence_rates(gens, [0.3, 0.1], d=d),
+        lambda: intertwining_check(gens, [0.3, 0.1], d=d),
+        lambda: pareto_scan(gens, budget, resolution=4, d=d),
+        lambda: maximize_rate(gens, budget, objective="consensus", d=d),
+        lambda: maximize_rate(gens, budget, objective="synchronization", d=d),
+    ]
+    for call in consumers:
+        with pytest.raises(ValueError, match=r"^d must be >= 2$"):
+            call()
 
 
 def test_alternating_mode_rate():

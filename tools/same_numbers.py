@@ -9,9 +9,9 @@ vertices), ``optimize`` (both objectives) and ``pareto`` on the four
 presets and on ring+swap for N = 3..7 at d = 2 and 3, at fixed weights
 and seeds, and ``simulate`` to t = 2 (stdout and trajectory CSV) on
 g1-3, g1-4 and g3-3 at d = 2 and g1-3 at d = 3, seeds 0 and 3, plus one
-g1-3 run each with ``--h0 zsum``, ``--h0 zsum --frame interaction`` and
-``--store-every 1``, and ``optimize`` (both objectives, seed 0) on g1-4
-and g2-3 at budgets 0.5 and 2.  ``--heavy`` adds ``rates`` on ring+swap
+g1-3 run each with ``--h0 zsum`` and ``--store-every 1``, and
+``optimize`` (both objectives, seed 0) on g1-4 and g2-3 at budgets 0.5
+and 2.  ``--heavy`` adds ``rates`` on ring+swap
 N = 7 at d = 3, whose 5040-vertex graph takes about a minute per weight
 draw.
 
@@ -70,7 +70,6 @@ def commands(work, heavy):
     base = ("simulate", "g1-3", "--weights", wa(PRESETS["g1-3"][1][0]), "--t", "2",
             "--out", "@CSV")
     cmds.append(base + ("--h0", "zsum"))
-    cmds.append(base + ("--h0", "zsum", "--frame", "interaction"))
     cmds.append(base + ("--store-every", "1"))
 
     for name in ("g1-4", "g2-3"):
