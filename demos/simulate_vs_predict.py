@@ -7,8 +7,6 @@ purely from graph spectra.  The script fits the tail of the simulated
 decay and compares.
 """
 
-import numpy as np
-
 from qconsensus import (
     convergence_rates,
     evolve,
@@ -34,7 +32,7 @@ traj = evolve(rho0, None, gens, weights, t_final=20.0, dt=1e-3, store_every=10)
 # average over the group the generators generate; it is never enumerated
 target = symmetric_state(rho0, gens.perms)
 dist = frobenius_distances(traj.states, target)
-sync = np.array([sync_distance(s) for s in traj.states])
+sync = sync_distance(traj.states)  # one value per stored state
 
 print(f"distance to target: {dist[0]:.4f} at t=0, {dist[-1]:.2e} at t=20")
 fitted = fit_decay_rate(traj.times, dist)

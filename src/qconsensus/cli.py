@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .induced import induced_laplacian
+from .induced import induced_laplacian, rate_shapes
 from .optimize import BudgetConstraint, maximize_rate, pareto_scan
 from .permgroup import (
     CapExceededError,
@@ -36,7 +36,7 @@ from .quantum import (
     check_density,
     check_state_dim,
     check_steps,
-    evolve,
+    evolve_chunks,
     fit_decay_rate,
     frobenius_distances,
     generic_state,
@@ -351,19 +351,23 @@ def cmd_simulate(args, spec: TopologySpec, d: int) -> int:
         rho0 = generic_state(d, spec.n, seed=args.seed)
     else:
         rho0 = _load_rho0(args.rho0, d, spec.n)
-    _echo_config(spec, w, d)
     h0 = None
     if args.h0 == "zsum":
         h0 = uniform_site_hamiltonian(d, spec.n)
-    traj = evolve(rho0, h0, spec.gens, w, t_final=args.t, dt=args.dt, d=d,
-                  store_every=args.store_every)
     target = symmetric_state(rho0, spec.gens.perms, d=d)
-    sync = np.array([sync_distance(s, d) for s in traj.states])
-    dist = frobenius_distances(traj.states, target)
+    # a chunk of states at a time: only the two distances are kept
+    times, sync, dist = [], [], []
+    for t, states in evolve_chunks(rho0, h0, spec.gens, w, t_final=args.t,
+                                   dt=args.dt, d=d, store_every=args.store_every):
+        times.append(t)
+        sync.append(sync_distance(states, d))
+        dist.append(frobenius_distances(states, target))
+    times, sync, dist = map(np.concatenate, (times, sync, dist))
+    _echo_config(spec, w, d)
     out = args.out or f"{spec.name}-trajectory.csv"
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("t,sync_distance,distance_to_consensus\n")
-        for t, s, c in zip(traj.times, sync, dist):
+        for t, s, c in zip(times, sync, dist):
             fh.write(f"{repr(float(t))},{repr(float(s))},{repr(float(c))}\n")
     rates = convergence_rates(spec.gens, w, d=d)
     for label, series, ref in (
@@ -371,7 +375,7 @@ def cmd_simulate(args, spec: TopologySpec, d: int) -> int:
         ("consensus", dist, rates.lambda_cons),
     ):
         try:
-            fitted = fit_decay_rate(traj.times, series)
+            fitted = fit_decay_rate(times, series)
         except InsufficientDecayError as exc:
             print(f"fitted {label} decay: unavailable ({exc})")
         else:
@@ -386,8 +390,8 @@ def cmd_simulate(args, spec: TopologySpec, d: int) -> int:
 
 def cmd_spectrum(args, spec: TopologySpec, d: int) -> int:
     w = resolve_weights(spec, args.weights)
-    _echo_config(spec, w, d)
     if args.all:
+        _echo_config(spec, w, d)
         report = intertwining_check(spec.gens, w, d=d)
         print("intertwining:")
         for pc in report.pairs:
@@ -419,6 +423,12 @@ def cmd_spectrum(args, spec: TopologySpec, d: int) -> int:
             "the one-part partition is excluded: its graph is a single vertex "
             "carrying the conserved trace coefficient"
         )
+    if parts not in rate_shapes(spec.n, d):
+        raise TopologyError(
+            f"--partition has {len(parts)} rows; no rate at d={d} reads a shape "
+            f"with more than d*d = {d * d}"
+        )
+    _echo_config(spec, w, d)
     ig = induced_laplacian(parts, spec.gens, w)
     print(f"partition: ({','.join(map(str, parts))})  vertices: {len(ig.vertices)}")
     print("laplacian:")

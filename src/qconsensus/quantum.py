@@ -13,7 +13,8 @@ induced graphs use, which is what :func:`build_lq` assembles and what
 the cross-validation tests lean on.
 
 States are plain dense numpy arrays and every U_p acts on them as an
-index gather (:func:`_pull_map`); sites are 1-based and d is the
+index gather (:func:`_pull_map`); :func:`evolve` folds those gathers
+into one sparse RK4 step operator.  Sites are 1-based and d is the
 per-site dimension.
 """
 
@@ -162,9 +163,50 @@ def evolve(
 ) -> Trajectory:
     """Fixed-step 4th-order integration of the master equation (lab frame).
 
-    Weights must be finite and nonnegative.  Every step re-Hermitizes and
-    trace-renormalizes the state; drift beyond 1e-6 per step unit, or NaN,
-    raises :class:`StepSizeError`.
+    The equation is linear and time-invariant, so one RK4 step is the
+    fixed polynomial T1 = T4(dt*S) = sum_{j<=4} (dt*S)^j / j! of the
+    superoperator S.  T1 is built once (:func:`_step_operator`) as a
+    sparse matrix on row-major vec(rho), and each stored segment of k
+    steps is one product with T1^k when that power adds no fill (the
+    pattern of T1 is a disjoint union of dense blocks), otherwise k
+    products with T1.  Weights must be finite and nonnegative.  A step
+    operator with nan/inf entries raises :class:`StepSizeError` before
+    any step; each stored state is re-Hermitized and trace-renormalized,
+    and its drift beyond 1e-6, or NaN, raises :class:`StepSizeError`.
+    The states are those of :func:`evolve_chunks`, stacked.
+    """
+    steps = check_steps(t_final, dt, store_every)
+    stored = len(range(0, steps, store_every)) + 1
+    times = np.empty(stored)
+    states = None
+    pos = 0
+    for t, chunk in evolve_chunks(rho0, h0, gens, weights, t_final, dt=dt,
+                                  frame=frame, d=d, store_every=store_every):
+        if states is None:
+            states = np.empty((stored,) + chunk.shape[1:], dtype=complex)
+        times[pos:pos + len(t)] = t
+        states[pos:pos + len(t)] = chunk
+        pos += len(t)
+    return Trajectory(times=times, states=states)
+
+
+def evolve_chunks(
+    rho0: np.ndarray,
+    h0: np.ndarray | None,
+    gens: GeneratorSet,
+    weights,
+    t_final: float,
+    dt: float = 1e-3,
+    frame: str = "lab",
+    d: int = 2,
+    store_every: int = 1,
+):
+    """The stored (times, states) of :func:`evolve`, in consecutive chunks.
+
+    Each chunk holds about 1 MB of states (at least one state), so a
+    caller that reduces every state to a few numbers, as ``qcl simulate``
+    does, never holds the whole trajectory.  Inputs are checked when the
+    first chunk is asked for.
     """
     steps = check_steps(t_final, dt, store_every)
     if frame != "lab":
@@ -175,34 +217,121 @@ def evolve(
     check_state_dim(dim)
     check_density(rho0, d)
     stored_idx = list(range(0, steps, store_every)) + [steps]
-    states = np.empty((len(stored_idx), dim, dim), dtype=complex)
     times = np.array([i * dt for i in stored_idx])
+    per_chunk = max(1, (1 << 20) // (16 * dim * dim))
 
-    # entry state gets the same conditioning as every step, so all
-    # stored states are exactly Hermitian with unit trace
+    # entry state gets the same conditioning as every stored state, so
+    # all stored states are exactly Hermitian with unit trace
     rho = 0.5 * (rho0 + rho0.conj().T)
     rho = rho / np.trace(rho).real
-    states[0] = rho
-    pos = 1
-    for i in range(1, steps + 1):
-        k1 = lindblad_rhs(rho, h0, gens, weights, d)
-        k2 = lindblad_rhs(rho + 0.5 * dt * k1, h0, gens, weights, d)
-        k3 = lindblad_rhs(rho + 0.5 * dt * k2, h0, gens, weights, d)
-        k4 = lindblad_rhs(rho + dt * k3, h0, gens, weights, d)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        tr = np.trace(rho)
-        herm_defect = float(np.abs(rho - rho.conj().T).max())
-        drift = abs(tr - 1.0) + herm_defect
-        if not drift <= 1e-6:
-            raise StepSizeError(
-                f"invariant drift {drift:.2e} at t={i*dt:.6g}; reduce dt"
-            )
-        rho = 0.5 * (rho + rho.conj().T)
-        rho = rho / np.trace(rho).real
-        if pos < len(stored_idx) and stored_idx[pos] == i:
-            states[pos] = rho
-            pos += 1
-    return Trajectory(times=times, states=states)
+    advance = {}  # segment length k -> (operator, repeats) advancing k steps
+    with np.errstate(over="ignore", invalid="ignore"):
+        if steps:
+            one_step = _step_operator(h0, gens, weights, dt, d)
+            if not np.isfinite(one_step.data).all():
+                raise StepSizeError(
+                    f"step operator has nan/inf entries at dt={dt:.6g}; "
+                    "reduce dt or the weights"
+                )
+            power = _no_fill(one_step)
+            for k in {b - a for a, b in zip(stored_idx, stored_idx[1:])}:
+                advance[k] = (_matrix_power(one_step, k), 1) if power else (one_step, k)
+    for start in range(0, len(stored_idx), per_chunk):
+        chunk = np.empty((min(per_chunk, len(stored_idx) - start), dim, dim),
+                         dtype=complex)
+        # no yield inside: np.errstate must not outlive this block
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, pos in enumerate(range(start, start + len(chunk))):
+                if pos:
+                    op, repeats = advance[stored_idx[pos] - stored_idx[pos - 1]]
+                    for _ in range(repeats):
+                        rho = _apply(op, rho)
+                    tr = np.trace(rho)
+                    herm_defect = float(np.abs(rho - rho.conj().T).max())
+                    drift = abs(tr - 1.0) + herm_defect
+                    if not drift <= 1e-6:
+                        raise StepSizeError(
+                            f"invariant drift {drift:.2e} at t={times[pos]:.6g}; "
+                            "reduce dt"
+                        )
+                    rho = 0.5 * (rho + rho.conj().T)
+                    rho = rho / np.trace(rho).real
+                chunk[i] = rho
+        yield times[start:start + len(chunk)], chunk
+
+
+def _step_operator(h0, gens: GeneratorSet, weights, dt: float, d: int):
+    """One RK4 step T4(dt*S) as a CSR matrix acting on row-major vec(rho).
+
+    S = sum_p w_p (P_p - I) - i (H0 x I - I x H0^T), where P_p is the
+    gather rho[s[a], s[b]] of :func:`_pull_map`; real when H0 is None.
+    Horner form I + hS(I + hS/2(I + hS/3(I + hS/4))).
+    """
+    from scipy import sparse
+
+    dim = d**gens.n
+    n = dim * dim
+    indptr = np.arange(n + 1, dtype=np.int32)
+    eye = sparse.csr_array((np.ones(n), indptr[:-1], indptr), shape=(n, n))
+    s = -float(weights.sum()) * eye
+    for p, w in zip(gens.perms, weights):
+        if w != 0.0:
+            m = _pull_map(p, d)
+            cols = (m[:, None] * dim + m[None, :]).ravel().astype(np.int32)
+            s = s + sparse.csr_array((np.full(n, w), cols, indptr), shape=(n, n))
+    if h0 is not None:
+        h = sparse.csr_array(np.asarray(h0, dtype=complex))
+        one = sparse.identity(dim, format="csr")
+        s = s - 1j * (sparse.kron(h, one, format="csr")
+                      - sparse.kron(one, h.T, format="csr"))
+    hs = dt * s
+    t = eye + hs / 4.0
+    for j in (3.0, 2.0, 1.0):
+        t = (hs / j) @ t
+        t.setdiag(t.diagonal() + 1.0)  # in place where the diagonal is stored
+    return t
+
+
+def _no_fill(t) -> bool:
+    """True iff T's pattern is a disjoint union of dense blocks, so that
+    every power of T keeps its pattern: sum |B|^2 == nnz over the weakly
+    connected components B, found by min-label propagation."""
+    n = t.shape[0]
+    rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(t.indptr))
+    cols = t.indices
+    label = np.arange(n, dtype=np.int32)
+    while True:
+        low = np.minimum(label[rows], label[cols])
+        new = label.copy()
+        np.minimum.at(new, rows, low)
+        np.minimum.at(new, cols, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    sizes = np.bincount(label).astype(np.int64)
+    return int((sizes * sizes).sum()) == t.nnz
+
+
+def _matrix_power(t, k: int):
+    """T^k by repeated squaring."""
+    out = None
+    while True:
+        if k & 1:
+            out = t if out is None else out @ t
+        k >>= 1
+        if not k:
+            return out
+        t = t @ t
+
+
+def _apply(op, rho: np.ndarray) -> np.ndarray:
+    """op @ vec(rho); a real op acts on the (re, im) pairs of rho."""
+    dim = rho.shape[0]
+    if np.iscomplexobj(op.data):
+        return (op @ rho.reshape(-1)).reshape(dim, dim)
+    pairs = op @ rho.view(np.float64).reshape(-1, 2)
+    return pairs.view(np.complex128).reshape(dim, dim)
 
 
 def check_steps(t_final: float, dt: float, store_every: int) -> int:
@@ -262,28 +391,32 @@ def symmetric_state(rho: np.ndarray, perms, d: int = 2) -> np.ndarray:
 
 
 def reduced_state(rho: np.ndarray, k: int, d: int = 2) -> np.ndarray:
-    """Partial trace onto site k (1-based)."""
+    """Partial trace onto site k (1-based); leading axes index a stack."""
     rho = np.asarray(rho, dtype=complex)
-    n = _sites_of(rho.shape[0], d)
+    n = _sites_of(rho.shape[-1], d)
     if not 1 <= k <= n:
         raise ValueError(f"site index {k} out of range 1..{n}")
-    t = rho.reshape((d,) * (2 * n))
+    t = rho.reshape(rho.shape[:-2] + (d,) * (2 * n))
     rows = [chr(97 + i) for i in range(n)]
     cols = list(rows)
     cols[k - 1] = chr(97 + n)
-    sub = "".join(rows) + "".join(cols) + "->" + rows[k - 1] + cols[k - 1]
+    sub = "..." + "".join(rows) + "".join(cols) + "->..." + rows[k - 1] + cols[k - 1]
     return np.einsum(sub, t)
 
 
-def sync_distance(rho: np.ndarray, d: int = 2) -> float:
-    """Largest Frobenius distance between two single-site reduced states."""
-    n = _sites_of(np.asarray(rho).shape[0], d)
+def sync_distance(rho: np.ndarray, d: int = 2):
+    """Largest Frobenius distance between two single-site reduced states.
+
+    A float for one state; for a stack (leading axes) an array of them.
+    """
+    rho = np.asarray(rho)
+    n = _sites_of(rho.shape[-1], d)
     reds = [reduced_state(rho, k, d) for k in range(1, n + 1)]
-    worst = 0.0
+    worst = np.zeros(rho.shape[:-2])
     for i in range(n):
         for j in range(i + 1, n):
-            worst = max(worst, float(np.linalg.norm(reds[i] - reds[j])))
-    return worst
+            worst = np.maximum(worst, np.linalg.norm(reds[i] - reds[j], axis=(-2, -1)))
+    return float(worst) if worst.ndim == 0 else worst
 
 
 def uniform_site_hamiltonian(d: int, n_sites: int) -> np.ndarray:
@@ -333,8 +466,8 @@ def build_lq(gens: GeneratorSet, weights, d: int = 2) -> np.ndarray:
 
 def frobenius_distances(states: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Frobenius distance of each trajectory state to a fixed reference."""
-    diff = np.asarray(states) - np.asarray(reference)[None, :, :]
-    return np.linalg.norm(diff.reshape(diff.shape[0], -1), axis=1)
+    reference = np.asarray(reference)
+    return np.array([np.linalg.norm(s - reference) for s in states])
 
 
 def fit_decay_rate(times: np.ndarray, values: np.ndarray) -> float:

@@ -1,13 +1,27 @@
 """Dense references the tests compare the package against.
 
-None of these runs in the package: the dynamics applies permutations as
-gathers, and the rates read the tabloid orbits of ``induced``.
+None of these runs in the package: the dynamics applies one sparse RK4
+step operator, and the rates read the tabloid orbits of ``induced``.
 """
 
 import numpy as np
 
-from qconsensus.permgroup import GeneratorSet, Permutation, compose, generate_group
-from qconsensus.quantum import _pull_map, _sites_of, gellmann_basis
+from qconsensus.permgroup import (
+    GeneratorSet,
+    Permutation,
+    check_weights,
+    compose,
+    generate_group,
+)
+from qconsensus.quantum import (
+    StepSizeError,
+    Trajectory,
+    _pull_map,
+    _sites_of,
+    check_steps,
+    gellmann_basis,
+    lindblad_rhs,
+)
 
 
 def reconstruct(coeffs: np.ndarray, d: int = 2) -> np.ndarray:
@@ -57,3 +71,44 @@ def cayley_laplacian(gens: GeneratorSet, weights=None) -> np.ndarray:
             L[i, i] += w
             L[i, j] -= w
     return L
+
+
+def rk4_step(rho, h0, gens, weights, dt, d=2):
+    """One classic RK4 step of the master equation, four right-hand sides."""
+    k1 = lindblad_rhs(rho, h0, gens, weights, d)
+    k2 = lindblad_rhs(rho + 0.5 * dt * k1, h0, gens, weights, d)
+    k3 = lindblad_rhs(rho + 0.5 * dt * k2, h0, gens, weights, d)
+    k4 = lindblad_rhs(rho + dt * k3, h0, gens, weights, d)
+    return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def rk4_evolve(rho0, h0, gens, weights, t_final, dt=1e-3, d=2, store_every=1):
+    """Per-step RK4 integration: every step calls :func:`lindblad_rhs` four
+    times, then is drift-checked, re-Hermitized and trace-renormalized."""
+    steps = check_steps(t_final, dt, store_every)
+    weights = check_weights(weights)
+    rho0 = np.asarray(rho0, dtype=complex)
+    dim = rho0.shape[0]
+    stored_idx = list(range(0, steps, store_every)) + [steps]
+    states = np.empty((len(stored_idx), dim, dim), dtype=complex)
+    times = np.array([i * dt for i in stored_idx])
+
+    rho = 0.5 * (rho0 + rho0.conj().T)
+    rho = rho / np.trace(rho).real
+    states[0] = rho
+    pos = 1
+    for i in range(1, steps + 1):
+        rho = rk4_step(rho, h0, gens, weights, dt, d)
+        tr = np.trace(rho)
+        herm_defect = float(np.abs(rho - rho.conj().T).max())
+        drift = abs(tr - 1.0) + herm_defect
+        if not drift <= 1e-6:
+            raise StepSizeError(
+                f"invariant drift {drift:.2e} at t={i*dt:.6g}; reduce dt"
+            )
+        rho = 0.5 * (rho + rho.conj().T)
+        rho = rho / np.trace(rho).real
+        if pos < len(stored_idx) and stored_idx[pos] == i:
+            states[pos] = rho
+            pos += 1
+    return Trajectory(times=times, states=states)

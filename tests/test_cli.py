@@ -1,5 +1,9 @@
 """Command-line front end: parsing, subcommands, exit codes, determinism."""
 
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -332,6 +336,30 @@ def test_seed_only_on_randomized_subcommands(tmp_path, capsys, argv):
     assert not csv.exists()
 
 
+def test_simulate_overflowing_weights_fail_before_output(capsys, tmp_path):
+    out = tmp_path / "t.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, stdout, err = run(
+            capsys, "simulate", "g1-3", "--weights", "1e200,0.2", "--out", str(out)
+        )
+    assert code == 3
+    assert stdout == ""
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert "nan/inf" in err
+    assert not caught
+    assert not out.exists()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.sparse costs import time and memory; only a simulation loads it
+    probe = ("import sys, qconsensus.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_step_size_failure_exit_code(capsys, tmp_path):
     out = tmp_path / "t.csv"
     code, _, err = run(
@@ -544,12 +572,26 @@ def test_spectrum_prints_one_pattern_at_every_scale(capsys):
     assert [z.endswith("i") for z in tiny] == [z.endswith("i") for z in unit]
 
 
-def test_spectrum_rejects_trivial_partition(capsys):
-    code, _, err = run(
+def test_spectrum_rejects_trivial_partition(tmp_path, capsys):
+    code, out, err = run(
         capsys, "spectrum", "g1-3", "--weights", "0.2,0.2", "--partition", "3"
     )
     assert code == 2
+    assert out == ""
     assert "one-part partition" in err
+    # a shape with more than d*d rows is no rate's: (1^5) at d = 2
+    topo = tmp_path / "ring5.topo"
+    topo.write_text(
+        "name: ring5\nN: 5\n"
+        "generator: (1 2 3 4 5) weight wc\n"
+        "generator: (1 2) weight wt\n"
+    )
+    code, out, err = run(
+        capsys, "spectrum", str(topo), "--weights", "0.1,0.1", "--partition", "1,1,1,1,1"
+    )
+    assert code == 2
+    assert out == ""
+    assert "more than d*d = 4" in err
 
 
 def test_spectrum_all_prints_verdict(capsys):

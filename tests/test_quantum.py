@@ -8,6 +8,7 @@ here exercise both directions of that dictionary.
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from qconsensus.quantum import (
     check_density,
     decompose,
     evolve,
+    evolve_chunks,
     fit_decay_rate,
     frobenius_distances,
     gellmann_basis,
@@ -39,8 +41,9 @@ from qconsensus.quantum import (
     sync_distance,
     uniform_site_hamiltonian,
 )
+from qconsensus.quantum import _no_fill, _step_operator
 from qconsensus.spectra import eigenvalues, multiset_contained
-from reference import permutation_unitary, reconstruct
+from reference import permutation_unitary, reconstruct, rk4_evolve, rk4_step
 
 
 def swap2():
@@ -53,6 +56,10 @@ def g13():
 
 def g14():
     return generator_set(4, [[[1, 2, 3, 4]], [[1, 2]], [[3, 4]]])
+
+
+def ring_swap(n):
+    return generator_set(n, [[list(range(1, n + 1))], [[1, 2]]])
 
 
 def random_density(rng, dim):
@@ -229,6 +236,88 @@ def test_rhs_gathers_equal_dense_unitary_products(gens, weights, d):
 # --- integration ---
 
 
+def random_hermitian(rng, dim):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return a + a.conj().T
+
+
+@pytest.mark.parametrize("gens,weights,d", [
+    (g13(), [0.3, 0.2], 2),
+    (swap2(), [0.7], 3),
+    (g13(), [0.3, 0.2], 3),
+], ids=["g1-3", "swap-d3", "g1-3-d3"])
+@pytest.mark.parametrize("h0_kind", ["none", "zsum", "random"])
+def test_step_operator_is_one_reference_rk4_step(gens, weights, d, h0_kind):
+    rng = np.random.default_rng(21)
+    dim = d**gens.n
+    h0 = {"none": None,
+          "zsum": uniform_site_hamiltonian(d, gens.n),
+          "random": random_hermitian(rng, dim)}[h0_kind]
+    rho = random_density(rng, dim)
+    dt = 1e-2
+    step = _step_operator(h0, gens, np.array(weights), dt, d)
+    assert step.dtype == (float if h0 is None else complex)
+    assert_allclose((step @ rho.reshape(-1)).reshape(dim, dim),
+                    rk4_step(rho, h0, gens, weights, dt, d), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("gens,weights,d,zsum", [
+    (g13(), [0.2, 0.2], 2, False),
+    (g14(), [0.46, 0.29, 0.29], 2, False),
+    (g13(), [0.2, 0.2], 3, False),
+    (g13(), [0.2, 0.2], 2, True),
+], ids=["g1-3", "g1-4", "g1-3-d3", "g1-3-zsum"])
+def test_evolve_matches_per_step_reference(gens, weights, d, zsum):
+    # the three `dynamics` benchmark inputs and the lab-frame `zsum` run
+    rho0 = generic_state(d, gens.n, seed=1)
+    h0 = uniform_site_hamiltonian(d, gens.n) if zsum else None
+    traj = evolve(rho0, h0, gens, weights, t_final=2.0, d=d, store_every=10)
+    ref = rk4_evolve(rho0, h0, gens, weights, t_final=2.0, d=d, store_every=10)
+    assert_allclose(traj.times, ref.times, rtol=0, atol=0)
+    assert_allclose(traj.states, ref.states, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("gens,weights,t_final,power", [
+    (g13(), [0.3, 0.2], 2.0, True),
+    (ring_swap(5), [0.3, 0.2], 0.3, False),
+], ids=["power", "stepping"])
+def test_evolve_segment_paths_match_single_steps(gens, weights, t_final, power):
+    step = _step_operator(None, gens, np.array(weights), 1e-3, 2)
+    assert _no_fill(step) is power
+    rho0 = generic_state(2, gens.n, seed=4)
+    every = evolve(rho0, None, gens, weights, t_final=t_final, store_every=1)
+    tenth = evolve(rho0, None, gens, weights, t_final=t_final, store_every=10)
+    assert_allclose(tenth.times, every.times[::10])
+    assert_allclose(tenth.states, every.states[::10], rtol=0, atol=1e-13)
+
+
+def test_evolve_chunks_stack_to_evolve_in_bounded_chunks():
+    rho0 = generic_state(3, 3, seed=2)
+    chunks = list(evolve_chunks(rho0, None, g13(), [0.2, 0.2], t_final=2.0, d=3,
+                                store_every=10))
+    traj = evolve(rho0, None, g13(), [0.2, 0.2], t_final=2.0, d=3, store_every=10)
+    assert [len(s) for _, s in chunks] == [89, 89, 23]  # 27x27 states, 1 MB
+    assert all(s.nbytes <= 1 << 20 for _, s in chunks)
+    assert np.array_equal(np.concatenate([t for t, _ in chunks]), traj.times)
+    assert np.array_equal(np.concatenate([s for _, s in chunks]), traj.states)
+
+
+def test_no_fill_reads_dense_blocks_only():
+    from scipy import sparse
+
+    blocks = sparse.csr_array(np.kron(np.eye(3), np.ones((2, 2))))
+    assert _no_fill(blocks)
+    path = sparse.csr_array(np.eye(4) + np.eye(4, k=1))
+    assert not _no_fill(path)
+
+
+def test_evolve_checks_drift_at_stored_states():
+    # an unstable dt is caught at the first stored state, not at a step
+    rho0 = generic_state(2, 2, seed=3)
+    with pytest.raises(StepSizeError, match=r"at t=50;"):
+        evolve(rho0, None, swap2(), [1.0], t_final=60.0, dt=5.0, store_every=10)
+
+
 def test_evolve_two_sites_reaches_group_average():
     rng = np.random.default_rng(10)
     rho0 = random_density(rng, 4)
@@ -257,10 +346,12 @@ def test_evolve_store_grid_includes_endpoints():
 
 
 def test_evolve_nan_drift_is_a_step_size_error():
-    # finite weights this large overflow the first step to inf - inf = NaN
+    # finite weights this large overflow the step operator to inf - inf =
+    # NaN; that is caught before any step, and no RuntimeWarning escapes
     rho0 = generic_state(2, 3, seed=3)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(StepSizeError, match="nan"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepSizeError, match="nan/inf"):
             evolve(rho0, None, g13(), [1e200, 0.2], t_final=0.01)
 
 
@@ -413,6 +504,17 @@ def test_sync_distance_extremes():
     one = np.diag([0.0, 1.0]).astype(complex)
     assert_allclose(sync_distance(np.kron(zero, one)), np.sqrt(2.0), atol=1e-12)
     assert sync_distance(np.kron(zero, zero)) < 1e-14
+
+
+def test_sync_distance_of_a_stack_is_per_state():
+    rho0 = generic_state(3, 3, seed=5)
+    traj = evolve(rho0, None, g13(), [0.3, 0.2], t_final=1.0, d=3, store_every=50)
+    stacked = sync_distance(traj.states, d=3)
+    assert stacked.shape == (len(traj.states),)
+    assert_allclose(stacked, [sync_distance(s, d=3) for s in traj.states],
+                    rtol=1e-15, atol=0)
+    assert_allclose(reduced_state(traj.states, 2, d=3)[-1],
+                    reduced_state(traj.states[-1], 2, d=3), rtol=1e-15)
 
 
 def test_uniform_site_hamiltonian_commutes_with_swaps():

@@ -3,17 +3,18 @@
 ``dump`` runs a fixed list of ``qcl`` commands in process against the
 ``qconsensus`` package under SRC and writes each command's exit code,
 stdout and CSV output to a JSON file.  ``compare`` reports every command
-whose record differs between two dumps.  The list covers ``rates``,
-``spectrum --all``, ``spectrum --partition`` (graphs of up to 120
-vertices), ``optimize`` (both objectives) and ``pareto`` on the four
-presets and on ring+swap for N = 3..7 at d = 2 and 3, at fixed weights
-and seeds, and ``simulate`` to t = 2 (stdout and trajectory CSV) on
-g1-3, g1-4 and g3-3 at d = 2 and g1-3 at d = 3, seeds 0 and 3, plus one
-g1-3 run each with ``--h0 zsum`` and ``--store-every 1``, and
-``optimize`` (both objectives, seed 0) on g1-4 and g2-3 at budgets 0.5
-and 2.  ``--heavy`` adds ``rates`` on ring+swap
-N = 7 at d = 3, whose 5040-vertex graph takes about a minute per weight
-draw.
+whose record differs between two dumps: its differing stdout lines and,
+for a CSV of unchanged shape, the largest absolute difference of its
+values.  The list covers ``rates``, ``spectrum --all``, ``spectrum
+--partition`` (graphs of up to 120 vertices), ``optimize`` (both
+objectives) and ``pareto`` on the four presets and on ring+swap for
+N = 3..7 at d = 2 and 3, at fixed weights and seeds, and ``simulate`` to
+t = 2 (stdout and trajectory CSV) on g1-3, g1-4 and g3-3 at d = 2 and
+g1-3 at d = 3, seeds 0 and 3, plus one g1-3 run each with ``--h0 zsum``
+and ``--store-every 1``, and ``optimize`` (both objectives, seed 0) on
+g1-4 and g2-3 at budgets 0.5 and 2.  ``--heavy`` adds ``rates`` on
+ring+swap N = 7 at d = 3, whose 5040-vertex graph takes about a minute
+per weight draw.
 
     python tools/same_numbers.py dump /path/to/old/src old.json
     python tools/same_numbers.py dump src new.json
@@ -131,6 +132,22 @@ def dump(src, out_json, heavy):
     print(f"{len(results)} commands written to {out_json}")
 
 
+def _csv_gap(x, y):
+    """', largest absolute difference <g>' for two CSVs of the same shape."""
+    if x is None or y is None:
+        return ""
+    rows_x, rows_y = x.splitlines(), y.splitlines()
+    if len(rows_x) != len(rows_y) or rows_x[:1] != rows_y[:1]:
+        return " in shape"
+    gap = 0.0
+    for rx, ry in zip(rows_x[1:], rows_y[1:]):
+        fx, fy = rx.split(","), ry.split(",")
+        if len(fx) != len(fy):
+            return " in shape"
+        gap = max([gap] + [abs(float(u) - float(v)) for u, v in zip(fx, fy)])
+    return f", largest absolute difference {gap:.3g}"
+
+
 def compare(a_json, b_json):
     with open(a_json) as fh:
         a = json.load(fh)
@@ -147,7 +164,7 @@ def compare(a_json, b_json):
                 print("   -", x)
                 print("   +", y)
         if a[k].get("csv") != b[k].get("csv"):
-            print("   csv differs")
+            print("   csv differs" + _csv_gap(a[k].get("csv"), b[k].get("csv")))
         if a[k]["code"] != b[k]["code"]:
             print("   exit code", a[k]["code"], "->", b[k]["code"])
     print(f"{len(a) - len(bad)} of {len(a)} identical")
