@@ -35,7 +35,6 @@ from .quantum import (
     StepSizeError,
     check_density,
     check_state_dim,
-    check_steps,
     evolve_chunks,
     fit_decay_rate,
     frobenius_distances,
@@ -260,8 +259,8 @@ def _echo_config(spec: TopologySpec, w: np.ndarray, d: int) -> None:
 
 def cmd_rates(args, spec: TopologySpec, d: int) -> int:
     w = resolve_weights(spec, args.weights)
-    _echo_config(spec, w, d)
     rates = convergence_rates(spec.gens, w, d=d)
+    _echo_config(spec, w, d)
     print("per-partition lambda2(Re):")
     for parts, rate in rates.per_partition.items():
         print(f"  ({','.join(map(str, parts))}): {fmt(rate)}")
@@ -345,7 +344,6 @@ def _load_rho0(path: str, d: int, n: int) -> np.ndarray:
 
 def cmd_simulate(args, spec: TopologySpec, d: int) -> int:
     w = resolve_weights(spec, args.weights)
-    check_steps(args.t, args.dt, args.store_every)
     check_state_dim(d**spec.n)
     if args.rho0 == "generic":
         rho0 = generic_state(d, spec.n, seed=args.seed)
@@ -391,8 +389,8 @@ def cmd_simulate(args, spec: TopologySpec, d: int) -> int:
 def cmd_spectrum(args, spec: TopologySpec, d: int) -> int:
     w = resolve_weights(spec, args.weights)
     if args.all:
-        _echo_config(spec, w, d)
         report = intertwining_check(spec.gens, w, d=d)
+        _echo_config(spec, w, d)
         print("intertwining:")
         for pc in report.pairs:
             inner = ",".join(map(str, pc.inner))
@@ -412,30 +410,21 @@ def cmd_spectrum(args, spec: TopologySpec, d: int) -> int:
         parts = tuple(int(tok) for tok in args.partition.split(","))
     except ValueError as exc:
         raise TopologyError(f"--partition: {exc}") from exc
-    if sum(parts) != spec.n or any(p < 1 for p in parts) or list(parts) != sorted(
-        parts, reverse=True
-    ):
-        raise TopologyError(
-            f"--partition must be a non-increasing partition of {spec.n}"
-        )
-    if len(parts) == 1:
-        raise TopologyError(
-            "the one-part partition is excluded: its graph is a single vertex "
-            "carrying the conserved trace coefficient"
-        )
     if parts not in rate_shapes(spec.n, d):
         raise TopologyError(
-            f"--partition has {len(parts)} rows; no rate at d={d} reads a shape "
-            f"with more than d*d = {d * d}"
+            f"--partition must be a non-increasing partition of {spec.n} into 2 to "
+            f"d*d = {d * d} parts: the one-part partition is excluded (its graph is "
+            "a single vertex carrying the conserved trace coefficient), and no rate "
+            f"at d={d} reads a shape with more than d*d = {d * d}"
         )
-    _echo_config(spec, w, d)
     ig = induced_laplacian(parts, spec.gens, w)
+    vals = eigenvalues(ig.laplacian)
+    _echo_config(spec, w, d)
     print(f"partition: ({','.join(map(str, parts))})  vertices: {len(ig.vertices)}")
     print("laplacian:")
     for row in ig.laplacian:
         print("  " + " ".join(fmt(v) for v in row))
     print("spectrum:")
-    vals = eigenvalues(ig.laplacian)
     scale = float(np.abs(vals).max())
     for z in vals:
         print("  " + fmt_c(z, scale))

@@ -84,12 +84,7 @@ def dominates(a: Partition, b: Partition) -> bool:
 
 def enumerate_tabloids(parts: Partition) -> list[Tabloid]:
     """All row_of vectors of the given shape, ascending lexicographic."""
-    base: list[int] = []
-    for row, count in enumerate(parts, start=1):
-        if count < 1:
-            raise ValueError("partition parts must be positive")
-        base.extend([row] * count)
-    return sorted(set(permutations(base)))
+    return sorted(set(permutations(canonical_tabloid(parts))))
 
 
 def act_on_tabloid(t: Tabloid, p: Permutation) -> Tabloid:
@@ -101,6 +96,8 @@ def canonical_tabloid(parts: Partition) -> Tabloid:
     """Positions filled row-wise ascending: 1..parts[0] in row 1, and so on."""
     out: list[int] = []
     for row, count in enumerate(parts, start=1):
+        if count < 1:
+            raise ValueError("partition parts must be positive")
         out.extend([row] * count)
     return tuple(out)
 
@@ -124,8 +121,10 @@ class ShapeAction:
             raise ValueError("one weight per generator required")
         v = len(self.vertices)
         out = np.zeros((len(w), v * v))
-        # + 0.0 turns the -0.0 of a zero weight into 0.0
-        out[:, self.flat] = w @ self.coeffs + 0.0
+        # + 0.0 turns the -0.0 of a zero weight into 0.0; weights that
+        # overflow leave inf for the eigensolve to reject
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[:, self.flat] = w @ self.coeffs + 0.0
         return out.reshape(-1, v, v)
 
 

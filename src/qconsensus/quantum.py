@@ -175,19 +175,9 @@ def evolve(
     and its drift beyond 1e-6, or NaN, raises :class:`StepSizeError`.
     The states are those of :func:`evolve_chunks`, stacked.
     """
-    steps = check_steps(t_final, dt, store_every)
-    stored = len(range(0, steps, store_every)) + 1
-    times = np.empty(stored)
-    states = None
-    pos = 0
-    for t, chunk in evolve_chunks(rho0, h0, gens, weights, t_final, dt=dt,
-                                  frame=frame, d=d, store_every=store_every):
-        if states is None:
-            states = np.empty((stored,) + chunk.shape[1:], dtype=complex)
-        times[pos:pos + len(t)] = t
-        states[pos:pos + len(t)] = chunk
-        pos += len(t)
-    return Trajectory(times=times, states=states)
+    times, states = zip(*evolve_chunks(rho0, h0, gens, weights, t_final, dt=dt,
+                                       frame=frame, d=d, store_every=store_every))
+    return Trajectory(times=np.concatenate(times), states=np.concatenate(states))
 
 
 def evolve_chunks(
@@ -276,8 +266,7 @@ def _step_operator(h0, gens: GeneratorSet, weights, dt: float, d: int):
     s = -float(weights.sum()) * eye
     for p, w in zip(gens.perms, weights):
         if w != 0.0:
-            m = _pull_map(p, d)
-            cols = (m[:, None] * dim + m[None, :]).ravel().astype(np.int32)
+            cols = _pair_map(_pull_map(p, d)).astype(np.int32)
             s = s + sparse.csr_array((np.full(n, w), cols, indptr), shape=(n, n))
     if h0 is not None:
         h = sparse.csr_array(np.asarray(h0, dtype=complex))
@@ -295,10 +284,16 @@ def _step_operator(h0, gens: GeneratorSet, weights, dt: float, d: int):
 def _no_fill(t) -> bool:
     """True iff T's pattern is a disjoint union of dense blocks, so that
     every power of T keeps its pattern: sum |B|^2 == nnz over the weakly
-    connected components B, found by min-label propagation."""
-    n = t.shape[0]
-    rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(t.indptr))
-    cols = t.indices
+    connected components B of the pattern."""
+    rows = np.repeat(np.arange(t.shape[0], dtype=np.int32), np.diff(t.indptr))
+    sizes = np.bincount(_min_labels(t.shape[0], rows, t.indices)).astype(np.int64)
+    return int((sizes * sizes).sum()) == t.nnz
+
+
+def _min_labels(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Each of nodes 0..n-1 labelled with the smallest node of its weakly
+    connected component under the edges (rows[i], cols[i]), by min-label
+    propagation with pointer jumping."""
     label = np.arange(n, dtype=np.int32)
     while True:
         low = np.minimum(label[rows], label[cols])
@@ -307,10 +302,14 @@ def _no_fill(t) -> bool:
         np.minimum.at(new, cols, low)
         new = new[new]
         if np.array_equal(new, label):
-            break
+            return label
         label = new
-    sizes = np.bincount(label).astype(np.int64)
-    return int((sizes * sizes).sum()) == t.nnz
+
+
+def _pair_map(s: np.ndarray) -> np.ndarray:
+    """The pull map s lifted to row-major vec(rho): entry a*dim + b reads
+    s[a]*dim + s[b], i.e. the gather rho[s[a], s[b]] of U_p rho U_p^dag."""
+    return (s[:, None] * len(s) + s[None, :]).ravel()
 
 
 def _matrix_power(t, k: int):
@@ -367,25 +366,21 @@ def check_density(rho: np.ndarray, d: int = 2) -> None:
 def symmetric_state(rho: np.ndarray, perms, d: int = 2) -> np.ndarray:
     """Group average (1/|G|) sum_g U_g rho U_g^dag over the group G = <perms>.
 
-    ``perms`` may generate G or be G; G is never enumerated.  Gathers move
-    entry (a, b) to (s[a], s[b]), so a label matrix gathered and minimised
-    until it settles gives each entry its orbit's smallest flat index, and
-    the orbit mean (orbit-stabilizer) is the group average: the consensus
-    target, invariant under every U_g.
+    ``perms`` may generate G or be G; G is never enumerated.  The orbits
+    of the entries (a, b) under the gathers of :func:`_pair_map` are the
+    components of :func:`_min_labels`, and the orbit mean
+    (orbit-stabilizer) is the group average: the consensus target,
+    invariant under every U_g.
     """
     rho = np.asarray(rho, dtype=complex)
     dim = rho.shape[0]
     maps = [_pull_map(tuple(p), d) for p in perms]
     if any(s.size != dim for s in maps):
         raise ValueError(f"permutation degree does not match a state of size {dim}")
-    label = np.arange(dim * dim).reshape(dim, dim)
-    while True:
-        before = label
-        for s in maps:
-            label = np.minimum(label, label[s[:, None], s[None, :]])
-        if np.array_equal(label, before):
-            break
-    label, flat = label.ravel(), rho.ravel()
+    n = dim * dim
+    rows = np.tile(np.arange(n, dtype=np.int32), len(maps))
+    cols = np.concatenate([_pair_map(s) for s in maps] or [rows])
+    label, flat = _min_labels(n, rows, cols), rho.ravel()
     sums = np.bincount(label, flat.real) + 1j * np.bincount(label, flat.imag)
     return (sums[label] / np.bincount(label)[label]).reshape(dim, dim)
 

@@ -30,12 +30,14 @@ class NotALaplacianError(ValueError):
 
 
 def eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Full complex spectrum, sorted by (real, imaginary)."""
+    """Full complex spectrum of each matrix of a (..., V, V) stack, sorted by
+    (real, imaginary); a nan/inf entry or a failed solve raises
+    :class:`NumericalFailureError`."""
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError("square matrix required")
     if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
+        raise NumericalFailureError("eigenvalue solve failed: matrix has nan/inf entries")
     try:
         vals = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
@@ -70,12 +72,7 @@ def batch_rates(actions: list[ShapeAction], w) -> tuple[np.ndarray, ...]:
     as an intransitive group never equalizes its orbits.  Bad weights
     raise ValueError, a failed solve NumericalFailureError.
     """
-    try:
-        table = np.array(
-            [lambda2_re_batch(np.linalg.eigvals(a.laplacians(w))) for a in actions]
-        )
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"eigenvalue solve failed: {exc}") from exc
+    table = np.array([lambda2_re_batch(eigenvalues(a.laplacians(w))) for a in actions])
     site = actions[0]
     synch = table[0] if len(site.vertices) == sum(site.partition) else np.zeros(len(w))
     return table, table.min(axis=0), synch

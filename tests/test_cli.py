@@ -336,13 +336,19 @@ def test_seed_only_on_randomized_subcommands(tmp_path, capsys, argv):
     assert not csv.exists()
 
 
-def test_simulate_overflowing_weights_fail_before_output(capsys, tmp_path):
+@pytest.mark.parametrize("argv", [
+    ("simulate", "g1-3", "--weights", "1e200,0.2"),
+    ("rates", "g1-3", "--weights", "1e308,1e308"),
+    ("spectrum", "g1-3", "--weights", "1e308,1e308", "--all"),
+    ("spectrum", "g1-3", "--weights", "1e308,1e308", "--partition", "2,1"),
+], ids=["simulate", "rates", "spectrum-all", "spectrum-partition"])
+def test_overflowing_weights_fail_before_output(argv, capsys, tmp_path):
     out = tmp_path / "t.csv"
+    if argv[0] == "simulate":
+        argv += ("--out", str(out))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, stdout, err = run(
-            capsys, "simulate", "g1-3", "--weights", "1e200,0.2", "--out", str(out)
-        )
+        code, stdout, err = run(capsys, *argv)
     assert code == 3
     assert stdout == ""
     assert err.startswith("numerical failure: ") and err.count("\n") == 1

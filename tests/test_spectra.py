@@ -21,6 +21,7 @@ from qconsensus.optimize import BudgetConstraint, maximize_rate, pareto_scan
 from qconsensus.permgroup import generator_set
 from qconsensus.spectra import (
     NotALaplacianError,
+    NumericalFailureError,
     alternating_mode_rate,
     convergence_rates,
     distinct_values,
@@ -67,6 +68,24 @@ def test_eigenvalues_directed_ring():
     eigs = eigenvalues(generator_laplacian(gens, [1.0]))
     expected = np.sort_complex(np.array([0.0, 1.5 - 0.866025403784j, 1.5 + 0.866025403784j]))
     assert_allclose(eigs, expected, atol=1e-9)
+
+
+def test_eigenvalues_of_a_stack_match_per_matrix_calls():
+    stack = np.random.default_rng(5).normal(size=(4, 6, 6))
+    got = eigenvalues(stack)
+    assert got.shape == (4, 6)
+    for m, vals in zip(stack, got):
+        assert np.array_equal(vals, eigenvalues(m))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_eigenvalues_reject_nonfinite_entries(bad):
+    lap = generator_laplacian(g13(), [0.3, 0.1])
+    lap[1, 2] = bad
+    with pytest.raises(NumericalFailureError, match="nan/inf"):
+        eigenvalues(lap)
+    with pytest.raises(NumericalFailureError, match="nan/inf"):
+        eigenvalues(np.stack([lap, lap]))
 
 
 def test_lambda2_complete_graph():

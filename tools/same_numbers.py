@@ -11,7 +11,8 @@ objectives) and ``pareto`` on the four presets and on ring+swap for
 N = 3..7 at d = 2 and 3, at fixed weights and seeds, and ``simulate`` to
 t = 2 (stdout and trajectory CSV) on g1-3, g1-4 and g3-3 at d = 2 and
 g1-3 at d = 3, seeds 0 and 3, plus one g1-3 run each with ``--h0 zsum``
-and ``--store-every 1``, and ``optimize`` (both objectives, seed 0) on
+and ``--store-every 1``, ``rates`` and both ``spectrum`` modes on g1-3
+at weights 1e308 that overflow, and ``optimize`` (both objectives, seed 0) on
 g1-4 and g2-3 at budgets 0.5 and 2.  ``--heavy`` adds ``rates`` on
 ring+swap N = 7 at d = 3, whose 5040-vertex graph takes about a minute
 per weight draw.
@@ -23,6 +24,7 @@ per weight draw.
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -72,6 +74,11 @@ def commands(work, heavy):
             "--out", "@CSV")
     cmds.append(base + ("--h0", "zsum"))
     cmds.append(base + ("--store-every", "1"))
+
+    # finite weights whose Laplacians overflow: exit 3 before any output
+    base = ("g1-3", "--weights", "1e308,1e308")
+    cmds += [("rates",) + base, ("spectrum",) + base + ("--all",),
+             ("spectrum",) + base + ("--partition", "2,1")]
 
     for name in ("g1-4", "g2-3"):
         for budget in ("0.5", "2"):
@@ -159,10 +166,13 @@ def compare(a_json, b_json):
     bad = [k for k in a if a[k] != b[k]]
     for k in bad:
         print("DIFF:", k)
-        for x, y in zip(a[k]["out"].splitlines(), b[k]["out"].splitlines()):
+        for x, y in itertools.zip_longest(a[k]["out"].splitlines(),
+                                          b[k]["out"].splitlines()):
             if x != y:
-                print("   -", x)
-                print("   +", y)
+                if x is not None:
+                    print("   -", x)
+                if y is not None:
+                    print("   +", y)
         if a[k].get("csv") != b[k].get("csv"):
             print("   csv differs" + _csv_gap(a[k].get("csv"), b[k].get("csv")))
         if a[k]["code"] != b[k]["code"]:
