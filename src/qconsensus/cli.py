@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .induced import induced_laplacian, rate_shapes
-from .optimize import BudgetConstraint, maximize_rate, pareto_scan
+from .optimize import TIE_TOL, BudgetConstraint, maximize_rate, pareto_scan
 from .permgroup import (
     CapExceededError,
     GeneratorSet,
@@ -244,7 +244,13 @@ def cycles_str(p) -> str:
 
 
 def _echo_config(spec: TopologySpec, w: np.ndarray, d: int) -> None:
+    """Print the run's configuration; a budget cost that overflows is an
+    input error, raised before the first line."""
     gens = spec.gens
+    with np.errstate(over="ignore"):
+        cost = float(np.dot(gens.cycle_costs(), w))
+    if not np.isfinite(cost):
+        raise TopologyError("--weights: the budget cost sum(cycle length * weight) overflows")
     print(f"topology: {spec.name}  N={spec.n}  d={d}  budget={fmt(spec.budget)}")
     print(
         "generators: "
@@ -253,7 +259,6 @@ def _echo_config(spec: TopologySpec, w: np.ndarray, d: int) -> None:
         )
     )
     print("weights: " + " ".join(f"{lb}={fmt(v)}" for lb, v in zip(gens.labels, w)))
-    cost = float(np.dot(gens.cycle_costs(), w))
     print(f"budget used: {fmt(cost)} of {fmt(spec.budget)}")
 
 
@@ -296,7 +301,8 @@ def cmd_pareto(args, spec: TopologySpec, d: int) -> int:
     n_front = sum(1 for p in points if p.on_front)
     print(f"topology: {spec.name}  points: {len(points)}  front: {n_front}")
     for title, arr in (("lambda_cons", cons), ("lambda_synch", synch)):
-        i = int(np.argmax(arr))
+        # the first grid point tied with the maximum, as the front ties them
+        i = int(np.flatnonzero(arr >= arr.max() - TIE_TOL * spec.budget)[0])
         at = " ".join(f"{lb}={fmt(v)}" for lb, v in zip(labels, points[i].weights))
         print(f"max {title}: {fmt(arr[i])} at {at}")
     print(f"wrote: {out}")

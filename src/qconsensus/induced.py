@@ -10,7 +10,14 @@ is that Laplacian up to relabeling vertices by their singleton position.
 
 Partitions compare in the dominance order (prefix sums); enumeration
 orders are fixed (descending lexicographic for partitions, ascending
-lexicographic for tabloids) so every matrix is reproducible bit for bit.
+lexicographic for tabloids and standard tableaux) so every matrix is
+reproducible bit for bit.
+
+By Young's rule the tabloid module of shape mu is the direct sum of the
+irreducible modules S^lambda for lambda dominating mu, so every rate can
+be read from one small :class:`IrrepBlock` per shape: the same weighted
+sum ``sum_p w_p (I - rho(p))`` in Young's orthogonal form, a matrix of
+the irrep's dimension instead of the orbit's.
 """
 
 from __future__ import annotations
@@ -31,6 +38,11 @@ from .permgroup import (
 
 Partition = tuple[int, ...]
 Tabloid = tuple[int, ...]
+
+# a modulus within ZERO_TOL of its scale counts as zero: an eigenvalue
+# against its spectrum's largest, a singular value of the orthogonal
+# form's I - rho(p) against 1
+ZERO_TOL = 1e-9
 
 
 def partitions_of(n: int, max_parts: int) -> list[Partition]:
@@ -102,6 +114,14 @@ def canonical_tabloid(parts: Partition) -> Tabloid:
     return tuple(out)
 
 
+def _weight_rows(w_batch, m: int) -> np.ndarray:
+    """A (k, m) batch of finite, nonnegative weight rows, or ValueError."""
+    w = check_weights(w_batch)
+    if w.ndim != 2 or w.shape[1] != m:
+        raise ValueError("one weight per generator required")
+    return w
+
+
 @dataclass(frozen=True)
 class ShapeAction:
     """One shape's sorted canonical-tabloid orbit (every tabloid under S_N)
@@ -116,9 +136,7 @@ class ShapeAction:
     def laplacians(self, w_batch) -> np.ndarray:
         """(k, V, V) Laplacians for a (k, m) batch of finite, nonnegative
         weight rows."""
-        w = check_weights(w_batch)
-        if w.ndim != 2 or w.shape[1] != len(self.coeffs):
-            raise ValueError("one weight per generator required")
+        w = _weight_rows(w_batch, len(self.coeffs))
         v = len(self.vertices)
         out = np.zeros((len(w), v * v))
         # + 0.0 turns the -0.0 of a zero weight into 0.0; weights that
@@ -181,3 +199,114 @@ def induced_laplacian(
         vertices=action.vertices,
         laplacian=action.laplacians([weights])[0],
     )
+
+
+def standard_tableaux(parts: Partition) -> list[Tabloid]:
+    """Standard Young tableaux of shape ``parts`` as row words (entry k sits
+    in row ``word[k-1]``, like a tabloid's ``row_of``), ascending
+    lexicographic."""
+    out: list[Tabloid] = []
+    word: list[int] = []
+    filled = [0] * len(parts)
+
+    def rec():
+        if len(word) == sum(parts):
+            out.append(tuple(word))
+            return
+        for r, size in enumerate(parts):
+            if filled[r] < size and (r == 0 or filled[r] < filled[r - 1]):
+                filled[r] += 1
+                word.append(r + 1)
+                rec()
+                word.pop()
+                filled[r] -= 1
+
+    rec()
+    return out
+
+
+def _bubble_word(p: Permutation) -> list[int]:
+    """Adjacent transpositions s_i = (i i+1) with p = s_{a_K} o ... o s_{a_1}
+    for the returned [a_1, ..., a_K]: the swaps that bubble-sort p's images."""
+    seq = list(p)
+    word = []
+    for end in range(len(seq) - 1, 0, -1):
+        for j in range(end):
+            if seq[j] > seq[j + 1]:
+                seq[j], seq[j + 1] = seq[j + 1], seq[j]
+                word.append(j + 1)
+    return word
+
+
+def young_orthogonal(parts: Partition, perms) -> np.ndarray:
+    """(m, k, k) stack of rho(p), one per permutation of ``perms``, for the
+    irrep ``parts`` in Young's orthogonal form on :func:`standard_tableaux`.
+
+    rho(s_i) maps tableau T to T / r + sqrt(1 - 1/r^2) s_i T, where r is the
+    axial distance c(i+1) - c(i) of the contents c = column - row (s_i T
+    is not standard when |r| = 1); rho(p) is the product along
+    :func:`_bubble_word`, applied as row operations.
+    """
+    tabs = standard_tableaux(parts)
+    index = {t: j for j, t in enumerate(tabs)}
+    col = np.array([[t[:k].count(t[k]) for k in range(len(t))] for t in tabs])
+    content = col - np.array(tabs)
+    letters = {}
+    for i in range(1, sum(parts)):
+        r = content[:, i] - content[:, i - 1]
+        swapped = [t[:i - 1] + (t[i], t[i - 1]) + t[i + 1:] for t in tabs]
+        partner = np.array([index.get(u, j) for j, u in enumerate(swapped)])
+        letters[i] = (1.0 / r[:, None], np.sqrt(1.0 - 1.0 / r**2)[:, None], partner)
+    out = []
+    for p in perms:
+        rho = np.eye(len(tabs))
+        for i in _bubble_word(p):
+            diag, off, partner = letters[i]
+            rho = diag * rho + off * rho[partner]
+        out.append(rho)
+    return np.array(out)
+
+
+@dataclass(frozen=True)
+class IrrepBlock:
+    """One irrep's Laplacian ``sum_p w_p (I - rho(p))`` as a linear map of
+    w, ``w @ coeffs`` over the (m, k, k) stack ``coeffs``, restricted to the
+    orthocomplement of the vectors the generated group fixes; ``fixed``
+    counts those, one per extra orbit they would have added as a zero."""
+
+    partition: Partition
+    coeffs: np.ndarray
+    fixed: int
+
+    def laplacians(self, w_batch) -> np.ndarray:
+        """(b, k, k) Laplacians for a (b, m) batch of finite, nonnegative
+        weight rows."""
+        w = _weight_rows(w_batch, len(self.coeffs))
+        # + 0.0 turns the -0.0 of a zero weight into 0.0; weights that
+        # overflow leave inf for the eigensolve to reject
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.tensordot(w, self.coeffs, axes=1) + 0.0
+
+
+def irrep_block(parts: Partition, gens: GeneratorSet) -> IrrepBlock:
+    """The :class:`IrrepBlock` of one shape's irrep under ``gens``.
+
+    The group's fixed vectors are the null space of the stacked
+    I - rho(p): singular values within ``ZERO_TOL`` of 0, as rho is
+    orthogonal and each I - rho(p) has norm at most 2 (a block the group
+    fixes whole has only rounding left, so a cut relative to its largest
+    singular value would keep it).  rho keeps their orthocomplement
+    invariant, so the block acts there in an orthonormal basis; without
+    fixed vectors it keeps the tableau basis.
+    """
+    if sum(parts) != gens.n:
+        raise ValueError(f"partition {parts} does not partition {gens.n}")
+    rho = young_orthogonal(parts, gens.perms)
+    eye = np.eye(rho.shape[1])
+    coeffs = eye - rho
+    _, sv, vt = np.linalg.svd(np.concatenate(coeffs), full_matrices=False)
+    rank = int(np.sum(sv > ZERO_TOL))
+    if rank < len(eye):
+        basis = vt[:rank].T
+        coeffs = basis.T @ coeffs @ basis
+    return IrrepBlock(tuple(parts), coeffs, len(eye) - rank)

@@ -15,13 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .induced import rate_shapes, shape_action
+from .induced import irrep_block, rate_shapes
 from .permgroup import GeneratorSet
 from .spectra import batch_rates
 
 CHUNK = 256
 N_STARTS = 20
 STEP_FLOOR = 1e-8
+# rates within TIE_TOL times the budget count as equal, so ties among
+# optima and on the Pareto front do not hinge on last-bit noise
+TIE_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -50,14 +53,14 @@ class ParetoPoint:
 
 
 class _RateEvaluator:
-    """Batched (lambda_cons, lambda_synch) over the shape actions of one topology."""
+    """Batched (lambda_cons, lambda_synch) over the irrep blocks of one topology."""
 
     def __init__(self, gens: GeneratorSet, d: int = 2, synch_only: bool = False):
         shapes = rate_shapes(gens.n, d)[:1] if synch_only else rate_shapes(gens.n, d)
-        self.actions = [shape_action(p, gens) for p in shapes]
+        self.blocks = [irrep_block(p, gens) for p in shapes]
 
     def rates(self, w_batch: np.ndarray):
-        return batch_rates(self.actions, w_batch)[1:]
+        return batch_rates(self.blocks, w_batch)[1:]
 
 
 def _compositions(total: int, parts: int):
@@ -70,8 +73,14 @@ def _compositions(total: int, parts: int):
             yield (head,) + tail
 
 
-def front_mask(cons: np.ndarray, synch: np.ndarray) -> np.ndarray:
-    """Non-dominated mask, maximizing both coordinates, ties kept."""
+def front_mask(cons: np.ndarray, synch: np.ndarray, tol: float) -> np.ndarray:
+    """Non-dominated mask, maximizing both coordinates, ties kept.
+
+    Sweeping synch downward, the points within ``tol`` of the largest
+    synch left form one tie group; a member stays if its cons is within
+    ``tol`` of the group's best and more than ``tol`` above every cons of
+    the groups before.  With ``tol`` 0 this is exact Pareto dominance.
+    """
     k = len(cons)
     mask = np.zeros(k, dtype=bool)
     order = np.lexsort((-cons, -synch))
@@ -79,13 +88,12 @@ def front_mask(cons: np.ndarray, synch: np.ndarray) -> np.ndarray:
     i = 0
     while i < k:
         j = i
-        while j < k and synch[order[j]] == synch[order[i]]:
+        while j < k and synch[order[j]] >= synch[order[i]] - tol:
             j += 1
         group = order[i:j]
         group_best = cons[group].max()
-        if group_best > best_above:
-            mask[group[cons[group] == group_best]] = True
-            best_above = group_best
+        mask[group[(cons[group] >= group_best - tol) & (cons[group] > best_above + tol)]] = True
+        best_above = max(best_above, group_best)
         i = j
     return mask
 
@@ -114,7 +122,7 @@ def pareto_scan(
     with ThreadPoolExecutor(max_workers=min(os.cpu_count() or 1, len(chunks))) as ex:
         pieces = list(ex.map(ev.rates, chunks))
     cons, synch = (np.concatenate(x) for x in zip(*pieces))
-    mask = front_mask(cons, synch)
+    mask = front_mask(cons, synch, TIE_TOL * constraint.budget)
     return [
         ParetoPoint(
             weights=tuple(float(x) for x in w_all[i]),
@@ -140,19 +148,20 @@ def maximize_rate(
     doubling on success and halving on failure down to ``STEP_FLOOR``.
     The starts advance in lockstep, one batched rate evaluation per
     round over every live start's transfers, each start keeping its own
-    step; the first start with the strictly largest value wins.
-    Deterministic for a fixed seed.
+    step.  Deterministic for a fixed seed.
 
     Rate landscapes here routinely have flat ridges (an inactive
     spectral branch can absorb weight changes without moving the
     minimum), so a polish phase walks along value-preserving directions
-    to the balanced representative: among equally fast weight vectors
-    (to 1e-11 times the budget, so the optimum scales with it as the
-    rates do) the one of least Euclidean norm is returned.  Besides the
-    transfers, each polish round tries the pattern moves ``2u - h``
-    (Hooke & Jeeves) from the points one and two acceptances back, so a
-    walk that zigzags along a ridge speeds up instead of crawling at a
-    small step; an accepted pattern move keeps the step.
+    to the balanced representative: every start within ``TIE_TOL`` times
+    the budget of the best value (so the optimum scales with it as the
+    rates do) is polished, again in lockstep, and among the equally fast
+    results the one of least Euclidean norm is returned, the first start
+    winning an exact tie.  Besides the transfers, each polish round
+    tries the pattern moves ``2u - h`` (Hooke & Jeeves) from the points
+    one and two acceptances back, so a walk that zigzags along a ridge
+    speeds up instead of crawling at a small step; an accepted pattern
+    move keeps the step.
     """
     if objective not in ("consensus", "synchronization"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -166,6 +175,12 @@ def maximize_rate(
     def f_batch(u_batch: np.ndarray) -> np.ndarray:
         w = constraint.budget * u_batch / lengths[None, :]
         return ev.rates(w)[pick]
+
+    def f_each(batches: list[np.ndarray]) -> list[np.ndarray]:
+        """One batched evaluation of every live start's candidates."""
+        ends = np.cumsum([len(b) for b in batches])
+        vals = f_batch(np.concatenate(batches)) if ends[-1] else np.empty(0)
+        return np.split(vals, ends[:-1])
 
     rng = np.random.default_rng(seed)
     starts = [np.full(m, 1.0 / m)]
@@ -189,9 +204,7 @@ def maximize_rate(
     live = list(range(len(starts)))
     while live:
         batches = [transfers(us[s], steps[s]) for s in live]
-        ends = np.cumsum([len(b) for b in batches])
-        vals_all = f_batch(np.concatenate(batches)) if ends[-1] else np.empty(0)
-        for s, batch, vals in zip(live, batches, np.split(vals_all, ends[:-1])):
+        for s, batch, vals in zip(live, batches, f_each(batches)):
             if len(batch):
                 k = int(np.argmax(vals))
                 if vals[k] > vs[s]:
@@ -202,42 +215,40 @@ def maximize_rate(
             steps[s] *= 0.5
         live = [s for s in live if steps[s] >= STEP_FLOOR]
 
-    # a NaN value never wins, as it compares false
-    best_u = starts[0]
-    best_v = -np.inf
-    for u, v in zip(us, vs):
-        if v > best_v:
-            best_v = v
-            best_u = u
-
-    # polish: drift along flat directions toward the least-norm optimum
-    u = best_u.copy()
-    norm = float(np.sum((u / lengths) ** 2))
-    back = []  # the points one and two acceptances back
-    step = 0.25
-    while step >= STEP_FLOOR:
-        batch = transfers(u, step)
-        n_transfers = len(batch)
-        patterns = [c / c.sum() for c in (2.0 * u - h for h in back) if np.all(c >= 0)]
-        if patterns:
-            batch = np.concatenate([batch, patterns])
-        if len(batch):
-            vals = f_batch(batch)
-            norms = np.sum((batch / lengths[None, :]) ** 2, axis=1)
-            keep = vals >= best_v - 1e-11 * constraint.budget
-            keep &= norms < norm - 1e-15
-            if np.any(keep):
-                idx = np.where(keep)[0]
-                k = idx[int(np.argmin(norms[idx]))]
-                back = [u] + back[:1]
-                u = batch[k]
-                norm = float(norms[k])
-                best_v = max(best_v, float(vals[k]))
-                if k < n_transfers:
-                    step = min(step * 2.0, 0.5)
-                continue
-        step *= 0.5
-    best_u = u
+    # polish, in lockstep, every start tied with the best: each drifts
+    # along flat directions toward its least-norm optimum
+    tol = TIE_TOL * constraint.budget
+    best_v = max(vs)
+    tied = [s for s in range(len(us)) if vs[s] >= best_v - tol]
+    norms = [float(np.sum((u / lengths) ** 2)) for u in us]
+    backs = {s: [] for s in tied}  # the points one and two acceptances back
+    steps = [0.25] * len(us)
+    live = list(tied)
+    while live:
+        batches, n_transfers = [], []
+        for s in live:
+            batch = transfers(us[s], steps[s])
+            n_transfers.append(len(batch))
+            patterns = [c / c.sum() for c in (2.0 * us[s] - h for h in backs[s])
+                        if np.all(c >= 0)]
+            batches.append(np.concatenate([batch, patterns]) if patterns else batch)
+        for s, batch, n_t, vals in zip(live, batches, n_transfers, f_each(batches)):
+            if len(batch):
+                cand = np.sum((batch / lengths[None, :]) ** 2, axis=1)
+                keep = (vals >= best_v - tol) & (cand < norms[s] - 1e-15)
+                if np.any(keep):
+                    idx = np.where(keep)[0]
+                    k = idx[int(np.argmin(cand[idx]))]
+                    backs[s] = [us[s]] + backs[s][:1]
+                    us[s], vs[s], norms[s] = batch[k], float(vals[k]), float(cand[k])
+                    best_v = max(best_v, vs[s])
+                    if k < n_t:
+                        steps[s] = min(steps[s] * 2.0, 0.5)
+                    continue
+            steps[s] *= 0.5
+        live = [s for s in live if steps[s] >= STEP_FLOOR]
+    best = min((s for s in tied if vs[s] >= best_v - tol), key=lambda s: norms[s])
+    best_u = us[best]
     final_v = float(f_batch(best_u[None, :])[0])
 
     w = constraint.budget * best_u / lengths

@@ -3,7 +3,9 @@
 The quantities of interest are real parts of second-smallest
 eigenvalues: ``lambda_synch`` from the site-label graph, which is the
 shape ``(n-1, 1)`` induced graph, and ``lambda_cons`` as the minimum
-over every admissible partition shape.  Eigenvalues of directed
+over every admissible partition shape.  The rates read each shape's
+spectrum from irrep blocks (:func:`batch_rates`); the spectral-inclusion
+checks read the induced graphs themselves.  Eigenvalues of directed
 topologies come in conjugate pairs, so everything sorts and compares by
 (real, imaginary) with explicit tolerances.
 """
@@ -14,10 +16,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .induced import Partition, ShapeAction, dominates, rate_shapes, shape_action
+from .induced import (
+    ZERO_TOL,
+    IrrepBlock,
+    Partition,
+    dominates,
+    irrep_block,
+    rate_shapes,
+    shape_action,
+)
 from .permgroup import GeneratorSet, parity
 
-ZERO_TOL = 1e-9
 INCLUSION_TOL = 1e-7
 
 
@@ -63,18 +72,28 @@ def lambda2_re_batch(spectra: np.ndarray) -> np.ndarray:
     return rates
 
 
-def batch_rates(actions: list[ShapeAction], w) -> tuple[np.ndarray, ...]:
+def batch_rates(blocks: list[IrrepBlock], w) -> tuple[np.ndarray, ...]:
     """The one rate path: per-shape rates for each row of a (k, m) weight batch.
 
-    ``actions`` follow :func:`rate_shapes`, so the first is the site graph.
-    Returns the (shapes, k) table, lambda_cons (its column minima) and
-    lambda_synch: the first row if that orbit holds all n sites, else 0,
-    as an intransitive group never equalizes its orbits.  Bad weights
-    raise ValueError, a failed solve NumericalFailureError.
+    ``blocks`` follow :func:`rate_shapes`, one irrep per shape, so the first
+    is the site graph's (n-1, 1).  By Young's rule a shape's spectrum is
+    that of every block whose irrep dominates it, plus the one trivial
+    zero.  Returns the (shapes, k) table, lambda_cons (its column minima)
+    and lambda_synch: the first row if the group fixes no vector of the
+    (n-1, 1) irrep (it is transitive on sites), else 0, as an intransitive
+    group never equalizes its orbits.  Bad weights raise ValueError, a
+    failed solve NumericalFailureError.
     """
-    table = np.array([lambda2_re_batch(eigenvalues(a.laplacians(w))) for a in actions])
-    site = actions[0]
-    synch = table[0] if len(site.vertices) == sum(site.partition) else np.zeros(len(w))
+    spectra = [eigenvalues(b.laplacians(w)) for b in blocks]
+    zero = np.zeros((len(spectra[0]), 1))
+    table = np.array([
+        lambda2_re_batch(np.concatenate(
+            [zero] + [s for b, s in zip(blocks, spectra) if dominates(b.partition, mu.partition)],
+            axis=1,
+        ))
+        for mu in blocks
+    ])
+    synch = table[0] if blocks[0].fixed == 0 else np.zeros(len(zero))
     return table, table.min(axis=0), synch
 
 
@@ -88,16 +107,16 @@ class ConvergenceRates:
 def convergence_rates(gens: GeneratorSet, weights, d: int = 2) -> ConvergenceRates:
     """(lambda_cons, lambda_synch) plus the per-partition breakdown.
 
-    Partitions run over :func:`rate_shapes`.  For generators not
-    transitive on sites ``lambda_synch`` is 0 and may sit below
-    ``lambda_cons``, the slowest canonical orbit.
+    Partitions run over :func:`rate_shapes`, and each rate covers every
+    orbit of its shape.  For generators not transitive on sites
+    ``lambda_synch`` is 0 and may sit below ``lambda_cons``.
     """
-    actions = [shape_action(p, gens) for p in rate_shapes(gens.n, d)]
-    table, cons, synch = batch_rates(actions, [weights])
+    blocks = [irrep_block(p, gens) for p in rate_shapes(gens.n, d)]
+    table, cons, synch = batch_rates(blocks, [weights])
     return ConvergenceRates(
         lambda_cons=float(cons[0]),
         lambda_synch=float(synch[0]),
-        per_partition={a.partition: float(r[0]) for a, r in zip(actions, table)},
+        per_partition={b.partition: float(r[0]) for b, r in zip(blocks, table)},
     )
 
 

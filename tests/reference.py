@@ -1,7 +1,7 @@
 """Dense references the tests compare the package against.
 
 None of these runs in the package: the dynamics applies one sparse RK4
-step operator, and the rates read the tabloid orbits of ``induced``.
+step operator, and the rates read the irrep blocks of ``induced``.
 """
 
 import numpy as np

@@ -259,9 +259,31 @@ def test_group_cap_exit_code(tmp_path, capsys):
         "generator: (1 2) weight wt\n"
     )
     # at d=3 the (1^8) shape has 40320 tabloids, past the orbit cap
-    code, _, err = run(capsys, "rates", str(topo), "--weights", "0.1,0.1", "--d", "3")
+    code, _, err = run(capsys, "spectrum", str(topo), "--weights", "0.1,0.1", "--d", "3",
+                       "--partition", "1,1,1,1,1,1,1,1")
     assert code == 4
     assert "cap" in err.lower()
+
+
+def test_rates_past_the_orbit_cap(tmp_path, capsys):
+    # rates read irrep blocks (at most 90 x 90 here), so the cap that
+    # stops spectrum --partition above does not apply to them
+    topo = tmp_path / "big.topo"
+    topo.write_text(
+        "name: big\nN: 8\n"
+        "generator: (1 2 3 4 5 6 7 8) weight wc\n"
+        "generator: (1 2) weight wt\n"
+    )
+    code, out3, _ = run(capsys, "rates", str(topo), "--weights", "0.1,0.1", "--d", "3")
+    assert code == 0
+    assert "  (1,1,1,1,1,1,1,1): " in out3
+    code, out2, _ = run(capsys, "rates", str(topo), "--weights", "0.1,0.1", "--d", "2")
+    assert code == 0
+
+    def cons(out):
+        return [line for line in out.splitlines() if line.startswith("lambda_cons:")]
+
+    assert cons(out3) == cons(out2) and len(cons(out2)) == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -355,6 +377,22 @@ def test_overflowing_weights_fail_before_output(argv, capsys, tmp_path):
     assert "nan/inf" in err
     assert not caught
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("rates",), ("spectrum", "--all"), ("spectrum", "--partition", "2,1"),
+], ids=["rates", "spectrum-all", "spectrum-partition"])
+def test_overflowing_budget_cost_is_input_error(argv, capsys):
+    # the Laplacians stay finite, but 3 * 1e308 + 2 * 1e-3 does not
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, stdout, err = run(capsys, argv[0], "g1-3", "--weights", "1e308,1e-3",
+                                *argv[1:])
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "budget cost" in err
+    assert not caught
 
 
 def test_cli_import_loads_no_scipy():

@@ -19,9 +19,12 @@ from qconsensus.induced import (
     dominates,
     enumerate_tabloids,
     induced_laplacian,
+    irrep_block,
     partitions_of,
     rate_shapes,
     shape_action,
+    standard_tableaux,
+    young_orthogonal,
 )
 from qconsensus.netgraph import generator_laplacian
 from qconsensus.permgroup import (
@@ -31,6 +34,7 @@ from qconsensus.permgroup import (
     from_cycles,
     generator_set,
     identity,
+    parity,
 )
 from qconsensus.quantum import build_lq
 from qconsensus.spectra import eigenvalues, multiset_contained
@@ -299,3 +303,66 @@ def test_shape_action_is_the_orbit_laplacian(gens, data):
         block = eigenvalues(action.laplacians(generic[None])[0])
         ok, defect, witness = multiset_contained(block, lq_spectrum, tol=1e-9)
         assert ok, (parts, defect, witness)
+
+
+# --- irreducible blocks ---
+
+
+def test_standard_tableaux_count_is_the_irrep_dimension():
+    # hook length formula on the g1-4 shapes: blocks of 3, 2, 3 and 1
+    dims = {parts: len(standard_tableaux(parts)) for parts in partitions_of(4, 4)}
+    assert dims == {(3, 1): 3, (2, 2): 2, (2, 1, 1): 3, (1, 1, 1, 1): 1}
+    assert standard_tableaux((2, 1)) == [(1, 1, 2), (1, 2, 1)]
+    assert len(standard_tableaux((4, 3, 2, 1))) == 768
+
+
+@pytest.mark.parametrize("parts", [(2, 1), (3, 1, 1), (2, 2, 1), (3, 2), (2, 1, 1, 1)])
+def test_young_orthogonal_is_an_orthogonal_representation(parts):
+    rng = np.random.default_rng(sum(parts) * 10 + len(parts))
+    n = sum(parts)
+    for _ in range(10):
+        p, q = (tuple(int(x) + 1 for x in rng.permutation(n)) for _ in range(2))
+        a, b, ab = young_orthogonal(parts, [p, q, compose(p, q)])
+        assert_allclose(a @ b, ab, atol=1e-13)
+        assert_allclose(a @ a.T, np.eye(len(a)), atol=1e-13)
+
+
+def test_young_orthogonal_one_row_and_one_column():
+    p = from_cycles(4, [[1, 2, 3]])
+    q = from_cycles(4, [[1, 4]])
+    assert_allclose(young_orthogonal((4,), [p, q]), [[[1.0]], [[1.0]]])
+    assert_allclose(young_orthogonal((1, 1, 1, 1), [p, q]),
+                    [[[parity(p)]], [[parity(q)]]])
+
+
+def test_irrep_block_fixed_vectors_count_extra_site_orbits():
+    # S_N fixes nothing; (1 2)(3 4) splits four sites into two orbits
+    ring = generator_set(4, [[[1, 2, 3, 4]], [[1, 2]], [[3, 4]]])
+    assert irrep_block((3, 1), ring).fixed == 0
+    split = generator_set(4, [[[1, 2]], [[3, 4]]])
+    block = irrep_block((3, 1), split)
+    assert block.fixed == 1
+    assert block.coeffs.shape == (2, 2, 2)
+    # (1 2 3) is even, so it fixes the whole sign irrep
+    assert irrep_block((1, 1, 1), generator_set(3, [[[1, 2, 3]]])).fixed == 1
+    # (1 3)(2 4) acts on the (2,2) irrep as the identity, up to rounding
+    # of the orthogonal form's square roots
+    block = irrep_block((2, 2), generator_set(4, [[[1, 3], [2, 4]]]))
+    assert block.fixed == 2 and block.coeffs.shape == (1, 0, 0)
+
+
+def test_irrep_block_rejects_bad_weights_and_shapes():
+    block = irrep_block((2, 1), g13())
+    with pytest.raises(ValueError, match="nonnegative"):
+        block.laplacians([[-0.5, 0.2]])
+    with pytest.raises(ValueError, match="one weight per generator"):
+        block.laplacians([[0.2]])
+    with pytest.raises(ValueError, match="does not partition"):
+        irrep_block((2, 2), g13())
+
+
+def test_irrep_blocks_reach_eight_sites_past_the_orbit_cap():
+    # the (1^8) orbit is past the cap; its irrep is the sign, and the
+    # 8-cycle and the swap are both odd, so each adds 2 w
+    block = irrep_block((1,) * 8, ring_swap(8))
+    assert_allclose(block.laplacians([[0.3, 0.7]]), [[[2.0]]])

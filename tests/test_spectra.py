@@ -13,16 +13,19 @@ and the slowest tabloid mode adds the candidate 2 b.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from qconsensus.induced import induced_laplacian
+from qconsensus.induced import induced_laplacian, irrep_block, rate_shapes, shape_action
 from qconsensus.netgraph import generator_laplacian
 from qconsensus.optimize import BudgetConstraint, maximize_rate, pareto_scan
-from qconsensus.permgroup import generator_set
+from qconsensus.permgroup import GeneratorSet, generator_set
+from qconsensus.quantum import build_lq
 from qconsensus.spectra import (
     NotALaplacianError,
     NumericalFailureError,
     alternating_mode_rate,
+    batch_rates,
     convergence_rates,
     distinct_values,
     eigenvalues,
@@ -238,7 +241,7 @@ def test_synch_is_zero_when_group_is_intransitive():
     gens = generator_set(4, [[[1, 2]], [[3, 4]]])
     rates = convergence_rates(gens, [1.0, 1.0])
     assert rates.lambda_synch == 0.0
-    # the per-shape rates still describe each canonical orbit
+    # the per-shape rates cover every orbit of their shape
     assert_allclose(rates.per_partition[(3, 1)], 2.0, atol=1e-12)
     assert rates.lambda_cons == min(rates.per_partition.values())
 
@@ -248,6 +251,72 @@ def test_cons_exceeds_synch_for_intransitive_group():
     rates = convergence_rates(gens, [0.35])
     assert_allclose(rates.lambda_cons, 0.7, atol=1e-12)
     assert rates.lambda_synch == 0.0
+
+
+def ring_swap(n):
+    return generator_set(n, [[list(range(1, n + 1))], [[1, 2]]])
+
+
+def slowest_nonzero_of_build_lq(gens, w, d=2):
+    vals = eigenvalues(build_lq(gens, w, d=d))
+    return vals[np.abs(vals) > 1e-9].real.min()
+
+
+@pytest.mark.parametrize("make, w, expected", [
+    (lambda: generator_set(4, [[[1, 2]], [[3, 4]]]), [1.0, 1.0], 2.0),
+    (lambda: generator_set(3, [[[1, 2]]]), [0.3], 0.6),
+    (lambda: generator_set(4, [[[1, 2, 3]]]), [0.4], 0.6),
+], ids=["(12),(34)", "(12)-on-3", "(123)-on-4"])
+def test_proper_subgroup_cons_is_the_master_equation_rate(make, w, expected):
+    # each of these fixes the canonical tabloid of some shape, whose
+    # one-vertex orbit once read rate 0; every orbit counts now
+    gens = make()
+    rates = convergence_rates(gens, w)
+    assert_allclose(rates.lambda_cons, expected, rtol=1e-12)
+    assert_allclose(rates.lambda_cons, slowest_nonzero_of_build_lq(gens, w), rtol=1e-12)
+    assert rates.lambda_synch == 0.0
+
+
+@st.composite
+def small_generator_sets(draw):
+    n = draw(st.integers(min_value=2, max_value=4))
+    ident = tuple(range(1, n + 1))
+    perm = st.permutations(ident).map(tuple).filter(lambda p: p != ident)
+    perms = draw(st.lists(perm, min_size=1, max_size=3))
+    return GeneratorSet(n=n, perms=tuple(perms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_generator_sets())
+def test_cons_is_the_slowest_coefficient_decay(gens):
+    """Generating S_N or not, lambda_cons is the slowest nonzero decay
+    of the coefficient dynamics at d = 2 (positive, generic weights)."""
+    w = np.sqrt([2.0, 3.0, 5.0][:len(gens)]) / 10.0
+    rates = convergence_rates(gens, w)
+    assert_allclose(rates.lambda_cons, slowest_nonzero_of_build_lq(gens, w),
+                    rtol=1e-9, atol=1e-12)
+
+
+TOPOLOGIES = {"g1-3": g13, "g2-3": g23, "g3-3": g33, "g1-4": g14}
+TOPOLOGIES.update({f"ring-swap-{n}": lambda n=n: ring_swap(n) for n in range(3, 7)})
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("name", TOPOLOGIES)
+def test_block_rates_match_tabloid_rates(name, d):
+    """Young's rule: per-shape rates from the irrep blocks equal the
+    orbit-graph rates of every shape to 1e-13 of the largest rate."""
+    gens = TOPOLOGIES[name]()
+    rng = np.random.default_rng([gens.n, d, len(gens)])
+    w = 1.0 - rng.random((2, len(gens)))
+    shapes = rate_shapes(gens.n, d)
+    table, cons, synch = batch_rates([irrep_block(p, gens) for p in shapes], w)
+    tabloid = np.array([
+        lambda2_re_batch(eigenvalues(shape_action(p, gens).laplacians(w))) for p in shapes
+    ])
+    assert_allclose(table, tabloid, rtol=0, atol=1e-13 * tabloid.max())
+    assert np.array_equal(cons, table.min(axis=0))
+    assert np.array_equal(synch, table[0])
 
 
 def test_rates_reject_nonfinite_weights():

@@ -19,7 +19,7 @@ def load_script(relpath):
 
 def test_same_numbers_covers_every_subcommand(tmp_path):
     tool = load_script("tools/same_numbers.py")
-    used = {argv[0] for argv in tool.commands(str(tmp_path), heavy=False)}
+    used = {argv[0] for argv in tool.commands(str(tmp_path))}
     assert used == {"rates", "spectrum", "optimize", "pareto", "simulate"}
 
 

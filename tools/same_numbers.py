@@ -13,9 +13,8 @@ t = 2 (stdout and trajectory CSV) on g1-3, g1-4 and g3-3 at d = 2 and
 g1-3 at d = 3, seeds 0 and 3, plus one g1-3 run each with ``--h0 zsum``
 and ``--store-every 1``, ``rates`` and both ``spectrum`` modes on g1-3
 at weights 1e308 that overflow, and ``optimize`` (both objectives, seed 0) on
-g1-4 and g2-3 at budgets 0.5 and 2.  ``--heavy`` adds ``rates`` on
-ring+swap N = 7 at d = 3, whose 5040-vertex graph takes about a minute
-per weight draw.
+g1-4 and g2-3 at budgets 0.5 and 2.  Rates read irrep blocks, so
+ring+swap N = 7 at d = 3 (a 5040-vertex orbit graph) is in the list too.
 
     python tools/same_numbers.py dump /path/to/old/src old.json
     python tools/same_numbers.py dump src new.json
@@ -39,7 +38,7 @@ PRESETS = {
 }
 
 
-def commands(work, heavy):
+def commands(work):
     """The command list; its topology files are written to ``work``."""
     import numpy as np
     from qconsensus.cli import PRESETS as TOPOLOGIES
@@ -97,8 +96,6 @@ def commands(work, heavy):
                      f"generator: ({ring}) weight wring\ngenerator: (1 2) weight wswap\n")
         for w in draws:
             for d in (2, 3):
-                if n == 7 and d == 3 and not heavy:
-                    continue
                 base = (path, "--weights", wa(w), "--d", str(d))
                 cmds.append(("rates",) + base)
                 if n <= (6 if d == 2 else 5):
@@ -117,13 +114,13 @@ def commands(work, heavy):
     return cmds
 
 
-def dump(src, out_json, heavy):
+def dump(src, out_json):
     sys.path.insert(0, os.path.abspath(src))
     from qconsensus.cli import main
 
     with tempfile.TemporaryDirectory() as work:
         results = {}
-        for i, argv in enumerate(commands(work, heavy)):
+        for i, argv in enumerate(commands(work)):
             csv_path = os.path.join(work, f"c{i}.csv")
             argv = [csv_path if a == "@CSV" else a for a in argv]
             out, err = io.StringIO(), io.StringIO()
@@ -182,8 +179,8 @@ def compare(a_json, b_json):
 
 
 if __name__ == "__main__":
-    if len(sys.argv) >= 4 and sys.argv[1] == "dump":
-        dump(sys.argv[2], sys.argv[3], "--heavy" in sys.argv[4:])
+    if len(sys.argv) == 4 and sys.argv[1] == "dump":
+        dump(sys.argv[2], sys.argv[3])
     elif len(sys.argv) == 4 and sys.argv[1] == "compare":
         sys.exit(compare(sys.argv[2], sys.argv[3]))
     else:
