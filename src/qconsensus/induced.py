@@ -122,33 +122,13 @@ def _weight_rows(w_batch, m: int) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
-class ShapeAction:
+def tabloid_orbit(
+    parts: Partition, gens: GeneratorSet
+) -> tuple[tuple[Tabloid, ...], np.ndarray]:
     """One shape's sorted canonical-tabloid orbit (every tabloid under S_N)
-    and its Laplacian sum_p w_p (I - P_p) as a linear map of w: the nonzero
-    entries sit at flat positions ``flat`` and equal ``w @ coeffs``."""
-
-    partition: Partition
-    vertices: tuple[Tabloid, ...]
-    flat: np.ndarray
-    coeffs: np.ndarray
-
-    def laplacians(self, w_batch) -> np.ndarray:
-        """(k, V, V) Laplacians for a (k, m) batch of finite, nonnegative
-        weight rows."""
-        w = _weight_rows(w_batch, len(self.coeffs))
-        v = len(self.vertices)
-        out = np.zeros((len(w), v * v))
-        # + 0.0 turns the -0.0 of a zero weight into 0.0; weights that
-        # overflow leave inf for the eigensolve to reject
-        with np.errstate(over="ignore", invalid="ignore"):
-            out[:, self.flat] = w @ self.coeffs + 0.0
-        return out.reshape(-1, v, v)
-
-
-def shape_action(parts: Partition, gens: GeneratorSet) -> ShapeAction:
-    """The :class:`ShapeAction` of one shape; an orbit past
-    ``DEFAULT_GROUP_CAP`` tabloids raises :class:`CapExceededError`."""
+    and its (V, m) table of image indices: generator g moves vertex i to
+    vertex ``img[i, g]``.  An orbit past ``DEFAULT_GROUP_CAP`` tabloids
+    raises :class:`CapExceededError`."""
     if sum(parts) != gens.n:
         raise ValueError(f"partition {parts} does not partition {gens.n}")
     images: dict[Tabloid, list[Tabloid]] = {}
@@ -163,18 +143,8 @@ def shape_action(parts: Partition, gens: GeneratorSet) -> ShapeAction:
         queue.extend(images[t])
     verts = sorted(images)
     index = {t: i for i, t in enumerate(verts)}
-    v, m = len(verts), len(gens)
-    # generator g adds w_g at (i, i) and -w_g at (i, j) when it moves i to j
-    coeff: dict[int, np.ndarray] = {}
-    for i, t in enumerate(verts):
-        for g, u in enumerate(images[t]):
-            j = index[u]
-            if j != i:
-                coeff.setdefault(i * v + i, np.zeros(m))[g] += 1.0
-                coeff.setdefault(i * v + j, np.zeros(m))[g] -= 1.0
-    flat = np.array(sorted(coeff), dtype=int)
-    coeffs = np.array([coeff[f] for f in flat]).reshape(-1, m).T
-    return ShapeAction(tuple(parts), tuple(verts), flat, coeffs)
+    img = np.array([[index[u] for u in images[t]] for t in verts], dtype=np.intp)
+    return tuple(verts), img
 
 
 @dataclass(frozen=True)
@@ -185,20 +155,29 @@ class InducedGraph:
 
 
 def induced_laplacian(
-    parts: Partition, gens: GeneratorSet, weights
+    parts: Partition, gens: GeneratorSet, weights, orbit=None
 ) -> InducedGraph:
-    """Weighted Laplacian of the generator action on one shape's orbit.
+    """Weighted Laplacian sum_p w_p (I - P_p) of the generator action on one
+    shape's orbit, ``orbit`` being :func:`tabloid_orbit` of the shape (built
+    here unless the caller has it already).
 
     The orbit is that of the canonical tabloid, the component the
     dynamics of a canonically-labeled coefficient explores; it holds
     every tabloid when the generators produce the full symmetric group.
     """
-    action = shape_action(parts, gens)
-    return InducedGraph(
-        partition=action.partition,
-        vertices=action.vertices,
-        laplacian=action.laplacians([weights])[0],
-    )
+    verts, img = tabloid_orbit(parts, gens) if orbit is None else orbit
+    w = _weight_rows([weights], len(gens))[0]
+    idx = np.arange(len(verts))
+    lap = np.zeros((len(verts), len(verts)))
+    # generator g adds w_g at (i, i) and -w_g at (i, j) when it moves i to
+    # j; weights that overflow leave inf for the eigensolve to reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        for target, w_g in zip(img.T, w):
+            moved = target != idx
+            rows = idx[moved]
+            lap[rows, target[moved]] -= w_g
+            lap[rows, rows] += w_g
+    return InducedGraph(partition=tuple(parts), vertices=verts, laplacian=lap)
 
 
 def standard_tableaux(parts: Partition) -> list[Tabloid]:

@@ -9,8 +9,6 @@ u_i = l_i w_i / D.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,8 +104,9 @@ def pareto_scan(
 ) -> list[ParetoPoint]:
     """Rates over a uniform simplex grid on the budget face.
 
-    Chunks of ``CHUNK`` points run on up to one thread per CPU; output
-    order is lexicographic in the grid composition index.
+    Rates are evaluated ``CHUNK`` points at a time, which bounds the
+    memory of one batch; output order is lexicographic in the grid
+    composition index.
     """
     m = len(gens)
     if resolution is None:
@@ -118,9 +117,7 @@ def pareto_scan(
     grid = np.array(list(_compositions(resolution, m)), dtype=float)
     w_all = constraint.budget * grid / (resolution * lengths[None, :])
     ev = _RateEvaluator(gens, d=d)
-    chunks = [w_all[i:i + CHUNK] for i in range(0, len(w_all), CHUNK)]
-    with ThreadPoolExecutor(max_workers=min(os.cpu_count() or 1, len(chunks))) as ex:
-        pieces = list(ex.map(ev.rates, chunks))
+    pieces = [ev.rates(w_all[i:i + CHUNK]) for i in range(0, len(w_all), CHUNK)]
     cons, synch = (np.concatenate(x) for x in zip(*pieces))
     mask = front_mask(cons, synch, TIE_TOL * constraint.budget)
     return [

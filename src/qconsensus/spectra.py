@@ -21,9 +21,10 @@ from .induced import (
     IrrepBlock,
     Partition,
     dominates,
+    induced_laplacian,
     irrep_block,
     rate_shapes,
-    shape_action,
+    tabloid_orbit,
 )
 from .permgroup import GeneratorSet, parity
 
@@ -191,8 +192,12 @@ def intertwining_check(
     graph.
     """
     shapes = rate_shapes(gens.n, d)
+    # every orbit's cap check comes before the first dense solve, and one
+    # dense Laplacian is held at a time
+    orbits = {p: tabloid_orbit(p, gens) for p in shapes}
     spectra = {
-        p: eigenvalues(shape_action(p, gens).laplacians([weights])[0]) for p in shapes
+        p: eigenvalues(induced_laplacian(p, gens, weights, orbits[p]).laplacian)
+        for p in shapes
     }
     checks: list[PairCheck] = []
     for a in shapes:

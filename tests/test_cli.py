@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qconsensus import induced, spectra
 from qconsensus.cli import (
     TopologyError,
     load_topology,
@@ -263,6 +264,25 @@ def test_group_cap_exit_code(tmp_path, capsys):
                        "--partition", "1,1,1,1,1,1,1,1")
     assert code == 4
     assert "cap" in err.lower()
+
+
+def test_spectrum_all_checks_every_orbit_cap_before_any_solve(monkeypatch, capsys):
+    # with the cap at 10 the g1-4 orbits of 4 and 6 tabloids fit, but
+    # (2,1,1) has 12: spectrum --all must exit before its first dense solve
+    monkeypatch.setattr(induced, "DEFAULT_GROUP_CAP", 10)
+    solves = []
+    solve = spectra.eigenvalues
+
+    def counted(m):
+        solves.append(m.shape)
+        return solve(m)
+
+    monkeypatch.setattr(spectra, "eigenvalues", counted)
+    code, out, err = run(capsys, "spectrum", "g1-4", "--weights", "0.1,0.2,0.15", "--all")
+    assert code == 4
+    assert "cap" in err.lower()
+    assert out == ""
+    assert solves == []
 
 
 def test_rates_past_the_orbit_cap(tmp_path, capsys):

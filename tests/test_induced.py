@@ -22,8 +22,8 @@ from qconsensus.induced import (
     irrep_block,
     partitions_of,
     rate_shapes,
-    shape_action,
     standard_tableaux,
+    tabloid_orbit,
     young_orthogonal,
 )
 from qconsensus.netgraph import generator_laplacian
@@ -248,19 +248,24 @@ def test_eight_site_vertex_shape_is_the_site_graph():
     assert np.array_equal(ind.laplacian, generator_laplacian(gens, w)[np.ix_(order, order)])
 
 
-def test_shape_action_rejects_negative_and_nonfinite_weights():
-    action = shape_action((2, 1), generator_set(3, [[[1, 2, 3]], [[1, 2]]]))
+def test_induced_laplacian_rejects_negative_and_nonfinite_weights():
+    gens = generator_set(3, [[[1, 2, 3]], [[1, 2]]])
     with pytest.raises(ValueError, match="nonnegative"):
-        action.laplacians([[-0.5, 0.2]])
+        induced_laplacian((2, 1), gens, [-0.5, 0.2])
     with pytest.raises(ValueError, match="finite"):
-        action.laplacians([[0.3, np.inf]])
-    # a zero weight of either sign is allowed
-    assert np.array_equal(action.laplacians([[-0.0, 0.2]]), action.laplacians([[0.0, 0.2]]))
+        induced_laplacian((2, 1), gens, [0.3, np.inf])
+    # a zero weight of either sign is allowed and leaves no -0.0 behind
+    neg = induced_laplacian((2, 1), gens, [-0.0, 0.2]).laplacian
+    pos = induced_laplacian((2, 1), gens, [0.0, 0.2]).laplacian
+    assert np.array_equal(neg, pos)
+    assert not np.any(np.signbit(neg) & (neg == 0.0))
 
 
 def test_orbit_past_cap_raises():
     with pytest.raises(CapExceededError, match="cap"):
-        shape_action((1,) * 8, ring_swap(8))
+        tabloid_orbit((1,) * 8, ring_swap(8))
+    with pytest.raises(CapExceededError, match="cap"):
+        induced_laplacian((1,) * 8, ring_swap(8), [0.1, 0.1])
 
 
 @st.composite
@@ -274,7 +279,7 @@ def small_generator_sets(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(small_generator_sets(), st.data())
-def test_shape_action_is_the_orbit_laplacian(gens, data):
+def test_induced_laplacian_is_the_orbit_laplacian(gens, data):
     """Every shape, generating S_N or not, against a from-scratch build.
 
     Dyadic weights make the sum w_p (I - P_p) exact in any order, so the
@@ -288,8 +293,8 @@ def test_shape_action_is_the_orbit_laplacian(gens, data):
     generic = dyadic + np.sqrt([2.0, 3.0, 5.0][:m]) / 10.0
     lq_spectrum = eigenvalues(build_lq(gens, generic))
     for parts in partitions_of(gens.n, 4):
-        action = shape_action(parts, gens)
-        verts = action.vertices
+        ind = induced_laplacian(parts, gens, dyadic)
+        verts = ind.vertices
         assert canonical_tabloid(parts) in verts
         assert list(verts) == sorted(set(verts))
         index = {t: i for i, t in enumerate(verts)}
@@ -299,8 +304,8 @@ def test_shape_action_is_the_orbit_laplacian(gens, data):
             for t, i in index.items():
                 perm[i, index[act_on_tabloid(t, p)]] = 1.0
             ref += w * (np.eye(len(verts)) - perm)
-        assert np.array_equal(action.laplacians(dyadic[None])[0], ref)
-        block = eigenvalues(action.laplacians(generic[None])[0])
+        assert np.array_equal(ind.laplacian, ref)
+        block = eigenvalues(induced_laplacian(parts, gens, generic).laplacian)
         ok, defect, witness = multiset_contained(block, lq_spectrum, tol=1e-9)
         assert ok, (parts, defect, witness)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from qconsensus.induced import rate_shapes, shape_action
+from qconsensus.induced import induced_laplacian, rate_shapes, tabloid_orbit
 from qconsensus.optimize import (
     CHUNK,
     TIE_TOL,
@@ -152,10 +152,12 @@ def test_front_from_tabloid_rates_is_the_scanned_front(make, d, resolution):
     c = BudgetConstraint.for_generators(gens, 1.0)
     pts = pareto_scan(gens, c, resolution=resolution, d=d)
     w = np.array([p.weights for p in pts])
-    table = np.array([
-        lambda2_re_batch(eigenvalues(shape_action(p, gens).laplacians(w)))
-        for p in rate_shapes(gens.n, d)
-    ])
+    table = []
+    for p in rate_shapes(gens.n, d):
+        orbit = tabloid_orbit(p, gens)
+        laps = np.array([induced_laplacian(p, gens, row, orbit).laplacian for row in w])
+        table.append(lambda2_re_batch(eigenvalues(laps)))
+    table = np.array(table)
     mask = front_mask(table.min(axis=0), table[0], TIE_TOL * c.budget)
     assert mask.tolist() == [p.on_front for p in pts]
 
@@ -169,7 +171,7 @@ def test_scan_is_deterministic():
 
 
 def test_multi_chunk_scan_matches_one_batch():
-    # 4501 grid points span many chunks, evaluated on a worker pool
+    # 4501 grid points span many chunks, evaluated one after another
     gens = g13()
     c = BudgetConstraint.for_generators(gens, 1.0)
     pts = pareto_scan(gens, c, resolution=4500)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from qconsensus.induced import induced_laplacian, irrep_block, rate_shapes, shape_action
+from qconsensus.induced import induced_laplacian, irrep_block, rate_shapes
 from qconsensus.netgraph import generator_laplacian
 from qconsensus.optimize import BudgetConstraint, maximize_rate, pareto_scan
 from qconsensus.permgroup import GeneratorSet, generator_set
@@ -312,7 +312,10 @@ def test_block_rates_match_tabloid_rates(name, d):
     shapes = rate_shapes(gens.n, d)
     table, cons, synch = batch_rates([irrep_block(p, gens) for p in shapes], w)
     tabloid = np.array([
-        lambda2_re_batch(eigenvalues(shape_action(p, gens).laplacians(w))) for p in shapes
+        lambda2_re_batch(eigenvalues(
+            np.array([induced_laplacian(p, gens, row).laplacian for row in w])
+        ))
+        for p in shapes
     ])
     assert_allclose(table, tabloid, rtol=0, atol=1e-13 * tabloid.max())
     assert np.array_equal(cons, table.min(axis=0))
