@@ -22,6 +22,7 @@ the irrep's dimension instead of the orbit's.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import permutations
@@ -43,6 +44,11 @@ Tabloid = tuple[int, ...]
 # against its spectrum's largest, a singular value of the orthogonal
 # form's I - rho(p) against 1
 ZERO_TOL = 1e-9
+
+# float64 coefficients one set of rate blocks may hold, m * sum k^2 over
+# blocks of k rows: 2**27 (1 GiB) keeps ring+swap (m = 2) through N = 11
+# at d = 2 and 3 and refuses N = 12, whose d = 2 blocks would hold 2.8 GB
+RATE_BLOCK_CAP = 2**27
 
 
 def partitions_of(n: int, max_parts: int) -> list[Partition]:
@@ -202,6 +208,23 @@ def standard_tableaux(parts: Partition) -> list[Tabloid]:
 
     rec()
     return out
+
+
+def irrep_dim(parts: Partition) -> int:
+    """Number of standard tableaux of shape ``parts``, by the hook length
+    formula: n! over the product of every box's hook."""
+    cols = [sum(1 for r in parts if r > c) for c in range(parts[0])]
+    hooks = math.prod(r - c + cols[c] - i - 1 for i, r in enumerate(parts) for c in range(r))
+    return math.factorial(sum(parts)) // hooks
+
+
+def check_block_cap(shapes, m: int) -> None:
+    """Raise :class:`CapExceededError` if the rate blocks of ``shapes`` under
+    m generators would hold more than ``RATE_BLOCK_CAP`` coefficients;
+    sized by :func:`irrep_dim`, before any block is built."""
+    size = m * sum(irrep_dim(p) ** 2 for p in shapes)
+    if size > RATE_BLOCK_CAP:
+        raise CapExceededError(f"rate blocks of {size} coefficients exceed cap {RATE_BLOCK_CAP}")
 
 
 def _bubble_word(p: Permutation) -> list[int]:

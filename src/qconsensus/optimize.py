@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .induced import irrep_block, rate_shapes
+from .induced import check_block_cap, irrep_block, rate_shapes
 from .permgroup import GeneratorSet
 from .spectra import batch_rates
 
@@ -55,6 +55,7 @@ class _RateEvaluator:
 
     def __init__(self, gens: GeneratorSet, d: int = 2, synch_only: bool = False):
         shapes = rate_shapes(gens.n, d)[:1] if synch_only else rate_shapes(gens.n, d)
+        check_block_cap(shapes, len(gens))
         self.blocks = [irrep_block(p, gens) for p in shapes]
 
     def rates(self, w_batch: np.ndarray):
@@ -79,20 +80,20 @@ def front_mask(cons: np.ndarray, synch: np.ndarray, tol: float) -> np.ndarray:
     ``tol`` of the group's best and more than ``tol`` above every cons of
     the groups before.  With ``tol`` 0 this is exact Pareto dominance.
     """
-    k = len(cons)
-    mask = np.zeros(k, dtype=bool)
     order = np.lexsort((-cons, -synch))
-    best_above = -np.inf
-    i = 0
-    while i < k:
-        j = i
-        while j < k and synch[order[j]] >= synch[order[i]] - tol:
-            j += 1
-        group = order[i:j]
-        group_best = cons[group].max()
-        mask[group[(cons[group] >= group_best - tol) & (cons[group] > best_above + tol)]] = True
-        best_above = max(best_above, group_best)
-        i = j
+    c, s = cons[order], synch[order]
+    # the group a point heads would end at the first synch more than tol
+    # below its own; following the ends from 0 lists the group heads
+    end = np.searchsorted(-s, tol - s, side="right")
+    heads = [0]
+    while heads[-1] < len(s):
+        heads.append(int(end[heads[-1]]))
+    heads = np.array(heads)
+    group = np.repeat(np.arange(len(heads) - 1), np.diff(heads))
+    group_best = np.maximum.reduceat(c, heads[:-1])
+    best_above = np.concatenate([[-np.inf], np.maximum.accumulate(group_best)[:-1]])
+    mask = np.zeros(len(c), dtype=bool)
+    mask[order] = (c >= group_best[group] - tol) & (c > best_above[group] + tol)
     return mask
 
 
@@ -143,22 +144,25 @@ def maximize_rate(
     Multi-start pattern search over simplex coordinates from ``N_STARTS``
     starts: all pairwise mass transfers at the current step size,
     doubling on success and halving on failure down to ``STEP_FLOOR``.
-    The starts advance in lockstep, one batched rate evaluation per
-    round over every live start's transfers, each start keeping its own
-    step.  Deterministic for a fixed seed.
+    The starts advance in whole-array rounds: the state is one (starts,
+    m) array of points with their values and own step sizes, and each
+    round stacks every live start's moves, masks the infeasible ones and
+    evaluates the rest in one batched rate call.  Deterministic for a
+    fixed seed.
 
     Rate landscapes here routinely have flat ridges (an inactive
     spectral branch can absorb weight changes without moving the
     minimum), so a polish phase walks along value-preserving directions
     to the balanced representative: every start within ``TIE_TOL`` times
     the budget of the best value (so the optimum scales with it as the
-    rates do) is polished, again in lockstep, and among the equally fast
-    results the one of least Euclidean norm is returned, the first start
-    winning an exact tie.  Besides the transfers, each polish round
-    tries the pattern moves ``2u - h`` (Hooke & Jeeves) from the points
-    one and two acceptances back, so a walk that zigzags along a ridge
-    speeds up instead of crawling at a small step; an accepted pattern
-    move keeps the step.
+    rates do) is polished, in whole-array rounds as well, and among the
+    equally fast results the one of least Euclidean norm is returned, the
+    first start winning an exact tie.  A polish round accepts a move whose
+    value is tied with the best as it stood when the round began.
+    Besides the transfers, the polish tries the pattern moves ``2u - h``
+    (Hooke & Jeeves) from the points one and two acceptances back, so a
+    walk that zigzags along a ridge speeds up instead of crawling at a
+    small step; an accepted pattern move keeps the step.
     """
     if objective not in ("consensus", "synchronization"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -173,79 +177,63 @@ def maximize_rate(
         w = constraint.budget * u_batch / lengths[None, :]
         return ev.rates(w)[pick]
 
-    def f_each(batches: list[np.ndarray]) -> list[np.ndarray]:
-        """One batched evaluation of every live start's candidates."""
-        ends = np.cumsum([len(b) for b in batches])
-        vals = f_batch(np.concatenate(batches)) if ends[-1] else np.empty(0)
-        return np.split(vals, ends[:-1])
-
     rng = np.random.default_rng(seed)
-    starts = [np.full(m, 1.0 / m)]
-    starts += [rng.dirichlet(np.ones(m)) for _ in range(N_STARTS - 1)]
+    u = np.array([np.full(m, 1.0 / m)] + [rng.dirichlet(np.ones(m)) for _ in range(N_STARTS - 1)])
+    v = f_batch(u)
+    step = np.full(N_STARTS, 0.25)
+    backs = np.full((N_STARTS, 2, m), np.nan)  # the points one and two acceptances back
+    # transfer t moves mass from coordinate give[t] to take[t], in (i, j) order
+    take, give = np.nonzero(~np.eye(m, dtype=bool))
+    shift = np.eye(m)[take] - np.eye(m)[give]
 
-    moves = [(i, j) for i in range(m) for j in range(m) if i != j]
+    def candidates(live: np.ndarray):
+        """Every live start's (m(m-1)+2, m) rows, the transfers then the
+        pattern moves, with their values; an infeasible row reads -inf."""
+        pattern = 2.0 * u[live, None] - backs[live]
+        cands = np.concatenate([u[live, None] + step[live, None, None] * shift, pattern], axis=1)
+        cands /= cands.sum(axis=2, keepdims=True)
+        feasible = np.concatenate(
+            [u[live][:, give] >= step[live, None], np.all(pattern >= 0, axis=2)], axis=1)
+        vals = np.full(feasible.shape, -np.inf)
+        vals[feasible] = f_batch(cands[feasible])
+        return cands, vals
 
-    def transfers(u: np.ndarray, step: float) -> np.ndarray:
-        cands = []
-        for i, j in moves:
-            if u[j] >= step:
-                c = u.copy()
-                c[i] += step
-                c[j] -= step
-                cands.append(c / c.sum())
-        return np.array(cands) if cands else np.empty((0, m))
+    def advance(live, up, k, cands, vals) -> np.ndarray:
+        """Move the starts ``live[up]`` to their row ``k``, doubling the step
+        after a transfer and halving it for the starts that stay; returns
+        the starts still at or above ``STEP_FLOOR``."""
+        s, k = live[up], k[up]
+        u[s], v[s] = cands[up, k], vals[up, k]
+        step[s] = np.where(k < len(shift), np.minimum(step[s] * 2.0, 0.5), step[s])
+        step[live[~up]] *= 0.5
+        return live[step[live] >= STEP_FLOOR]
 
-    us = list(starts)
-    vs = [float(x) for x in f_batch(np.array(starts))]
-    steps = [0.25] * len(starts)
-    live = list(range(len(starts)))
-    while live:
-        batches = [transfers(us[s], steps[s]) for s in live]
-        for s, batch, vals in zip(live, batches, f_each(batches)):
-            if len(batch):
-                k = int(np.argmax(vals))
-                if vals[k] > vs[s]:
-                    us[s] = batch[k]
-                    vs[s] = float(vals[k])
-                    steps[s] = min(steps[s] * 2.0, 0.5)
-                    continue
-            steps[s] *= 0.5
-        live = [s for s in live if steps[s] >= STEP_FLOOR]
+    live = np.arange(N_STARTS)
+    while len(live):
+        cands, vals = candidates(live)
+        k = vals.argmax(axis=1)
+        live = advance(live, vals.max(axis=1) > v[live], k, cands, vals)
 
-    # polish, in lockstep, every start tied with the best: each drifts
-    # along flat directions toward its least-norm optimum
+    # polish every start tied with the best: each drifts along flat
+    # directions toward its least-norm optimum
     tol = TIE_TOL * constraint.budget
-    best_v = max(vs)
-    tied = [s for s in range(len(us)) if vs[s] >= best_v - tol]
-    norms = [float(np.sum((u / lengths) ** 2)) for u in us]
-    backs = {s: [] for s in tied}  # the points one and two acceptances back
-    steps = [0.25] * len(us)
-    live = list(tied)
-    while live:
-        batches, n_transfers = [], []
-        for s in live:
-            batch = transfers(us[s], steps[s])
-            n_transfers.append(len(batch))
-            patterns = [c / c.sum() for c in (2.0 * us[s] - h for h in backs[s])
-                        if np.all(c >= 0)]
-            batches.append(np.concatenate([batch, patterns]) if patterns else batch)
-        for s, batch, n_t, vals in zip(live, batches, n_transfers, f_each(batches)):
-            if len(batch):
-                cand = np.sum((batch / lengths[None, :]) ** 2, axis=1)
-                keep = (vals >= best_v - tol) & (cand < norms[s] - 1e-15)
-                if np.any(keep):
-                    idx = np.where(keep)[0]
-                    k = idx[int(np.argmin(cand[idx]))]
-                    backs[s] = [us[s]] + backs[s][:1]
-                    us[s], vs[s], norms[s] = batch[k], float(vals[k]), float(cand[k])
-                    best_v = max(best_v, vs[s])
-                    if k < n_t:
-                        steps[s] = min(steps[s] * 2.0, 0.5)
-                    continue
-            steps[s] *= 0.5
-        live = [s for s in live if steps[s] >= STEP_FLOOR]
-    best = min((s for s in tied if vs[s] >= best_v - tol), key=lambda s: norms[s])
-    best_u = us[best]
+    best_v = v.max()
+    tied = v >= best_v - tol
+    norm = np.sum((u / lengths) ** 2, axis=1)
+    step[:] = 0.25
+    live = np.flatnonzero(tied)
+    while len(live):
+        cands, vals = candidates(live)
+        cand = np.sum((cands / lengths) ** 2, axis=2)
+        keep = (vals >= best_v - tol) & (cand < norm[live, None] - 1e-15)
+        k = np.where(keep, cand, np.inf).argmin(axis=1)
+        up = keep.any(axis=1)
+        s = live[up]
+        backs[s] = np.stack([u[s], backs[s, 0]], axis=1)
+        norm[s] = cand[up, k[up]]
+        live = advance(live, up, k, cands, vals)
+        best_v = np.max(v[s], initial=best_v)
+    best_u = u[np.where(tied & (v >= best_v - tol), norm, np.inf).argmin()]
     final_v = float(f_batch(best_u[None, :])[0])
 
     w = constraint.budget * best_u / lengths

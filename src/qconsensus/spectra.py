@@ -20,6 +20,7 @@ from .induced import (
     ZERO_TOL,
     IrrepBlock,
     Partition,
+    check_block_cap,
     dominates,
     induced_laplacian,
     irrep_block,
@@ -112,7 +113,9 @@ def convergence_rates(gens: GeneratorSet, weights, d: int = 2) -> ConvergenceRat
     orbit of its shape.  For generators not transitive on sites
     ``lambda_synch`` is 0 and may sit below ``lambda_cons``.
     """
-    blocks = [irrep_block(p, gens) for p in rate_shapes(gens.n, d)]
+    shapes = rate_shapes(gens.n, d)
+    check_block_cap(shapes, len(gens))
+    blocks = [irrep_block(p, gens) for p in shapes]
     table, cons, synch = batch_rates(blocks, [weights])
     return ConvergenceRates(
         lambda_cons=float(cons[0]),

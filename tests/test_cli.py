@@ -306,6 +306,32 @@ def test_rates_past_the_orbit_cap(tmp_path, capsys):
     assert cons(out3) == cons(out2) and len(cons(out2)) == 1
 
 
+def test_rates_check_the_block_cap_before_any_block(tmp_path, monkeypatch, capsys):
+    # ring+swap N=5 at d=2 has blocks of 4, 5, 6, 5 and 4 rows, 118
+    # coefficients a generator; with the cap below that, rates must exit
+    # before building the first block
+    monkeypatch.setattr(induced, "RATE_BLOCK_CAP", 100, raising=False)
+    built = []
+    real = spectra.irrep_block
+
+    def counted(parts, gens):
+        built.append(parts)
+        return real(parts, gens)
+
+    monkeypatch.setattr(spectra, "irrep_block", counted)
+    topo = tmp_path / "ring5.topo"
+    topo.write_text(
+        "name: ring5\nN: 5\n"
+        "generator: (1 2 3 4 5) weight wc\n"
+        "generator: (1 2) weight wt\n"
+    )
+    code, out, err = run(capsys, "rates", str(topo), "--weights", "0.1,0.1")
+    assert code == 4
+    assert out == ""
+    assert "cap" in err.lower()
+    assert built == []
+
+
 @pytest.mark.parametrize("argv", [
     ("rates", "g1-3", "--weights", "0.2,0.2"),
     ("spectrum", "g1-3", "--weights", "0.2,0.2", "--all"),

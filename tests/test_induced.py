@@ -16,10 +16,12 @@ from numpy.testing import assert_allclose
 from qconsensus.induced import (
     act_on_tabloid,
     canonical_tabloid,
+    check_block_cap,
     dominates,
     enumerate_tabloids,
     induced_laplacian,
     irrep_block,
+    irrep_dim,
     partitions_of,
     rate_shapes,
     standard_tableaux,
@@ -319,6 +321,22 @@ def test_standard_tableaux_count_is_the_irrep_dimension():
     assert dims == {(3, 1): 3, (2, 2): 2, (2, 1, 1): 3, (1, 1, 1, 1): 1}
     assert standard_tableaux((2, 1)) == [(1, 1, 2), (1, 2, 1)]
     assert len(standard_tableaux((4, 3, 2, 1))) == 768
+
+
+def test_irrep_dim_counts_standard_tableaux():
+    for n in range(2, 9):
+        for parts in partitions_of(n, n) + [(n,)]:
+            assert irrep_dim(parts) == len(standard_tableaux(parts)), parts
+
+
+def test_block_cap_admits_eleven_sites_and_refuses_twelve():
+    # sized by hook lengths alone: nothing of N = 12's 2.8 GB is allocated
+    for n, d in ((10, 2), (10, 3), (11, 2), (11, 3)):
+        check_block_cap(rate_shapes(n, d), 2)
+    with pytest.raises(CapExceededError, match="cap"):
+        check_block_cap(rate_shapes(12, 2), 2)
+    # synchronization builds only the (n-1, 1) block
+    check_block_cap(rate_shapes(12, 2)[:1], 2)
 
 
 @pytest.mark.parametrize("parts", [(2, 1), (3, 1, 1), (2, 2, 1), (3, 2), (2, 1, 1, 1)])

@@ -39,6 +39,13 @@ def g14():
     )
 
 
+def g5_4():
+    return generator_set(
+        4, [[[1, 2, 3, 4]], [[1, 2]], [[3, 4]], [[1, 3, 2]], [[2, 4]]],
+        ["w1234", "w12", "w34", "w132", "w24"],
+    )
+
+
 # --- budget bookkeeping ---
 
 
@@ -108,6 +115,37 @@ def test_front_mask_matches_brute_force(seed):
     cons = rng.integers(0, 6, n) / 4.0
     synch = rng.integers(0, 6, n) / 4.0
     assert np.array_equal(front_mask(cons, synch, 0.0), brute_force_front(cons, synch))
+
+
+def group_sweep_front(cons, synch, tol):
+    # the tie-group sweep front_mask vectorizes, one group at a time
+    k = len(cons)
+    mask = np.zeros(k, dtype=bool)
+    order = np.lexsort((-cons, -synch))
+    best_above = -np.inf
+    i = 0
+    while i < k:
+        j = i
+        while j < k and synch[order[j]] >= synch[order[i]] - tol:
+            j += 1
+        group = order[i:j]
+        group_best = cons[group].max()
+        mask[group[(cons[group] >= group_best - tol) & (cons[group] > best_above + tol)]] = True
+        best_above = max(best_above, group_best)
+        i = j
+    return mask
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=12345))
+def test_front_mask_matches_group_sweep_within_tolerance(seed):
+    rng = np.random.default_rng(seed)
+    n = rng.integers(0, 80)
+    # ties, and near-ties offset by less and more than the tolerances
+    cons = rng.integers(0, 6, n) / 4.0 + rng.choice([0.0, 1e-15, 1e-12], n)
+    synch = rng.integers(0, 6, n) / 4.0 + rng.choice([0.0, 1e-15, 1e-12], n)
+    for tol in (0.0, 1e-15, 1e-11, 0.3):
+        assert np.array_equal(front_mask(cons, synch, tol), group_sweep_front(cons, synch, tol))
 
 
 # --- grid scan ---
@@ -257,6 +295,21 @@ def test_maximize_never_loses_to_its_own_grid():
     grid_best = max(p.lambda_cons for p in pts)
     _, value = maximize_rate(gens, c, objective="consensus")
     assert value >= grid_best - 1e-9
+
+
+@pytest.mark.parametrize("objective", ["consensus", "synchronization"])
+def test_maximize_five_generators_beats_its_grid(objective):
+    # the uniform start holds 1/5 < 0.25 of each coordinate, so its first
+    # rounds have no feasible transfer and every row of it is masked
+    gens = g5_4()
+    c = BudgetConstraint.for_generators(gens, 1.0)
+    pts = pareto_scan(gens, c, resolution=6)
+    pick = "lambda_cons" if objective == "consensus" else "lambda_synch"
+    grid_best = max(getattr(p, pick) for p in pts)
+    result = maximize_rate(gens, c, objective=objective)
+    assert result[1] >= grid_best - 1e-9
+    assert c.is_feasible(result[0])
+    assert maximize_rate(gens, c, objective=objective) == result
 
 
 def test_maximize_is_deterministic():

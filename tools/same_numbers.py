@@ -13,8 +13,10 @@ t = 2 (stdout and trajectory CSV) on g1-3, g1-4 and g3-3 at d = 2 and
 g1-3 at d = 3, seeds 0 and 3, plus one g1-3 run each with ``--h0 zsum``
 and ``--store-every 1``, ``rates`` and both ``spectrum`` modes on g1-3
 at weights 1e308 that overflow, and ``optimize`` (both objectives, seed 0) on
-g1-4 and g2-3 at budgets 0.5 and 2.  Rates read irrep blocks, so
-ring+swap N = 7 at d = 3 (a 5040-vertex orbit graph) is in the list too.
+g1-4 and g2-3 at budgets 0.5 and 2 and on a five-generator set on four
+sites, whose uniform start has no feasible first move.  Rates read irrep
+blocks, so ring+swap N = 7 at d = 3 (a 5040-vertex orbit graph) is in the
+list too.
 
     python tools/same_numbers.py dump /path/to/old/src old.json
     python tools/same_numbers.py dump src new.json
@@ -86,6 +88,14 @@ def commands(work):
                 fh.write(TOPOLOGIES[name] + f"budget: {budget}\n")
             for obj in ("consensus", "synchronization"):
                 cmds.append(("optimize", path, "--objective", obj, "--seed", "0"))
+
+    path = os.path.join(work, "five-4.txt")
+    with open(path, "w") as fh:
+        fh.write("name: five-4\nN: 4\ngenerator: (1 2 3 4) weight w1234\n"
+                 "generator: (1 2) weight w12\ngenerator: (3 4) weight w34\n"
+                 "generator: (1 3 2) weight w132\ngenerator: (2 4) weight w24\n")
+    for obj in ("consensus", "synchronization"):
+        cmds.append(("optimize", path, "--objective", obj, "--seed", "0"))
 
     draws = 1.0 - np.random.default_rng(20261018).random((3, 2))
     for n in range(3, 8):
