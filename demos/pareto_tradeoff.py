@@ -8,6 +8,8 @@ balanced compromise, and leaves the full point cloud in a CSV.
 
 import csv
 
+import numpy as np
+
 from qconsensus import (
     BudgetConstraint,
     generator_set,
@@ -28,19 +30,15 @@ def main():
                          labels=["ring", "left", "right"])
     constraint = BudgetConstraint.for_generators(gens, budget=1.0)
 
-    points = pareto_scan(gens, constraint, resolution=60)
-    front = [p for p in points if p.on_front]
-    print(f"scanned {len(points)} weight vectors, {len(front)} on the front")
+    weights, cons, synch, on_front = pareto_scan(gens, constraint, resolution=60)
+    front = np.flatnonzero(on_front)
+    print(f"scanned {len(cons)} weight vectors, {len(front)} on the front")
 
-    best_cons = max(points, key=lambda p: p.lambda_cons)
-    best_synch = max(points, key=lambda p: p.lambda_synch)
-    knee = max(front, key=lambda p: min(p.lambda_cons, p.lambda_synch))
-    describe("fastest consensus", best_cons.weights,
-             best_cons.lambda_cons, best_cons.lambda_synch)
-    describe("fastest synch", best_synch.weights,
-             best_synch.lambda_cons, best_synch.lambda_synch)
-    describe("balanced knee", knee.weights,
-             knee.lambda_cons, knee.lambda_synch)
+    knee = front[np.argmax(np.minimum(cons, synch)[front])]
+    for tag, i in (("fastest consensus", np.argmax(cons)),
+                   ("fastest synch", np.argmax(synch)),
+                   ("balanced knee", knee)):
+        describe(tag, weights[i], cons[i], synch[i])
 
     # the pattern search sharpens the two grid extremes
     for objective in ("consensus", "synchronization"):
@@ -51,9 +49,8 @@ def main():
     with open(OUT, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(gens.labels) + ["lambda_cons", "lambda_synch", "on_front"])
-        for p in points:
-            writer.writerow(list(p.weights)
-                            + [p.lambda_cons, p.lambda_synch, int(p.on_front)])
+        for row, flag in zip(np.column_stack([weights, cons, synch]).tolist(), on_front):
+            writer.writerow(row + [int(flag)])
     print(f"wrote {OUT}")
 
 

@@ -286,24 +286,20 @@ def _symbolic_only(spec: TopologySpec) -> None:
 def cmd_pareto(args, spec: TopologySpec, d: int) -> int:
     _symbolic_only(spec)
     constraint = BudgetConstraint.for_generators(spec.gens, spec.budget)
-    points = pareto_scan(spec.gens, constraint, resolution=args.resolution, d=d)
+    weights, cons, synch, on_front = pareto_scan(
+        spec.gens, constraint, resolution=args.resolution, d=d
+    )
     out = args.out or f"{spec.name}-pareto.csv"
     labels = spec.gens.labels
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(",".join(labels) + ",lambda_cons,lambda_synch,on_front\n")
-        for p in points:
-            row = [repr(x) for x in p.weights]
-            row += [repr(p.lambda_cons), repr(p.lambda_synch)]
-            row.append("1" if p.on_front else "0")
-            fh.write(",".join(row) + "\n")
-    cons = np.array([p.lambda_cons for p in points])
-    synch = np.array([p.lambda_synch for p in points])
-    n_front = sum(1 for p in points if p.on_front)
-    print(f"topology: {spec.name}  points: {len(points)}  front: {n_front}")
+        for row, flag in zip(np.column_stack([weights, cons, synch]).tolist(), on_front):
+            fh.write(",".join(map(repr, row)) + (",1\n" if flag else ",0\n"))
+    print(f"topology: {spec.name}  points: {len(cons)}  front: {int(on_front.sum())}")
     for title, arr in (("lambda_cons", cons), ("lambda_synch", synch)):
         # the first grid point tied with the maximum, as the front ties them
         i = int(np.flatnonzero(arr >= arr.max() - TIE_TOL * spec.budget)[0])
-        at = " ".join(f"{lb}={fmt(v)}" for lb, v in zip(labels, points[i].weights))
+        at = " ".join(f"{lb}={fmt(v)}" for lb, v in zip(labels, weights[i]))
         print(f"max {title}: {fmt(arr[i])} at {at}")
     print(f"wrote: {out}")
     return 0

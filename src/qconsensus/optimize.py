@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .induced import check_block_cap, irrep_block, rate_shapes
+from .induced import rate_shapes
 from .permgroup import GeneratorSet
-from .spectra import batch_rates
+from .spectra import batch_rates, rate_structure
 
 CHUNK = 256
 N_STARTS = 20
@@ -42,24 +42,15 @@ class BudgetConstraint:
         return bool(np.all(w >= -1e-12) and self.cost(w) <= self.budget + 1e-12)
 
 
-@dataclass(frozen=True)
-class ParetoPoint:
-    weights: tuple[float, ...]
-    lambda_cons: float
-    lambda_synch: float
-    on_front: bool = False
-
-
 class _RateEvaluator:
     """Batched (lambda_cons, lambda_synch) over the irrep blocks of one topology."""
 
     def __init__(self, gens: GeneratorSet, d: int = 2, synch_only: bool = False):
         shapes = rate_shapes(gens.n, d)[:1] if synch_only else rate_shapes(gens.n, d)
-        check_block_cap(shapes, len(gens))
-        self.blocks = [irrep_block(p, gens) for p in shapes]
+        self.structure = rate_structure(gens, shapes)
 
     def rates(self, w_batch: np.ndarray):
-        return batch_rates(self.blocks, w_batch)[1:]
+        return batch_rates(self.structure, w_batch)[1:]
 
 
 def _compositions(total: int, parts: int):
@@ -102,12 +93,13 @@ def pareto_scan(
     constraint: BudgetConstraint,
     resolution: int | None = None,
     d: int = 2,
-) -> list[ParetoPoint]:
-    """Rates over a uniform simplex grid on the budget face.
+) -> tuple[np.ndarray, ...]:
+    """Rates over a uniform simplex grid on the budget face: the (P, m)
+    weights, lambda_cons, lambda_synch and the :func:`front_mask` of the
+    P grid points, in lexicographic order of the grid compositions.
 
     Rates are evaluated ``CHUNK`` points at a time, which bounds the
-    memory of one batch; output order is lexicographic in the grid
-    composition index.
+    memory of one batch.
     """
     m = len(gens)
     if resolution is None:
@@ -120,16 +112,7 @@ def pareto_scan(
     ev = _RateEvaluator(gens, d=d)
     pieces = [ev.rates(w_all[i:i + CHUNK]) for i in range(0, len(w_all), CHUNK)]
     cons, synch = (np.concatenate(x) for x in zip(*pieces))
-    mask = front_mask(cons, synch, TIE_TOL * constraint.budget)
-    return [
-        ParetoPoint(
-            weights=tuple(float(x) for x in w_all[i]),
-            lambda_cons=float(cons[i]),
-            lambda_synch=float(synch[i]),
-            on_front=bool(mask[i]),
-        )
-        for i in range(len(grid))
-    ]
+    return w_all, cons, synch, front_mask(cons, synch, TIE_TOL * constraint.budget)
 
 
 def maximize_rate(
@@ -157,12 +140,15 @@ def maximize_rate(
     the budget of the best value (so the optimum scales with it as the
     rates do) is polished, in whole-array rounds as well, and among the
     equally fast results the one of least Euclidean norm is returned, the
-    first start winning an exact tie.  A polish round accepts a move whose
-    value is tied with the best as it stood when the round began.
-    Besides the transfers, the polish tries the pattern moves ``2u - h``
-    (Hooke & Jeeves) from the points one and two acceptances back, so a
-    walk that zigzags along a ridge speeds up instead of crawling at a
-    small step; an accepted pattern move keeps the step.
+    first start winning an exact tie.  A polish round accepts a move that
+    shortens the norm by more than 1e-15 and whose value is tied with the
+    best as it stood when the round began.  Only the moves that shorten
+    the norm are evaluated, as no other can be accepted, so a round
+    without one makes no rate call.  Besides the transfers, the polish
+    tries the pattern moves ``2u - h`` (Hooke & Jeeves) from the points
+    one and two acceptances back, so a walk that zigzags along a ridge
+    speeds up instead of crawling at a small step; an accepted pattern
+    move keeps the step.
     """
     if objective not in ("consensus", "synchronization"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -188,15 +174,21 @@ def maximize_rate(
 
     def candidates(live: np.ndarray):
         """Every live start's (m(m-1)+2, m) rows, the transfers then the
-        pattern moves, with their values; an infeasible row reads -inf."""
+        pattern moves, and the mask of the feasible ones."""
         pattern = 2.0 * u[live, None] - backs[live]
         cands = np.concatenate([u[live, None] + step[live, None, None] * shift, pattern], axis=1)
         cands /= cands.sum(axis=2, keepdims=True)
         feasible = np.concatenate(
             [u[live][:, give] >= step[live, None], np.all(pattern >= 0, axis=2)], axis=1)
+        return cands, feasible
+
+    def values(cands: np.ndarray, feasible: np.ndarray) -> np.ndarray:
+        """The feasible rows' values in one batched rate call, none if no
+        row is feasible; an infeasible row reads -inf."""
         vals = np.full(feasible.shape, -np.inf)
-        vals[feasible] = f_batch(cands[feasible])
-        return cands, vals
+        if feasible.any():
+            vals[feasible] = f_batch(cands[feasible])
+        return vals
 
     def advance(live, up, k, cands, vals) -> np.ndarray:
         """Move the starts ``live[up]`` to their row ``k``, doubling the step
@@ -210,7 +202,8 @@ def maximize_rate(
 
     live = np.arange(N_STARTS)
     while len(live):
-        cands, vals = candidates(live)
+        cands, feasible = candidates(live)
+        vals = values(cands, feasible)
         k = vals.argmax(axis=1)
         live = advance(live, vals.max(axis=1) > v[live], k, cands, vals)
 
@@ -223,9 +216,12 @@ def maximize_rate(
     step[:] = 0.25
     live = np.flatnonzero(tied)
     while len(live):
-        cands, vals = candidates(live)
+        cands, feasible = candidates(live)
         cand = np.sum((cands / lengths) ** 2, axis=2)
-        keep = (vals >= best_v - tol) & (cand < norm[live, None] - 1e-15)
+        # a move that does not shorten the norm is never kept, so it is
+        # not evaluated and reads -inf
+        vals = values(cands, feasible & (cand < norm[live, None] - 1e-15))
+        keep = vals >= best_v - tol
         k = np.where(keep, cand, np.inf).argmin(axis=1)
         up = keep.any(axis=1)
         s = live[up]

@@ -12,6 +12,7 @@ topologies come in conjugate pairs, so everything sorts and compares by
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,10 +21,12 @@ from .induced import (
     ZERO_TOL,
     IrrepBlock,
     Partition,
+    _weight_rows,
     check_block_cap,
     dominates,
     induced_laplacian,
     irrep_block,
+    irrep_dim,
     rate_shapes,
     tabloid_orbit,
 )
@@ -74,28 +77,92 @@ def lambda2_re_batch(spectra: np.ndarray) -> np.ndarray:
     return rates
 
 
-def batch_rates(blocks: list[IrrepBlock], w) -> tuple[np.ndarray, ...]:
-    """The one rate path: per-shape rates for each row of a (k, m) weight batch.
+@dataclass(frozen=True)
+class RateStructure:
+    """Everything :func:`batch_rates` needs of one (generators, shapes) but
+    the weights, built by :func:`rate_structure`.
 
-    ``blocks`` follow :func:`rate_shapes`, one irrep per shape, so the first
-    is the site graph's (n-1, 1).  By Young's rule a shape's spectrum is
-    that of every block whose irrep dominates it, plus the one trivial
-    zero.  Returns the (shapes, k) table, lambda_cons (its column minima)
-    and lambda_synch: the first row if the group fixes no vector of the
-    (n-1, 1) irrep (it is transitive on sites), else 0, as an intransitive
-    group never equalizes its orbits.  Bad weights raise ValueError, a
-    failed solve NumericalFailureError.
+    ``blocks`` follow the shapes, one irrep each.  ``coeffs`` stores every
+    coefficient once: each block's (m, k, k) stack in turn, the blocks
+    ordered by size.  The blocks' stacks are views into it, and so is
+    ``groups``: per size, the (count, m, k, k) stack of its blocks.
+    ``columns`` gives, per shape, the indices of the trivial zero (column
+    0) and of the eigenvalues of every block dominating it in the spectrum
+    that :func:`batch_rates` concatenates, groups in order.
     """
-    spectra = [eigenvalues(b.laplacians(w)) for b in blocks]
-    zero = np.zeros((len(spectra[0]), 1))
-    table = np.array([
-        lambda2_re_batch(np.concatenate(
-            [zero] + [s for b, s in zip(blocks, spectra) if dominates(b.partition, mu.partition)],
-            axis=1,
-        ))
-        for mu in blocks
-    ])
-    synch = table[0] if blocks[0].fixed == 0 else np.zeros(len(zero))
+
+    blocks: tuple[IrrepBlock, ...]
+    coeffs: np.ndarray
+    groups: tuple[np.ndarray, ...]
+    columns: tuple[np.ndarray, ...]
+
+
+def rate_structure(gens: GeneratorSet, shapes) -> RateStructure:
+    """The :class:`RateStructure` of ``shapes`` under ``gens``.
+
+    The cap check comes before the first block, and each block is copied
+    into ``coeffs`` as it is built, so the cap sizes the only copy.  The
+    array is allocated by :func:`irrep_dim`; a block that loses fixed
+    vectors leaves its unused tail untouched.
+    """
+    m = len(gens)
+    store = np.empty(check_block_cap(shapes, m))
+    blocks: list[IrrepBlock | None] = [None] * len(shapes)
+    # each block's first column in the spectrum, after the trivial zero
+    first = [0] * len(shapes)
+    sizes, at = [], 0
+    for i in sorted(range(len(shapes)), key=lambda i: irrep_dim(shapes[i])):
+        block = irrep_block(shapes[i], gens)
+        view = store[at:at + block.coeffs.size].reshape(block.coeffs.shape)
+        view[...] = block.coeffs
+        blocks[i] = IrrepBlock(block.partition, view, block.fixed)
+        first[i] = 1 + sum(sizes)
+        sizes.append(len(view[0]))
+        at += view.size
+    groups, start = [], 0
+    for k, run in itertools.groupby(sizes):
+        count = len(list(run))
+        if k:  # a block the group fixes whole has no eigenvalue to add
+            groups.append(store[start:start + count * m * k * k].reshape(count, m, k, k))
+        start += count * m * k * k
+    columns = tuple(
+        np.concatenate([[0]] + [
+            np.arange(first[i], first[i] + len(b.coeffs[0]))
+            for i, b in enumerate(blocks) if dominates(b.partition, mu)
+        ])
+        for mu in shapes
+    )
+    return RateStructure(tuple(blocks), store[:at], tuple(groups), columns)
+
+
+def batch_rates(rs: RateStructure, w) -> tuple[np.ndarray, ...]:
+    """The one rate path: per-shape rates for each row of a (b, m) weight batch.
+
+    The structure's shapes follow :func:`rate_shapes`, so the first is the
+    site graph's (n-1, 1).  By Young's rule a shape's spectrum is that of
+    every block whose irrep dominates it, plus the one trivial zero.  The
+    blocks of one size share one product and one eigensolve; the product
+    runs block by block, as one over all blocks would round some entries
+    differently.  Returns the (shapes, b) table, lambda_cons (its column
+    minima) and lambda_synch: the first row if the group fixes no vector
+    of the (n-1, 1) irrep (it is transitive on sites), else 0, as an
+    intransitive group never equalizes its orbits.  Bad weights raise
+    ValueError, a failed solve NumericalFailureError.
+    """
+    m = len(rs.blocks[0].coeffs)
+    w = _weight_rows(w, m)
+    spectra = [np.zeros((len(w), 1))]
+    for stack in rs.groups:
+        count, _, k, _ = stack.shape
+        # + 0.0 turns the -0.0 of a zero weight into 0.0; weights that
+        # overflow leave inf for the eigensolve to reject
+        with np.errstate(over="ignore", invalid="ignore"):
+            laps = np.matmul(w, stack.reshape(count, m, k * k)) + 0.0
+        vals = eigenvalues(laps.reshape(count, len(w), k, k).swapaxes(0, 1))
+        spectra.append(vals.reshape(len(w), count * k))
+    spectrum = np.concatenate(spectra, axis=1)
+    table = np.array([lambda2_re_batch(spectrum[:, c]) for c in rs.columns])
+    synch = table[0] if rs.blocks[0].fixed == 0 else np.zeros(len(w))
     return table, table.min(axis=0), synch
 
 
@@ -113,14 +180,12 @@ def convergence_rates(gens: GeneratorSet, weights, d: int = 2) -> ConvergenceRat
     orbit of its shape.  For generators not transitive on sites
     ``lambda_synch`` is 0 and may sit below ``lambda_cons``.
     """
-    shapes = rate_shapes(gens.n, d)
-    check_block_cap(shapes, len(gens))
-    blocks = [irrep_block(p, gens) for p in shapes]
-    table, cons, synch = batch_rates(blocks, [weights])
+    rs = rate_structure(gens, rate_shapes(gens.n, d))
+    table, cons, synch = batch_rates(rs, [weights])
     return ConvergenceRates(
         lambda_cons=float(cons[0]),
         lambda_synch=float(synch[0]),
-        per_partition={b.partition: float(r[0]) for b, r in zip(blocks, table)},
+        per_partition={b.partition: float(r[0]) for b, r in zip(rs.blocks, table)},
     )
 
 
@@ -141,19 +206,24 @@ def multiset_contained(
 ) -> tuple[bool, float, complex | None]:
     """Greedy matching of ``inner`` into ``outer`` with per-element tolerance.
 
-    Returns (contained, max matched distance, first unmatched value).
+    In (real, imaginary) order each inner value takes the nearest outer
+    value not yet taken, the first by index on a tie.  Returns (contained,
+    max matched distance, first unmatched value).
     """
-    pool = list(np.asarray(outer, dtype=complex))
+    pool = np.asarray(outer, dtype=complex)
+    taken = np.zeros(len(pool), dtype=bool)
     worst = 0.0
     for v in sorted(np.asarray(inner, dtype=complex), key=lambda z: (z.real, z.imag)):
-        if not pool:
+        if taken.all():
             return False, worst, v
-        j = min(range(len(pool)), key=lambda i: abs(pool[i] - v))
-        dist = abs(pool[j] - v)
-        if dist > tol:
+        gap = pool - v
+        # hypot rounds as abs of one complex does; abs of an array may not
+        dist = np.where(taken, np.inf, np.hypot(gap.real, gap.imag))
+        j = int(dist.argmin())
+        if dist[j] > tol:
             return False, worst, v
-        worst = max(worst, dist)
-        pool.pop(j)
+        worst = max(worst, dist[j])
+        taken[j] = True
     return True, worst, None
 
 

@@ -407,9 +407,11 @@ def test_seed_only_on_randomized_subcommands(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv", [
     ("simulate", "g1-3", "--weights", "1e200,0.2"),
     ("rates", "g1-3", "--weights", "1e308,1e308"),
+    # g1-4's blocks come in three sizes, each its own product and solve
+    ("rates", "g1-4", "--weights", "0.1,1e308,1e308"),
     ("spectrum", "g1-3", "--weights", "1e308,1e308", "--all"),
     ("spectrum", "g1-3", "--weights", "1e308,1e308", "--partition", "2,1"),
-], ids=["simulate", "rates", "spectrum-all", "spectrum-partition"])
+], ids=["simulate", "rates", "rates-g1-4", "spectrum-all", "spectrum-partition"])
 def test_overflowing_weights_fail_before_output(argv, capsys, tmp_path):
     out = tmp_path / "t.csv"
     if argv[0] == "simulate":

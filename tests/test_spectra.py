@@ -11,12 +11,14 @@ c where present), the nontrivial vertex eigenvalues are A +- sqrt(B)/2:
 and the slowest tabloid mode adds the candidate 2 b.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from qconsensus.induced import induced_laplacian, irrep_block, rate_shapes
+from qconsensus.induced import dominates, induced_laplacian, irrep_block, rate_shapes
 from qconsensus.netgraph import generator_laplacian
 from qconsensus.optimize import BudgetConstraint, maximize_rate, pareto_scan
 from qconsensus.permgroup import GeneratorSet, generator_set
@@ -32,6 +34,7 @@ from qconsensus.spectra import (
     intertwining_check,
     lambda2_re_batch,
     multiset_contained,
+    rate_structure,
     rates_coincide,
 )
 
@@ -310,7 +313,7 @@ def test_block_rates_match_tabloid_rates(name, d):
     rng = np.random.default_rng([gens.n, d, len(gens)])
     w = 1.0 - rng.random((2, len(gens)))
     shapes = rate_shapes(gens.n, d)
-    table, cons, synch = batch_rates([irrep_block(p, gens) for p in shapes], w)
+    table, cons, synch = batch_rates(rate_structure(gens, shapes), w)
     tabloid = np.array([
         lambda2_re_batch(eigenvalues(
             np.array([induced_laplacian(p, gens, row).laplacian for row in w])
@@ -320,6 +323,81 @@ def test_block_rates_match_tabloid_rates(name, d):
     assert_allclose(table, tabloid, rtol=0, atol=1e-13 * tabloid.max())
     assert np.array_equal(cons, table.min(axis=0))
     assert np.array_equal(synch, table[0])
+
+
+def per_shape_concatenation(blocks, w):
+    """The rate table with one eigensolve per block and, per shape, the
+    concatenation of the zero and its dominating blocks' spectra."""
+    spectra = [eigenvalues(b.laplacians(w)) for b in blocks]
+    zero = np.zeros((len(w), 1))
+    return np.array([
+        lambda2_re_batch(np.concatenate(
+            [zero] + [s for b, s in zip(blocks, spectra) if dominates(b.partition, mu.partition)],
+            axis=1,
+        ))
+        for mu in blocks
+    ])
+
+
+STRUCTURE_SETS = {
+    "g1-3": g13, "g2-3": g23, "g3-3": g33, "g1-4": g14,
+    "ring-swap-5": lambda: ring_swap(5),
+    "five-4": lambda: generator_set(
+        4, [[[1, 2, 3, 4]], [[1, 2]], [[3, 4]], [[1, 3, 2]], [[2, 4]]]),
+    # subgroups of S_4: fixed vectors shrink blocks out of their size order
+    # (C_4: sizes 1, 1, 3, 2 in storage order), one to no rows at all
+    "cycle-4": lambda: generator_set(4, [[[1, 2, 3, 4]]]),
+    "swaps-4": lambda: generator_set(4, [[[1, 2]], [[3, 4]]]),
+    "double-swap-4": lambda: generator_set(4, [[[1, 3], [2, 4]]]),
+}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("name", STRUCTURE_SETS)
+def test_structure_rates_equal_the_per_shape_concatenation(name, d):
+    """One product and one eigensolve per block size and the precomputed
+    columns give the per-block path's table bit for bit."""
+    gens = STRUCTURE_SETS[name]()
+    shapes = rate_shapes(gens.n, d)
+    rs = rate_structure(gens, shapes)
+    assert [b.partition for b in rs.blocks] == shapes
+    assert sum(len(g) for g in rs.groups) == sum(b.coeffs.size > 0 for b in rs.blocks)
+    assert sum(g.size for g in rs.groups) == rs.coeffs.size
+    assert all(np.shares_memory(x, rs.coeffs) for x in rs.groups)
+    assert all(np.shares_memory(b.coeffs, rs.coeffs) for b in rs.blocks if b.coeffs.size)
+    w = np.vstack([1.0 - np.random.default_rng([gens.n, d]).random((5, len(gens))),
+                   np.eye(len(gens))[:1]])
+    table, cons, synch = batch_rates(rs, w)
+    reference = per_shape_concatenation([irrep_block(p, gens) for p in shapes], w)
+    assert np.array_equal(table, reference)
+    assert np.array_equal(cons, reference.min(axis=0))
+    transitive = rs.blocks[0].fixed == 0
+    assert np.array_equal(synch, reference[0] if transitive else np.zeros(len(w)))
+
+
+def test_equal_size_blocks_share_one_eigensolve(monkeypatch):
+    import qconsensus.spectra as spectra
+
+    solved = []
+    real = spectra.eigenvalues
+
+    def counted(m):
+        solved.append(m.shape[1:])
+        return real(m)
+
+    monkeypatch.setattr(spectra, "eigenvalues", counted)
+    # g1-4's (3,1) and (2,1,1) blocks both have three rows
+    batch_rates(rate_structure(g14(), rate_shapes(4, 2)), [[0.1, 0.2, 0.15]] * 4)
+    assert solved == [(1, 1, 1), (1, 2, 2), (2, 3, 3)]
+
+
+def test_overflowing_weights_fail_the_eigensolve_without_warnings():
+    # one overflowing row among finite ones, in a structure of three sizes
+    rs = rate_structure(g14(), rate_shapes(4, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailureError, match="nan/inf"):
+            batch_rates(rs, [[0.1, 0.2, 0.15], [1e308, 1e308, 1e308]])
 
 
 def test_rates_reject_nonfinite_weights():
