@@ -221,7 +221,7 @@ def resolve_weights(spec: TopologySpec, weights_arg: str | None) -> np.ndarray:
     for lb in spec.gens.labels:
         out.append(spec.fixed[lb] if lb in spec.fixed else next(it))
     try:
-        return check_weights(out)
+        return check_weights([out], len(spec.gens))[0]
     except ValueError as exc:
         raise TopologyError(str(exc)) from exc
 

@@ -120,14 +120,6 @@ def canonical_tabloid(parts: Partition) -> Tabloid:
     return tuple(out)
 
 
-def _weight_rows(w_batch, m: int) -> np.ndarray:
-    """A (k, m) batch of finite, nonnegative weight rows, or ValueError."""
-    w = check_weights(w_batch)
-    if w.ndim != 2 or w.shape[1] != m:
-        raise ValueError("one weight per generator required")
-    return w
-
-
 def tabloid_orbit(
     parts: Partition, gens: GeneratorSet
 ) -> tuple[tuple[Tabloid, ...], np.ndarray]:
@@ -172,7 +164,7 @@ def induced_laplacian(
     every tabloid when the generators produce the full symmetric group.
     """
     verts, img = tabloid_orbit(parts, gens) if orbit is None else orbit
-    w = _weight_rows([weights], len(gens))[0]
+    w = check_weights([weights], len(gens))[0]
     idx = np.arange(len(verts))
     lap = np.zeros((len(verts), len(verts)))
     # generator g adds w_g at (i, i) and -w_g at (i, j) when it moves i to
@@ -280,15 +272,6 @@ class IrrepBlock:
     partition: Partition
     coeffs: np.ndarray
     fixed: int
-
-    def laplacians(self, w_batch) -> np.ndarray:
-        """(b, k, k) Laplacians for a (b, m) batch of finite, nonnegative
-        weight rows."""
-        w = _weight_rows(w_batch, len(self.coeffs))
-        # + 0.0 turns the -0.0 of a zero weight into 0.0; weights that
-        # overflow leave inf for the eigensolve to reject
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.tensordot(w, self.coeffs, axes=1) + 0.0
 
 
 def irrep_block(parts: Partition, gens: GeneratorSet) -> IrrepBlock:

@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .permgroup import GeneratorSet, inverse
+from .permgroup import GeneratorSet, check_weights, inverse
 
 
 def generator_laplacian(gens: GeneratorSet, weights) -> np.ndarray:
     """L = sum_p w_p (I - P_p) on site labels; rows sum to zero exactly."""
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (len(gens),):
-        raise ValueError("one weight per generator required")
+    weights = check_weights([weights], len(gens))[0]
     n = gens.n
     L = np.zeros((n, n))
     for p, w in zip(gens.perms, weights):

@@ -53,14 +53,14 @@ class _RateEvaluator:
         return batch_rates(self.structure, w_batch)[1:]
 
 
-def _compositions(total: int, parts: int):
-    """All nonnegative integer compositions, ascending lexicographic."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+def _compositions(total: int, parts: int) -> np.ndarray:
+    """All nonnegative integer compositions as a (count, parts) array,
+    ascending lexicographic: the gaps around parts - 1 bars set among
+    total + parts - 1 slots, bar positions in lexicographic order."""
+    from itertools import combinations
+
+    bars = np.array(list(combinations(range(total + parts - 1), parts - 1)), dtype=np.intp)
+    return np.diff(bars, axis=1, prepend=-1, append=total + parts - 1) - 1
 
 
 def front_mask(cons: np.ndarray, synch: np.ndarray, tol: float) -> np.ndarray:
@@ -107,7 +107,7 @@ def pareto_scan(
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     lengths = np.asarray(constraint.lengths, dtype=float)
-    grid = np.array(list(_compositions(resolution, m)), dtype=float)
+    grid = _compositions(resolution, m)
     w_all = constraint.budget * grid / (resolution * lengths[None, :])
     ev = _RateEvaluator(gens, d=d)
     pieces = [ev.rates(w_all[i:i + CHUNK]) for i in range(0, len(w_all), CHUNK)]

@@ -139,13 +139,21 @@ class GeneratorSet:
         return tuple(effective_cycle_length(p) for p in self.perms)
 
 
-def check_weights(weights) -> np.ndarray:
-    """The weights as a float array, or ValueError unless finite and >= 0."""
-    w = np.asarray(weights, dtype=float)
+def check_weights(w_batch, m: int) -> np.ndarray:
+    """A (b, m) batch of weight rows for m generators as a float array, or
+    ValueError unless finite, then nonnegative, then m to a row.
+
+    The one weight rule: every layer that reads weights checks them here.
+    A reader of one vector checks ``[weights]`` and takes row 0, so that
+    it refuses a batch.
+    """
+    w = np.asarray(w_batch, dtype=float)
     if not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite")
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
+    if w.ndim != 2 or w.shape[1] != m:
+        raise ValueError("one weight per generator required")
     return w
 
 

@@ -129,9 +129,7 @@ def lindblad_rhs(
     d: int = 2,
 ) -> np.ndarray:
     """Right-hand side of the master equation at one state."""
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (len(gens),):
-        raise ValueError("one weight per generator required")
+    weights = check_weights([weights], len(gens))[0]
     if rho.shape[0] != d**gens.n:
         raise ValueError(f"state size {rho.shape[0]} is not d^N = {d}^{gens.n}")
     out = np.zeros_like(rho, dtype=complex)
@@ -169,7 +167,8 @@ def evolve(
     sparse matrix on row-major vec(rho), and each stored segment of k
     steps is one product with T1^k when that power adds no fill (the
     pattern of T1 is a disjoint union of dense blocks), otherwise k
-    products with T1.  Weights must be finite and nonnegative.  A step
+    products with T1.  Weights must pass :func:`check_weights` and the
+    state be d^N square, both checked before the step operator.  A step
     operator with nan/inf entries raises :class:`StepSizeError` before
     any step; each stored state is re-Hermitized and trace-renormalized,
     and its drift beyond 1e-6, or NaN, raises :class:`StepSizeError`.
@@ -201,11 +200,13 @@ def evolve_chunks(
     steps = check_steps(t_final, dt, store_every)
     if frame != "lab":
         raise ValueError(f"unknown frame {frame!r}")
-    weights = check_weights(weights)
+    weights = check_weights([weights], len(gens))[0]
     rho0 = np.asarray(rho0, dtype=complex)
     dim = rho0.shape[0]
     check_state_dim(dim)
     check_density(rho0, d)
+    if dim != d**gens.n:
+        raise ValueError(f"state size {dim} is not d^N = {d}^{gens.n}")
     stored_idx = list(range(0, steps, store_every)) + [steps]
     times = np.array([i * dt for i in stored_idx])
     per_chunk = max(1, (1 << 20) // (16 * dim * dim))
@@ -441,9 +442,7 @@ def build_lq(gens: GeneratorSet, weights, d: int = 2) -> np.ndarray:
     pull rule as the induced graphs, of which this matrix is the direct
     sum over index-pattern classes.
     """
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (len(gens),):
-        raise ValueError("one weight per generator required")
+    weights = check_weights([weights], len(gens))[0]
     q = d * d
     dim = q**gens.n
     if dim > LQ_DIM_CAP:

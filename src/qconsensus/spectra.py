@@ -21,7 +21,6 @@ from .induced import (
     ZERO_TOL,
     IrrepBlock,
     Partition,
-    _weight_rows,
     check_block_cap,
     dominates,
     induced_laplacian,
@@ -30,7 +29,7 @@ from .induced import (
     rate_shapes,
     tabloid_orbit,
 )
-from .permgroup import GeneratorSet, parity
+from .permgroup import GeneratorSet, check_weights, parity
 
 INCLUSION_TOL = 1e-7
 
@@ -150,7 +149,7 @@ def batch_rates(rs: RateStructure, w) -> tuple[np.ndarray, ...]:
     ValueError, a failed solve NumericalFailureError.
     """
     m = len(rs.blocks[0].coeffs)
-    w = _weight_rows(w, m)
+    w = check_weights(w, m)
     spectra = [np.zeros((len(w), 1))]
     for stack in rs.groups:
         count, _, k, _ = stack.shape
@@ -197,7 +196,7 @@ def rates_coincide(rates) -> bool:
 
 def alternating_mode_rate(gens: GeneratorSet, weights) -> float:
     """Decay rate of the fully antisymmetric mode: 2 * sum of odd-generator weights."""
-    weights = np.asarray(weights, dtype=float)
+    weights = check_weights([weights], len(gens))[0]
     return float(2.0 * sum(w for p, w in zip(gens.perms, weights) if parity(p) < 0))
 
 

@@ -86,7 +86,7 @@ def rk4_evolve(rho0, h0, gens, weights, t_final, dt=1e-3, d=2, store_every=1):
     """Per-step RK4 integration: every step calls :func:`lindblad_rhs` four
     times, then is drift-checked, re-Hermitized and trace-renormalized."""
     steps = check_steps(t_final, dt, store_every)
-    weights = check_weights(weights)
+    weights = check_weights([weights], len(gens))[0]
     rho0 = np.asarray(rho0, dtype=complex)
     dim = rho0.shape[0]
     stored_idx = list(range(0, steps, store_every)) + [steps]

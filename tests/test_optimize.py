@@ -14,6 +14,7 @@ from qconsensus.optimize import (
     maximize_rate,
     pareto_scan,
     _RateEvaluator,
+    _compositions,
 )
 from qconsensus.permgroup import generator_set
 from qconsensus.spectra import convergence_rates, eigenvalues, lambda2_re_batch
@@ -168,6 +169,23 @@ def test_scan_grid_size_three_weights():
     # compositions of 20 into 3 slots
     assert w.shape == (231, 3)
     assert cons.shape == synch.shape == on_front.shape == (231,)
+
+
+def recursive_compositions(total, parts):
+    """The grid's reference: every composition, ascending lexicographic."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in recursive_compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+@pytest.mark.parametrize("total, parts", [(60, 3), (200, 3), (30, 5), (5, 2), (4, 1),
+                                          (2, 4), (0, 3)])
+def test_compositions_equal_the_recursive_enumeration(total, parts):
+    expected = np.array(list(recursive_compositions(total, parts)))
+    assert np.array_equal(_compositions(total, parts), expected)
 
 
 def test_scan_rates_match_direct_evaluation():

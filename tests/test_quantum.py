@@ -373,6 +373,9 @@ def test_evolve_validates_arguments():
                            ([-0.5], "nonnegative")):
         with pytest.raises(ValueError, match=match):
             evolve(rho0, None, swap2(), weights, t_final=1.0)
+    # a two-qubit state on three sites, refused before the step operator
+    with pytest.raises(ValueError, match=r"^state size 4 is not d\^N = 2\^3$"):
+        evolve(rho0, None, g13(), [0.3, 0.1], t_final=1.0)
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -22,7 +22,7 @@ from qconsensus.induced import dominates, induced_laplacian, irrep_block, rate_s
 from qconsensus.netgraph import generator_laplacian
 from qconsensus.optimize import BudgetConstraint, maximize_rate, pareto_scan
 from qconsensus.permgroup import GeneratorSet, generator_set
-from qconsensus.quantum import build_lq
+from qconsensus.quantum import build_lq, evolve, generic_state, lindblad_rhs
 from qconsensus.spectra import (
     NotALaplacianError,
     NumericalFailureError,
@@ -328,7 +328,7 @@ def test_block_rates_match_tabloid_rates(name, d):
 def per_shape_concatenation(blocks, w):
     """The rate table with one eigensolve per block and, per shape, the
     concatenation of the zero and its dominating blocks' spectra."""
-    spectra = [eigenvalues(b.laplacians(w)) for b in blocks]
+    spectra = [eigenvalues(np.tensordot(w, b.coeffs, axes=1) + 0.0) for b in blocks]
     zero = np.zeros((len(w), 1))
     return np.array([
         lambda2_re_batch(np.concatenate(
@@ -423,6 +423,35 @@ def test_every_rate_consumer_rejects_d_below_two(d):
     for call in consumers:
         with pytest.raises(ValueError, match=r"^d must be >= 2$"):
             call()
+
+
+def test_every_weight_consumer_rejects_the_same_bad_weights():
+    gens = g13()
+    rs = rate_structure(gens, rate_shapes(3, 2))
+    rho0 = generic_state(2, 3, seed=0)
+    consumers = [
+        lambda w: convergence_rates(gens, w),
+        lambda w: batch_rates(rs, [w]),
+        lambda w: intertwining_check(gens, w),
+        lambda w: induced_laplacian((2, 1), gens, w),
+        lambda w: evolve(rho0, None, gens, w, t_final=0.01),
+        lambda w: lindblad_rhs(rho0, None, gens, w),
+        lambda w: build_lq(gens, w),
+        lambda w: generator_laplacian(gens, w),
+        lambda w: alternating_mode_rate(gens, w),
+    ]
+    faults = [
+        ([0.3], "one weight per generator required"),
+        ([0.3, 0.1, 0.2], "one weight per generator required"),
+        ([[0.3, 0.1]], "one weight per generator required"),
+        ([np.nan, 0.1], "weights must be finite"),
+        ([np.inf, 0.1], "weights must be finite"),
+        ([-0.5, 0.2], "weights must be nonnegative"),
+    ]
+    for call in consumers:
+        for w, message in faults:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                call(w)
 
 
 def test_alternating_mode_rate():

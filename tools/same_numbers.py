@@ -12,11 +12,13 @@ four presets and on ring+swap for N = 3..7 at d = 2 and 3, at fixed
 weights and seeds, and ``simulate`` to t = 2 (stdout and trajectory CSV)
 on g1-3, g1-4 and g3-3 at d = 2 and g1-3 at d = 3, seeds 0 and 3, plus
 one g1-3 run each with ``--h0 zsum`` and ``--store-every 1``, ``rates``
-and both ``spectrum`` modes on g1-3 at weights 1e308 that overflow, and
-``optimize`` (both objectives, seed 0) on g1-4 and g2-3 at budgets 0.5
-and 2 and on a five-generator set on four sites, whose uniform start has
-no feasible first move.  Rates read irrep blocks, so ring+swap N = 7 at
-d = 3 (a 5040-vertex orbit graph) is in the list too.
+and both ``spectrum`` modes on g1-3 at weights 1e308 that overflow, the
+same three and ``simulate`` on g1-3 at a negative, a nan and a missing
+weight (exit 2, nothing printed), and ``optimize`` (both objectives,
+seed 0) on g1-4 and g2-3 at budgets 0.5 and 2 and on a five-generator
+set on four sites, whose uniform start has no feasible first move.
+Rates read irrep blocks, so ring+swap N = 7 at d = 3 (a 5040-vertex
+orbit graph) is in the list too.
 
     python tools/same_numbers.py dump /path/to/old/src old.json
     python tools/same_numbers.py dump src new.json
@@ -81,6 +83,13 @@ def commands(work):
     base = ("g1-3", "--weights", "1e308,1e308")
     cmds += [("rates",) + base, ("spectrum",) + base + ("--all",),
              ("spectrum",) + base + ("--partition", "2,1")]
+
+    # weights the one weight rule rejects: exit 2 before any output; an
+    # argument that starts with "-" must be joined to its option
+    for w in ("--weights=-0.5,0.2", "--weights=nan,0.2", "--weights=0.3"):
+        cmds += [("rates", "g1-3", w), ("spectrum", "g1-3", w, "--all"),
+                 ("spectrum", "g1-3", w, "--partition", "2,1"),
+                 ("simulate", "g1-3", w, "--out", "@CSV")]
 
     for name in ("g1-4", "g2-3"):
         for budget in ("0.5", "2"):
