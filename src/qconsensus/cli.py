@@ -34,6 +34,7 @@ from .quantum import (
     InsufficientDecayError,
     StepSizeError,
     check_density,
+    check_state,
     check_state_dim,
     evolve_chunks,
     fit_decay_rate,
@@ -243,21 +244,23 @@ def cycles_str(p) -> str:
     return "".join("(" + " ".join(str(x) for x in c) + ")" for c in to_cycles(p))
 
 
-def _echo_config(spec: TopologySpec, w: np.ndarray, d: int) -> None:
-    """Print the run's configuration; a budget cost that overflows is an
-    input error, raised before the first line."""
+def _topology_lines(spec: TopologySpec, d: int) -> str:
+    """The 'topology:' and 'generators:' lines that head a run's echo."""
+    gens = spec.gens
+    return (f"topology: {spec.name}  N={spec.n}  d={d}  budget={fmt(spec.budget)}\n"
+            "generators: "
+            + "  ".join(f"{cycles_str(p)}[{lb}]" for p, lb in zip(gens.perms, gens.labels)))
+
+
+def _echo_config(spec: TopologySpec, w: np.ndarray, head: str) -> None:
+    """Print head, the weights and the budget they use; a budget cost that
+    overflows is an input error, raised before the first line."""
     gens = spec.gens
     with np.errstate(over="ignore"):
         cost = float(np.dot(gens.cycle_costs(), w))
     if not np.isfinite(cost):
         raise TopologyError("--weights: the budget cost sum(cycle length * weight) overflows")
-    print(f"topology: {spec.name}  N={spec.n}  d={d}  budget={fmt(spec.budget)}")
-    print(
-        "generators: "
-        + "  ".join(
-            f"{cycles_str(p)}[{lb}]" for p, lb in zip(gens.perms, gens.labels)
-        )
-    )
+    print(head)
     print("weights: " + " ".join(f"{lb}={fmt(v)}" for lb, v in zip(gens.labels, w)))
     print(f"budget used: {fmt(cost)} of {fmt(spec.budget)}")
 
@@ -265,7 +268,7 @@ def _echo_config(spec: TopologySpec, w: np.ndarray, d: int) -> None:
 def cmd_rates(args, spec: TopologySpec, d: int) -> int:
     w = resolve_weights(spec, args.weights)
     rates = convergence_rates(spec.gens, w, d=d)
-    _echo_config(spec, w, d)
+    _echo_config(spec, w, _topology_lines(spec, d))
     print("per-partition lambda2(Re):")
     for parts, rate in rates.per_partition.items():
         print(f"  ({','.join(map(str, parts))}): {fmt(rate)}")
@@ -311,14 +314,8 @@ def cmd_optimize(args, spec: TopologySpec, d: int) -> int:
     weights, value = maximize_rate(
         spec.gens, constraint, objective=args.objective, d=d, seed=args.seed
     )
-    print(f"topology: {spec.name}  objective: {args.objective}  d={d}")
-    print(f"best value: {fmt(value)}")
-    print(
-        "weights: "
-        + " ".join(f"{lb}={fmt(v)}" for lb, v in zip(spec.gens.labels, weights))
-    )
-    cost = float(np.dot(spec.gens.cycle_costs(), weights))
-    print(f"budget used: {fmt(cost)} of {fmt(spec.budget)}")
+    _echo_config(spec, weights, f"topology: {spec.name}  objective: {args.objective}  d={d}\n"
+                                f"best value: {fmt(value)}")
     return 0
 
 
@@ -336,8 +333,7 @@ def _load_rho0(path: str, d: int, n: int) -> np.ndarray:
                 except ValueError as exc:
                     raise ValueError(f"line {lineno}: {exc}") from exc
         rho = np.array(rows, dtype=complex)
-        if rho.shape != (d**n, d**n):
-            raise ValueError(f"N={n}, d={d} needs {d**n}x{d**n}, got shape {rho.shape}")
+        check_state(rho, n, d)
         check_density(rho, d)
     except ValueError as exc:
         raise TopologyError(f"{path}: bad initial state: {exc}") from exc
@@ -363,7 +359,7 @@ def cmd_simulate(args, spec: TopologySpec, d: int) -> int:
         sync.append(sync_distance(states, d))
         dist.append(frobenius_distances(states, target))
     times, sync, dist = map(np.concatenate, (times, sync, dist))
-    _echo_config(spec, w, d)
+    _echo_config(spec, w, _topology_lines(spec, d))
     out = args.out or f"{spec.name}-trajectory.csv"
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("t,sync_distance,distance_to_consensus\n")
@@ -392,7 +388,7 @@ def cmd_spectrum(args, spec: TopologySpec, d: int) -> int:
     w = resolve_weights(spec, args.weights)
     if args.all:
         report = intertwining_check(spec.gens, w, d=d)
-        _echo_config(spec, w, d)
+        _echo_config(spec, w, _topology_lines(spec, d))
         print("intertwining:")
         for pc in report.pairs:
             inner = ",".join(map(str, pc.inner))
@@ -421,7 +417,7 @@ def cmd_spectrum(args, spec: TopologySpec, d: int) -> int:
         )
     ig = induced_laplacian(parts, spec.gens, w)
     vals = eigenvalues(ig.laplacian)
-    _echo_config(spec, w, d)
+    _echo_config(spec, w, _topology_lines(spec, d))
     print(f"partition: ({','.join(map(str, parts))})  vertices: {len(ig.vertices)}")
     print("laplacian:")
     for row in ig.laplacian:
@@ -498,9 +494,6 @@ def main(argv=None) -> int:
         if d < 2:
             raise TopologyError(f"--d must be >= 2, got {d}")
         return int(args.func(args, spec, d) or 0)
-    except TopologyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -40,11 +40,23 @@ class InsufficientDecayError(RuntimeError):
     """Too few trajectory samples inside the decay-fit window."""
 
 
-def _sites_of(dim: int, d: int) -> int:
-    n = round(math.log(dim) / math.log(d))
-    if d**n != dim:
-        raise ValueError(f"matrix size {dim} is not a power of d={d}")
+def state_sites(rho, d: int) -> int:
+    """N of a state or stack of states whose last two axes are d^N x d^N, else
+    ValueError: the one state rule, which every state reader checks first."""
+    shape = np.shape(rho)
+    side = shape[-1] if len(shape) > 1 and shape[-2] == shape[-1] else 0
+    n = next((k for k in range(side.bit_length()) if d**k == side), None)
+    if n is None:
+        raise ValueError(f"state shape {shape} is not (..., d^N, d^N) at d={d}")
     return n
+
+
+def check_state(rho, n: int, d: int) -> None:
+    """ValueError unless rho is one d^n x d^n state (:func:`state_sites`)."""
+    if state_sites(rho, d) != n:
+        raise ValueError(f"state size {np.shape(rho)[-1]} is not d^N = {d}^{n}")
+    if np.ndim(rho) != 2:
+        raise ValueError(f"one state required, got shape {np.shape(rho)}")
 
 
 def gellmann_basis(d: int) -> np.ndarray:
@@ -87,7 +99,8 @@ def decompose(rho: np.ndarray, d: int = 2) -> np.ndarray:
     ... x b_{mu_N}).  The (0,..,0) entry equals the trace.
     """
     rho = np.asarray(rho, dtype=complex)
-    n = _sites_of(rho.shape[0], d)
+    n = state_sites(rho, d)
+    check_state(rho, n, d)
     basis = gellmann_basis(d)
     # contraction matrix M[a, i*d+j] = b_a[j, i] so that the trace pairing
     # tr(rho b) = sum_ij rho[i,j] b[j,i] is a flat dot product per site
@@ -98,7 +111,7 @@ def decompose(rho: np.ndarray, d: int = 2) -> np.ndarray:
     for _ in range(n):
         t = np.tensordot(t, m, axes=([0], [1]))
     flat = t.reshape(-1)
-    worst = float(np.abs(flat.imag).max()) if flat.size else 0.0
+    worst = float(np.abs(flat.imag).max())
     if worst > 1e-6:
         raise ValueError(f"coefficients are not real (max imag {worst:.2e}); "
                          "input is far from Hermitian")
@@ -130,8 +143,7 @@ def lindblad_rhs(
 ) -> np.ndarray:
     """Right-hand side of the master equation at one state."""
     weights = check_weights([weights], len(gens))[0]
-    if rho.shape[0] != d**gens.n:
-        raise ValueError(f"state size {rho.shape[0]} is not d^N = {d}^{gens.n}")
+    check_state(rho, gens.n, d)
     out = np.zeros_like(rho, dtype=complex)
     if h0 is not None:
         out -= 1j * (h0 @ rho - rho @ h0)
@@ -168,14 +180,16 @@ def evolve(
     steps is one product with T1^k when that power adds no fill (the
     pattern of T1 is a disjoint union of dense blocks), otherwise k
     products with T1.  Weights must pass :func:`check_weights` and the
-    state be d^N square, both checked before the step operator.  A step
+    state :func:`check_state`, both checked before the step operator.  A step
     operator with nan/inf entries raises :class:`StepSizeError` before
     any step; each stored state is re-Hermitized and trace-renormalized,
     and its drift beyond 1e-6, or NaN, raises :class:`StepSizeError`.
     The states are those of :func:`evolve_chunks`, stacked.
     """
+    if frame != "lab":
+        raise ValueError(f"unknown frame {frame!r}")
     times, states = zip(*evolve_chunks(rho0, h0, gens, weights, t_final, dt=dt,
-                                       frame=frame, d=d, store_every=store_every))
+                                       d=d, store_every=store_every))
     return Trajectory(times=np.concatenate(times), states=np.concatenate(states))
 
 
@@ -186,7 +200,6 @@ def evolve_chunks(
     weights,
     t_final: float,
     dt: float = 1e-3,
-    frame: str = "lab",
     d: int = 2,
     store_every: int = 1,
 ):
@@ -198,15 +211,12 @@ def evolve_chunks(
     first chunk is asked for.
     """
     steps = check_steps(t_final, dt, store_every)
-    if frame != "lab":
-        raise ValueError(f"unknown frame {frame!r}")
     weights = check_weights([weights], len(gens))[0]
     rho0 = np.asarray(rho0, dtype=complex)
+    check_state(rho0, gens.n, d)
     dim = rho0.shape[0]
     check_state_dim(dim)
     check_density(rho0, d)
-    if dim != d**gens.n:
-        raise ValueError(f"state size {dim} is not d^N = {d}^{gens.n}")
     stored_idx = list(range(0, steps, store_every)) + [steps]
     times = np.array([i * dt for i in stored_idx])
     per_chunk = max(1, (1 << 20) // (16 * dim * dim))
@@ -351,11 +361,9 @@ def check_state_dim(dim: int) -> None:
 
 
 def check_density(rho: np.ndarray, d: int = 2) -> None:
-    """Raise ValueError unless rho is Hermitian, unit-trace and positive."""
+    """Raise ValueError unless rho is one state, Hermitian, unit-trace and positive."""
     rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError("density matrix must be square")
-    _sites_of(rho.shape[0], d)
+    check_state(rho, state_sites(rho, d), d)
     if np.abs(rho - rho.conj().T).max() > 1e-10:
         raise ValueError("density matrix is not Hermitian (tol 1e-10)")
     if abs(np.trace(rho) - 1.0) > 1e-10:
@@ -374,22 +382,20 @@ def symmetric_state(rho: np.ndarray, perms, d: int = 2) -> np.ndarray:
     invariant under every U_g.
     """
     rho = np.asarray(rho, dtype=complex)
-    dim = rho.shape[0]
+    for n in {len(p) for p in perms} or {state_sites(rho, d)}:
+        check_state(rho, n, d)
     maps = [_pull_map(tuple(p), d) for p in perms]
-    if any(s.size != dim for s in maps):
-        raise ValueError(f"permutation degree does not match a state of size {dim}")
-    n = dim * dim
-    rows = np.tile(np.arange(n, dtype=np.int32), len(maps))
+    rows = np.tile(np.arange(rho.size, dtype=np.int32), len(maps))
     cols = np.concatenate([_pair_map(s) for s in maps] or [rows])
-    label, flat = _min_labels(n, rows, cols), rho.ravel()
+    label, flat = _min_labels(rho.size, rows, cols), rho.ravel()
     sums = np.bincount(label, flat.real) + 1j * np.bincount(label, flat.imag)
-    return (sums[label] / np.bincount(label)[label]).reshape(dim, dim)
+    return (sums[label] / np.bincount(label)[label]).reshape(rho.shape)
 
 
 def reduced_state(rho: np.ndarray, k: int, d: int = 2) -> np.ndarray:
     """Partial trace onto site k (1-based); leading axes index a stack."""
     rho = np.asarray(rho, dtype=complex)
-    n = _sites_of(rho.shape[-1], d)
+    n = state_sites(rho, d)
     if not 1 <= k <= n:
         raise ValueError(f"site index {k} out of range 1..{n}")
     t = rho.reshape(rho.shape[:-2] + (d,) * (2 * n))
@@ -406,7 +412,7 @@ def sync_distance(rho: np.ndarray, d: int = 2):
     A float for one state; for a stack (leading axes) an array of them.
     """
     rho = np.asarray(rho)
-    n = _sites_of(rho.shape[-1], d)
+    n = state_sites(rho, d)
     reds = [reduced_state(rho, k, d) for k in range(1, n + 1)]
     worst = np.zeros(rho.shape[:-2])
     for i in range(n):

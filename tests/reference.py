@@ -17,7 +17,7 @@ from qconsensus.quantum import (
     StepSizeError,
     Trajectory,
     _pull_map,
-    _sites_of,
+    check_state,
     check_steps,
     gellmann_basis,
     lindblad_rhs,
@@ -27,7 +27,9 @@ from qconsensus.quantum import (
 def reconstruct(coeffs: np.ndarray, d: int = 2) -> np.ndarray:
     """Inverse of :func:`decompose` (includes the 1/d^N prefactor)."""
     coeffs = np.asarray(coeffs, dtype=float)
-    n = _sites_of(coeffs.size, d * d)
+    n = 0
+    while (d * d) ** n < coeffs.size:
+        n += 1
     basis = gellmann_basis(d)
     h = basis.reshape(d * d, d * d).T / d
     t = coeffs.reshape((d * d,) * n).astype(complex)
@@ -88,6 +90,7 @@ def rk4_evolve(rho0, h0, gens, weights, t_final, dt=1e-3, d=2, store_every=1):
     steps = check_steps(t_final, dt, store_every)
     weights = check_weights([weights], len(gens))[0]
     rho0 = np.asarray(rho0, dtype=complex)
+    check_state(rho0, gens.n, d)
     dim = rho0.shape[0]
     stored_idx = list(range(0, steps, store_every)) + [steps]
     states = np.empty((len(stored_idx), dim, dim), dtype=complex)

@@ -8,12 +8,14 @@ here exercise both directions of that dictionary.
 
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qconsensus.cli import _load_rho0
 from qconsensus.induced import act_on_tabloid, induced_laplacian
 from qconsensus.permgroup import (
     CapExceededError,
@@ -398,6 +400,49 @@ def test_evolve_flags_exploding_step():
     rho0 = generic_state(2, 2, seed=3)
     with pytest.raises(StepSizeError):
         evolve(rho0, None, swap2(), [1.0], t_final=60.0, dt=5.0)
+
+
+def test_every_state_reader_rejects_the_same_bad_states(tmp_path):
+    gens, w = g13(), [0.3, 0.1]
+
+    def load(rho):
+        path = tmp_path / "rho.txt"
+        path.write_text("".join(" ".join(map(str, row)) + "\n" for row in rho))
+        return _load_rho0(str(path), 2, 3)
+
+    # readers of one state on g1-3, readers of one state of any N, and
+    # readers of a stack of states
+    one_at_n = [
+        lambda rho: lindblad_rhs(rho, None, gens, w),
+        lambda rho: evolve(rho, None, gens, w, t_final=0.01),
+        lambda rho: next(evolve_chunks(rho, None, gens, w, t_final=0.01)),
+        lambda rho: symmetric_state(rho, gens.perms),
+    ]
+    one = [decompose, check_density]
+    stack = [lambda rho: reduced_state(rho, 1), sync_distance]
+
+    def shape_fault(shape):
+        return rf"state shape {re.escape(str(shape))} is not \(\.\.\., d\^N, d\^N\) at d=2$"
+
+    bad_shapes = [np.array(1.0), np.ones(8), np.zeros((0, 0)), np.zeros((8, 4)),
+                  np.eye(6) / 6.0]
+    faults = [(rho, shape_fault(rho.shape), one_at_n + one + stack) for rho in bad_shapes]
+    faults += [
+        (np.zeros((4, 4)), r"state size 4 is not d\^N = 2\^3$", one_at_n),
+        (np.zeros((2, 8, 8)), r"one state required, got shape \(2, 8, 8\)$", one_at_n + one),
+    ]
+    for rho, message, readers in faults:
+        for call in readers:
+            with pytest.raises(ValueError, match=f"^{message}"):
+                call(rho)
+    # the CLI's --rho0 reader, on the states a text file can hold; an empty
+    # file is a 1-d array of length 0
+    for rho, message in ((np.zeros((8, 4)), shape_fault((8, 4))),
+                         (np.eye(6) / 6.0, shape_fault((6, 6))),
+                         (np.zeros((4, 4)), r"state size 4 is not d\^N = 2\^3$"),
+                         ([], shape_fault((0,)))):
+        with pytest.raises(ValueError, match=f": bad initial state: {message}"):
+            load(rho)
 
 
 # --- symmetric state and observables ---

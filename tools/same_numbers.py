@@ -11,7 +11,10 @@ objectives, seeds 0 and 1, on g1-4 also 2 and 3) and ``pareto`` on the
 four presets and on ring+swap for N = 3..7 at d = 2 and 3, at fixed
 weights and seeds, and ``simulate`` to t = 2 (stdout and trajectory CSV)
 on g1-3, g1-4 and g3-3 at d = 2 and g1-3 at d = 3, seeds 0 and 3, plus
-one g1-3 run each with ``--h0 zsum`` and ``--store-every 1``, ``rates``
+one g1-3 run each with ``--h0 zsum`` and ``--store-every 1``, ``simulate``
+on g1-3 from ``--rho0`` files (one valid 8x8 state, and a 4x4 state,
+eight rows of four, a ragged row, an empty file and trace 2, each exit 2
+with nothing printed), ``rates``
 and both ``spectrum`` modes on g1-3 at weights 1e308 that overflow, the
 same three and ``simulate`` on g1-3 at a negative, a nan and a missing
 weight (exit 2, nothing printed), and ``optimize`` (both objectives,
@@ -78,6 +81,21 @@ def commands(work):
             "--out", "@CSV")
     cmds.append(base + ("--h0", "zsum"))
     cmds.append(base + ("--store-every", "1"))
+
+    # --rho0 files: one valid state, then files the state reader refuses
+    a = np.random.default_rng(20261019).normal(size=(8, 8, 2)) @ [1.0, 1.0j]
+    rho = a @ a.conj().T
+    rho0s = {"valid": rho / np.trace(rho).real, "4x4": np.eye(4) / 4,
+             "8-by-4": np.full((8, 4), 0.125), "ragged": np.eye(8) / 8,
+             "empty": np.zeros((0, 0)), "trace-2": np.eye(8) / 4}
+    for name, rho in rho0s.items():
+        rows = [" ".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in row) for row in rho]
+        if name == "ragged":
+            rows[3] = rows[3].rpartition(" ")[0]
+        path = os.path.join(work, f"rho0-{name}.txt")
+        with open(path, "w") as fh:
+            fh.write("".join(row + "\n" for row in rows))
+        cmds.append(base + ("--rho0", path))
 
     # finite weights whose Laplacians overflow: exit 3 before any output
     base = ("g1-3", "--weights", "1e308,1e308")
