@@ -330,6 +330,9 @@ def _load_rho0(path: str, d: int, n: int) -> np.ndarray:
                 try:
                     toks = [tok.partition(",") for tok in line.split()]
                     rows.append([complex(float(a), float(b or 0)) for a, _, b in toks])
+                    if len(rows[-1]) != len(rows[0]):
+                        raise ValueError(f"{len(rows[-1])} entries where the first row "
+                                         f"has {len(rows[0])}")
                 except ValueError as exc:
                     raise ValueError(f"line {lineno}: {exc}") from exc
         rho = np.array(rows, dtype=complex)

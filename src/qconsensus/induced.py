@@ -34,6 +34,7 @@ from .permgroup import (
     CapExceededError,
     GeneratorSet,
     Permutation,
+    check_d,
     check_weights,
 )
 
@@ -81,8 +82,7 @@ def partitions_of(n: int, max_parts: int) -> list[Partition]:
 def rate_shapes(n: int, d: int) -> list[Partition]:
     """The shapes of every rate at site dimension d: at most d*d rows, most
     dominant first, so the (n-1, 1) site graph of lambda_synch leads."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    check_d(d)
     return partitions_of(n, d * d)
 
 

@@ -157,6 +157,14 @@ def check_weights(w_batch, m: int) -> np.ndarray:
     return w
 
 
+def check_d(d) -> None:
+    """ValueError unless the site dimension d is an integer >= 2 (the one d rule)."""
+    if not isinstance(d, (int, np.integer)):
+        raise ValueError(f"d must be an integer, got {d!r}")
+    if d < 2:
+        raise ValueError("d must be >= 2")
+
+
 def generator_set(
     n: int,
     cycles: list[list[list[int]]],

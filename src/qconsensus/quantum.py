@@ -9,13 +9,17 @@ of site j to site p(j); equivalently it conjugates an elementary tensor
 Q_1 x ... x Q_N into the tensor with Q_{p^{-1}(k)} at slot k.  With that
 orientation the coefficient vector of rho in the tensor-product
 Gell-Mann basis obeys dX/dt = -L X for the same pull-rule Laplacian the
-induced graphs use, which is what :func:`build_lq` assembles and what
+induced graphs use, which is what :func:`build_lq` returns and what
 the cross-validation tests lean on.
 
 States are plain dense numpy arrays and every U_p acts on them as an
-index gather (:func:`_pull_map`); :func:`evolve` folds those gathers
-into one sparse RK4 step operator.  Sites are 1-based and d is the
-per-site dimension.
+index gather (:func:`_pull_map`).  :func:`_generator` builds the
+equation's generator S once, sparse on row-major vec(rho): :func:`evolve`
+powers it into an RK4 step, :func:`build_lq` is -S reindexed by the
+:func:`_interleave` map that :func:`decompose` reads too, and
+:func:`symmetric_state` averages over the :func:`_components` of its
+pattern.  :func:`lindblad_rhs` applies the gathers without S.  Sites are
+1-based and d, the per-site dimension, passes ``permgroup.check_d``.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .permgroup import CapExceededError, GeneratorSet, Permutation, check_weights
+from .permgroup import CapExceededError, GeneratorSet, Permutation, check_d, check_weights
 
 EVOLVE_DIM_CAP = 256
 LQ_DIM_CAP = 4096
@@ -43,6 +47,7 @@ class InsufficientDecayError(RuntimeError):
 def state_sites(rho, d: int) -> int:
     """N of a state or stack of states whose last two axes are d^N x d^N, else
     ValueError: the one state rule, which every state reader checks first."""
+    check_d(d)
     shape = np.shape(rho)
     side = shape[-1] if len(shape) > 1 and shape[-2] == shape[-1] else 0
     n = next((k for k in range(side.bit_length()) if d**k == side), None)
@@ -68,8 +73,7 @@ def gellmann_basis(d: int) -> np.ndarray:
     which for d = 2 gives exactly the identity plus the three Pauli
     matrices.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    check_d(d)
     mats = [np.eye(d, dtype=complex)]
     s = math.sqrt(d / 2.0)
     for j in range(d):
@@ -105,9 +109,7 @@ def decompose(rho: np.ndarray, d: int = 2) -> np.ndarray:
     # contraction matrix M[a, i*d+j] = b_a[j, i] so that the trace pairing
     # tr(rho b) = sum_ij rho[i,j] b[j,i] is a flat dot product per site
     m = np.transpose(basis, (0, 2, 1)).reshape(d * d, d * d)
-    t = rho.reshape((d,) * (2 * n))
-    order = [ax for k in range(n) for ax in (k, k + n)]
-    t = np.transpose(t, order).reshape((d * d,) * n)
+    t = rho.reshape(-1)[_interleave(n, d)].reshape((d * d,) * n)
     for _ in range(n):
         t = np.tensordot(t, m, axes=([0], [1]))
     flat = t.reshape(-1)
@@ -134,6 +136,13 @@ def _pull_map(p: Permutation, base: int) -> np.ndarray:
     return s
 
 
+def _interleave(n: int, d: int) -> np.ndarray:
+    """Row-major vec(rho) index of each Gell-Mann multi-index: the pull map of
+    the digit shuffle (1, 3, .., 2N-1, 2, 4, .., 2N) at base d, so multi-index
+    digit k, a_k*d + b_k, pairs row digit a_k with column digit b_k."""
+    return _pull_map(tuple(range(1, 2 * n, 2)) + tuple(range(2, 2 * n + 1, 2)), d)
+
+
 def lindblad_rhs(
     rho: np.ndarray,
     h0: np.ndarray | None,
@@ -143,6 +152,7 @@ def lindblad_rhs(
 ) -> np.ndarray:
     """Right-hand side of the master equation at one state."""
     weights = check_weights([weights], len(gens))[0]
+    rho = np.asarray(rho)
     check_state(rho, gens.n, d)
     out = np.zeros_like(rho, dtype=complex)
     if h0 is not None:
@@ -261,51 +271,63 @@ def evolve_chunks(
         yield times[start:start + len(chunk)], chunk
 
 
-def _step_operator(h0, gens: GeneratorSet, weights, dt: float, d: int):
-    """One RK4 step T4(dt*S) as a CSR matrix acting on row-major vec(rho).
+def _generator(perms, weights, n: int, d: int, h0=None):
+    """S = sum_p w_p (P_p - I) - i (H0 x I - I x H0^T) as a CSR matrix on
+    row-major vec(rho), P_p the gather rho[s[a], s[b]] of :func:`_pair_map`.
 
-    S = sum_p w_p (P_p - I) - i (H0 x I - I x H0^T), where P_p is the
-    gather rho[s[a], s[b]] of :func:`_pull_map`; real when H0 is None.
-    Horner form I + hS(I + hS/2(I + hS/3(I + hS/4))).
+    The one builder of the master equation.  Row x stores, in generator
+    order, w_p at the entry P_p reads for each p that moves x, then minus
+    their sum, added in the same order, on the diagonal; so S @ 1 is
+    exactly 0 when H0 is None, and S is then real.  Zero weights and
+    entries that no generator moves store nothing.
     """
     from scipy import sparse
 
-    dim = d**gens.n
-    n = dim * dim
-    indptr = np.arange(n + 1, dtype=np.int32)
-    eye = sparse.csr_array((np.ones(n), indptr[:-1], indptr), shape=(n, n))
-    s = -float(weights.sum()) * eye
-    for p, w in zip(gens.perms, weights):
-        if w != 0.0:
-            cols = _pair_map(_pull_map(p, d)).astype(np.int32)
-            s = s + sparse.csr_array((np.full(n, w), cols, indptr), shape=(n, n))
+    size = d ** (2 * n)
+    x = np.arange(size)
+    live = [(p, w) for p, w in zip(perms, weights) if w != 0.0]
+    cols = np.stack([_pair_map(_pull_map(tuple(p), d)) for p, _ in live] + [x], axis=1)
+    vals = np.where(cols != x[:, None], [w for _, w in live] + [0.0], 0.0)
+    vals[:, -1] = -np.cumsum(vals, axis=1)[:, -1]  # sequential, in generator order
+    keep = vals != 0.0
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    s = sparse.csr_array((vals[keep], cols[keep], indptr), shape=(size, size))
     if h0 is not None:
         h = sparse.csr_array(np.asarray(h0, dtype=complex))
-        one = sparse.identity(dim, format="csr")
+        one = sparse.eye_array(d**n, format="csr")
         s = s - 1j * (sparse.kron(h, one, format="csr")
                       - sparse.kron(one, h.T, format="csr"))
-    hs = dt * s
+    return s
+
+
+def _step_operator(h0, gens: GeneratorSet, weights, dt: float, d: int):
+    """One RK4 step T4(dt*S) of :func:`_generator`'s S as a CSR matrix, in
+    Horner form I + hS(I + hS/2(I + hS/3(I + hS/4)))."""
+    from scipy import sparse
+
+    hs = dt * _generator(gens.perms, weights, gens.n, d, h0)
+    eye = sparse.eye_array(hs.shape[0], format="csr")
     t = eye + hs / 4.0
     for j in (3.0, 2.0, 1.0):
-        t = (hs / j) @ t
-        t.setdiag(t.diagonal() + 1.0)  # in place where the diagonal is stored
+        t = (hs / j) @ t + eye
     return t
 
 
 def _no_fill(t) -> bool:
     """True iff T's pattern is a disjoint union of dense blocks, so that
     every power of T keeps its pattern: sum |B|^2 == nnz over the weakly
-    connected components B of the pattern."""
-    rows = np.repeat(np.arange(t.shape[0], dtype=np.int32), np.diff(t.indptr))
-    sizes = np.bincount(_min_labels(t.shape[0], rows, t.indices)).astype(np.int64)
+    connected components B of the pattern (:func:`_components`)."""
+    sizes = np.bincount(_components(t)).astype(np.int64)
     return int((sizes * sizes).sum()) == t.nnz
 
 
-def _min_labels(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Each of nodes 0..n-1 labelled with the smallest node of its weakly
-    connected component under the edges (rows[i], cols[i]), by min-label
+def _components(t) -> np.ndarray:
+    """Each row of the square CSR matrix T labelled with the smallest row of
+    its weakly connected component under T's pattern, by min-label
     propagation with pointer jumping."""
-    label = np.arange(n, dtype=np.int32)
+    rows = np.repeat(np.arange(t.shape[0], dtype=np.int32), np.diff(t.indptr))
+    cols = t.indices
+    label = np.arange(t.shape[0], dtype=np.int32)
     while True:
         low = np.minimum(label[rows], label[cols])
         new = label.copy()
@@ -376,18 +398,16 @@ def symmetric_state(rho: np.ndarray, perms, d: int = 2) -> np.ndarray:
     """Group average (1/|G|) sum_g U_g rho U_g^dag over the group G = <perms>.
 
     ``perms`` may generate G or be G; G is never enumerated.  The orbits
-    of the entries (a, b) under the gathers of :func:`_pair_map` are the
-    components of :func:`_min_labels`, and the orbit mean
+    of the entries (a, b) of rho are the :func:`_components` of the
+    pattern of :func:`_generator` at unit weights, and the orbit mean
     (orbit-stabilizer) is the group average: the consensus target,
     invariant under every U_g.
     """
     rho = np.asarray(rho, dtype=complex)
     for n in {len(p) for p in perms} or {state_sites(rho, d)}:
         check_state(rho, n, d)
-    maps = [_pull_map(tuple(p), d) for p in perms]
-    rows = np.tile(np.arange(rho.size, dtype=np.int32), len(maps))
-    cols = np.concatenate([_pair_map(s) for s in maps] or [rows])
-    label, flat = _min_labels(rho.size, rows, cols), rho.ravel()
+    label = _components(_generator(perms, np.ones(len(perms)), n, d))
+    flat = rho.ravel()
     sums = np.bincount(label, flat.real) + 1j * np.bincount(label, flat.imag)
     return (sums[label] / np.bincount(label)[label]).reshape(rho.shape)
 
@@ -446,22 +466,16 @@ def build_lq(gens: GeneratorSet, weights, d: int = 2) -> np.ndarray:
 
     Row nu couples to nu o p (entry -w) for every generator p: the same
     pull rule as the induced graphs, of which this matrix is the direct
-    sum over index-pattern classes.
+    sum over index-pattern classes.  It is -S of :func:`_generator`,
+    dense, with rows and columns reindexed by :func:`_interleave`.
     """
     weights = check_weights([weights], len(gens))[0]
-    q = d * d
-    dim = q**gens.n
+    check_d(d)
+    dim = (d * d) ** gens.n
     if dim > LQ_DIM_CAP:
         raise CapExceededError(f"coefficient dimension {dim} exceeds cap {LQ_DIM_CAP}")
-    idx = np.arange(dim)
-    L = np.zeros((dim, dim))
-    for p, w in zip(gens.perms, weights):
-        target = _pull_map(p, q)
-        moved = target != idx
-        rows = idx[moved]
-        L[rows, target[moved]] -= w
-        L[rows, rows] += w
-    return L
+    pull = _interleave(gens.n, d)
+    return (-_generator(gens.perms, weights, gens.n, d)[pull][:, pull]).toarray()
 
 
 def frobenius_distances(states: np.ndarray, reference: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
-"""Dense references the tests compare the package against.
+"""References the tests compare the package against.
 
 None of these runs in the package: the dynamics applies one sparse RK4
-step operator, and the rates read the irrep blocks of ``induced``.
+step operator, ``build_lq`` reindexes the sparse generator, and the
+rates read the irrep blocks of ``induced``.
 """
 
 import numpy as np
@@ -16,6 +17,8 @@ from qconsensus.permgroup import (
 from qconsensus.quantum import (
     StepSizeError,
     Trajectory,
+    _components,
+    _generator,
     _pull_map,
     check_state,
     check_steps,
@@ -73,6 +76,54 @@ def cayley_laplacian(gens: GeneratorSet, weights=None) -> np.ndarray:
             L[i, i] += w
             L[i, j] -= w
     return L
+
+
+def dense_lq(gens: GeneratorSet, weights, d: int = 2) -> np.ndarray:
+    """Laplacian of the coefficient dynamics on all d^(2N) multi-indices,
+    one dense scatter per generator: row nu gets -w at nu o p and +w on the
+    diagonal for every generator p that moves nu (the pull rule of
+    ``_pull_map`` at base d*d)."""
+    weights = check_weights([weights], len(gens))[0]
+    q = d * d
+    idx = np.arange(q**gens.n)
+    L = np.zeros((idx.size, idx.size))
+    for p, w in zip(gens.perms, weights):
+        target = _pull_map(p, q)
+        moved = target != idx
+        rows = idx[moved]
+        L[rows, target[moved]] -= w
+        L[rows, rows] += w
+    return L
+
+
+def sparse_lambda_cons(gens: GeneratorSet, weights, d: int = 2) -> float:
+    """lambda_cons as the slowest nonzero decay of the master equation's
+    generator S (``quantum._generator``), by ARPACK, with no irrep involved.
+
+    At positive weights the kernel of S is spanned by the indicators of the
+    orbits of the entries of rho, the components of S's pattern.  With Pi
+    the projector that removes them, S Pi - sigma (I - Pi) at sigma = 2W + 1
+    moves the kernel below every other eigenvalue (whose real parts lie in
+    [-2W, 0) by Gershgorin), so its rightmost eigenvalue is -lambda_cons.
+    """
+    from scipy.sparse.linalg import LinearOperator, eigs
+
+    weights = check_weights([weights], len(gens))[0]
+    s = _generator(gens.perms, weights, gens.n, d)
+    _, orbit = np.unique(_components(s), return_inverse=True)
+    size = np.bincount(orbit)
+    sigma = 2.0 * weights.sum() + 1.0
+
+    def matvec(v):
+        v = np.ravel(v)
+        mean = (np.bincount(orbit, v) / size)[orbit]
+        return s @ (v - mean) - sigma * mean
+
+    op = LinearOperator(s.shape, matvec=matvec, dtype=float)
+    v0 = np.random.default_rng(0).random(s.shape[0])
+    vals = eigs(op, k=6, which="LR", ncv=40, tol=1e-13, v0=v0,
+                return_eigenvectors=False)
+    return -float(vals.real.max())
 
 
 def rk4_step(rho, h0, gens, weights, dt, d=2):

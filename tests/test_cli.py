@@ -607,9 +607,10 @@ def test_simulate_rejects_bad_rho0(tmp_path, capsys):
 @pytest.mark.parametrize("content,message", [
     (None, "i/o error: "),
     ("0.5 0\n0 x\n", "@: bad initial state: line 2: could not convert string to float: 'x'"),
+    ("0.5 0\n# a comment\n0\n", "@: bad initial state: line 3: 1 entries where the first row has 2"),
     ("0.25 0 0 0\n0 0.25 0 0\n0 0 0.25 0\n0 0 0 0.25\n",
      "@: bad initial state: state size 4 is not d^N = 2^3"),
-], ids=["missing", "non-numeric", "4x4-for-three-qubits"])
+], ids=["missing", "non-numeric", "ragged", "4x4-for-three-qubits"])
 def test_simulate_bad_rho0_rejected_before_output(tmp_path, capsys, content, message):
     rho_file = tmp_path / "rho.txt"
     if content is not None:

@@ -84,6 +84,8 @@ def test_rate_shapes_start_at_the_site_graph():
     for d in (1, 0, -2):
         with pytest.raises(ValueError, match=r"^d must be >= 2$"):
             rate_shapes(4, d)
+    with pytest.raises(ValueError, match=r"^d must be an integer, got 2.0$"):
+        rate_shapes(4, 2.0)
 
 
 @given(st.integers(min_value=2, max_value=8))

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qconsensus.cli import _load_rho0
+from qconsensus.cli import _load_rho0, load_topology
 from qconsensus.induced import act_on_tabloid, induced_laplacian
 from qconsensus.permgroup import (
     CapExceededError,
@@ -43,9 +43,9 @@ from qconsensus.quantum import (
     sync_distance,
     uniform_site_hamiltonian,
 )
-from qconsensus.quantum import _no_fill, _step_operator
+from qconsensus.quantum import LQ_DIM_CAP, _generator, _no_fill, _step_operator
 from qconsensus.spectra import eigenvalues, multiset_contained
-from reference import permutation_unitary, reconstruct, rk4_evolve, rk4_step
+from reference import dense_lq, permutation_unitary, reconstruct, rk4_evolve, rk4_step
 
 
 def swap2():
@@ -445,6 +445,36 @@ def test_every_state_reader_rejects_the_same_bad_states(tmp_path):
             load(rho)
 
 
+def test_every_d_reader_rejects_the_same_bad_d():
+    # the d rule runs before any shape is read: without it a 1x1 state at
+    # d=1 reads as N=0, a 4x4 state at d=-2 as N=2, and build_lq at d=1
+    # is a 1x1 zero matrix
+    gens = g13()
+    readers = [
+        lambda d: lindblad_rhs(np.eye(1), None, gens, [0.3, 0.1], d=d),
+        lambda d: reduced_state(np.eye(4) / 4, 1, d=d),
+        lambda d: decompose(np.eye(4) / 4, d=d),
+        lambda d: symmetric_state(np.eye(4) / 4, [], d=d),
+        lambda d: build_lq(gens, [0.3, 0.1], d=d),
+        gellmann_basis,
+    ]
+    for d in (1, 0, -2):
+        for call in readers:
+            with pytest.raises(ValueError, match=r"^d must be >= 2$"):
+                call(d)
+    for d in (2.0, "2"):
+        for call in readers:
+            with pytest.raises(ValueError, match=r"^d must be an integer, got "):
+                call(d)
+
+
+def test_rhs_converts_a_nested_list_state():
+    rng = np.random.default_rng(22)
+    rho = random_density(rng, 8)
+    got = lindblad_rhs(rho.tolist(), None, g13(), [0.3, 0.1])
+    np.testing.assert_array_equal(got, lindblad_rhs(rho, None, g13(), [0.3, 0.1]))
+
+
 # --- symmetric state and observables ---
 
 
@@ -639,6 +669,48 @@ def test_lq_matches_rhs_on_random_state():
     lhs = decompose(lindblad_rhs(rho, None, gens, w))
     lq = build_lq(gens, w)
     assert_allclose(lhs, -(lq @ decompose(rho)), atol=1e-12)
+
+
+def lq_cases():
+    """The presets at the weights of ``tools/same_numbers.py``, ring+swap on 3 to
+    5 sites at its three draws, five generators on 4 sites (once with a zero
+    weight), and three equal generators, whose weights sum in one entry in
+    generator order."""
+    presets = {
+        "g1-3": [(0.3, 0.1), (0.2, 0.2), (0.05, 0.41)],
+        "g2-3": [(0.2, 0.2, 0.2), (0.3, 0.1, 0.25), (0.01, 0.7, 0.02)],
+        "g3-3": [(0.3, 0.4), (0.25, 0.25), (0.9, 0.01)],
+        "g1-4": [(0.1, 0.1, 0.1), (0.11, 0.13, 0.17), (0.46, 0.29, 0.29),
+                 (0.1, 0.2, 0.15)],
+    }
+    for name, draws in presets.items():
+        for w in draws:
+            yield load_topology(name).gens, w
+    for n in range(3, 6):
+        for w in 1.0 - np.random.default_rng(20261018).random((3, 2)):
+            yield ring_swap(n), w
+    five = generator_set(4, [[[1, 2, 3, 4]], [[1, 2]], [[3, 4]], [[1, 3, 2]], [[2, 4]]])
+    yield five, [0.1, 0.2, 0.3, 0.15, 0.05]
+    yield five, [0.1, 0.0, 0.3, 0.15, 0.05]
+    yield generator_set(3, [[[1, 2]], [[1, 2]], [[1, 2]], [[2, 3]]]), [0.1, 0.2, 0.3, 0.7]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_lq_is_the_dense_scatter_bit_for_bit(d):
+    # build_lq reindexes the sparse generator; the reference scatters each
+    # generator into a dense matrix on the multi-indices
+    for gens, w in lq_cases():
+        if (d * d) ** gens.n <= LQ_DIM_CAP:
+            np.testing.assert_array_equal(build_lq(gens, w, d=d), dense_lq(gens, w, d=d))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_generator_rows_sum_to_exactly_zero(d):
+    for gens, w in lq_cases():
+        if (d * d) ** gens.n <= LQ_DIM_CAP:
+            s = _generator(gens.perms, w, gens.n, d)
+            assert s.dtype == float
+            assert np.all(s @ np.ones(s.shape[0]) == 0.0)
 
 
 def test_lq_rejects_oversized_index_space():

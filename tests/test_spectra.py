@@ -37,6 +37,7 @@ from qconsensus.spectra import (
     rate_structure,
     rates_coincide,
 )
+from reference import sparse_lambda_cons
 
 
 def g13():
@@ -263,6 +264,22 @@ def ring_swap(n):
 def slowest_nonzero_of_build_lq(gens, w, d=2):
     vals = eigenvalues(build_lq(gens, w, d=d))
     return vals[np.abs(vals) > 1e-9].real.min()
+
+
+@pytest.mark.parametrize("make, w, d", [
+    (lambda: ring_swap(5), [0.3, 0.2], 2),
+    (lambda: ring_swap(6), [0.71, 0.05], 2),
+    (lambda: ring_swap(7), [0.3, 0.2], 2),
+    (g14, [0.11, 0.13, 0.17], 2),
+    (g14, [0.46, 0.29, 0.29], 3),
+    (lambda: ring_swap(4), [0.3, 0.2], 3),
+], ids=["ring-swap-5", "ring-swap-6", "ring-swap-7", "g1-4", "g1-4-d3", "ring-swap-4-d3"])
+def test_cons_is_the_sparse_generators_slowest_mode(make, w, d):
+    # an oracle past the dense cap that shares no code with Young's form:
+    # ARPACK on the master equation's generator with its kernel deflated
+    gens = make()
+    assert_allclose(convergence_rates(gens, w, d=d).lambda_cons,
+                    sparse_lambda_cons(gens, w, d), rtol=1e-12)
 
 
 @pytest.mark.parametrize("make, w, expected", [
