@@ -138,7 +138,7 @@ def parse_topology(text: str, source: str = "<topology>") -> TopologySpec:
             elif key == "generator":
                 if "weight" not in value:
                     raise ValueError("missing 'weight <label-or-number>'")
-                cyc_part, _, w_part = value.rpartition("weight")
+                cyc_part, _, w_part = value.partition("weight")
                 raw_gens.append((lineno, cyc_part.strip(), w_part.strip()))
             else:
                 raise ValueError(f"unknown key {key!r}")

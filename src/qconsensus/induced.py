@@ -3,10 +3,11 @@ set induces on them.
 
 A tabloid of shape ``parts`` is stored as a ``row_of`` tuple: position k
 (1-based) sits in row ``row_of[k-1]``.  A permutation p acts by pulling
-row labels along positions, ``(t . p)[k] = t[p(k)]``; the induced
-Laplacian applies the same attend-to-image rule as the site-label
-Laplacian in :mod:`qconsensus.netgraph`, so the shape ``(n-1, 1)`` graph
-is that Laplacian up to relabeling vertices by their singleton position.
+row labels along positions, ``(t . p)[k] = t[p(k)]``, which is
+``permgroup.compose(t, p)``; the induced Laplacian applies the same
+attend-to-image rule as the site-label Laplacian in
+:mod:`qconsensus.netgraph`, so the shape ``(n-1, 1)`` graph is that
+Laplacian up to relabeling vertices by their singleton position.
 
 Partitions compare in the dominance order (prefix sums); enumeration
 orders are fixed (descending lexicographic for partitions, ascending
@@ -23,7 +24,6 @@ the irrep's dimension instead of the orbit's.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -36,6 +36,7 @@ from .permgroup import (
     Permutation,
     check_d,
     check_weights,
+    orbit,
 )
 
 Partition = tuple[int, ...]
@@ -105,17 +106,22 @@ def enumerate_tabloids(parts: Partition) -> list[Tabloid]:
     return sorted(set(permutations(canonical_tabloid(parts))))
 
 
-def act_on_tabloid(t: Tabloid, p: Permutation) -> Tabloid:
-    """Pull action: position k of the image takes the row of position p(k)."""
-    return tuple(t[p[k] - 1] for k in range(len(p)))
+def check_partition(parts: Partition, n: int) -> None:
+    """ValueError unless ``parts`` is a partition of n: positive integers,
+    non-increasing, summing to n (the one partition rule)."""
+    if not all(isinstance(k, (int, np.integer)) and k >= 1 for k in parts):
+        raise ValueError(f"partition parts must be positive integers, got {parts}")
+    if any(a < b for a, b in zip(parts, parts[1:])):
+        raise ValueError(f"partition parts must not increase, got {parts}")
+    if sum(parts) != n:
+        raise ValueError(f"partition {parts} does not partition {n}")
 
 
 def canonical_tabloid(parts: Partition) -> Tabloid:
     """Positions filled row-wise ascending: 1..parts[0] in row 1, and so on."""
+    check_partition(parts, sum(parts))
     out: list[int] = []
     for row, count in enumerate(parts, start=1):
-        if count < 1:
-            raise ValueError("partition parts must be positive")
         out.extend([row] * count)
     return tuple(out)
 
@@ -123,26 +129,11 @@ def canonical_tabloid(parts: Partition) -> Tabloid:
 def tabloid_orbit(
     parts: Partition, gens: GeneratorSet
 ) -> tuple[tuple[Tabloid, ...], np.ndarray]:
-    """One shape's sorted canonical-tabloid orbit (every tabloid under S_N)
-    and its (V, m) table of image indices: generator g moves vertex i to
-    vertex ``img[i, g]``.  An orbit past ``DEFAULT_GROUP_CAP`` tabloids
-    raises :class:`CapExceededError`."""
-    if sum(parts) != gens.n:
-        raise ValueError(f"partition {parts} does not partition {gens.n}")
-    images: dict[Tabloid, list[Tabloid]] = {}
-    queue: deque[Tabloid] = deque([canonical_tabloid(parts)])
-    while queue:
-        t = queue.popleft()
-        if t in images:
-            continue
-        if len(images) == DEFAULT_GROUP_CAP:
-            raise CapExceededError(f"orbit of {parts} exceeds cap {DEFAULT_GROUP_CAP}")
-        images[t] = [act_on_tabloid(t, p) for p in gens.perms]
-        queue.extend(images[t])
-    verts = sorted(images)
-    index = {t: i for i, t in enumerate(verts)}
-    img = np.array([[index[u] for u in images[t]] for t in verts], dtype=np.intp)
-    return tuple(verts), img
+    """One shape's sorted :func:`~qconsensus.permgroup.orbit` of its canonical
+    tabloid (every tabloid under S_N) with its (V, m) image table, raising
+    :class:`CapExceededError` past ``DEFAULT_GROUP_CAP`` tabloids."""
+    check_partition(parts, gens.n)
+    return orbit(canonical_tabloid(parts), gens, DEFAULT_GROUP_CAP)
 
 
 @dataclass(frozen=True)
@@ -205,6 +196,7 @@ def standard_tableaux(parts: Partition) -> list[Tabloid]:
 def irrep_dim(parts: Partition) -> int:
     """Number of standard tableaux of shape ``parts``, by the hook length
     formula: n! over the product of every box's hook."""
+    check_partition(parts, sum(parts))
     cols = [sum(1 for r in parts if r > c) for c in range(parts[0])]
     hooks = math.prod(r - c + cols[c] - i - 1 for i, r in enumerate(parts) for c in range(r))
     return math.factorial(sum(parts)) // hooks
@@ -285,8 +277,7 @@ def irrep_block(parts: Partition, gens: GeneratorSet) -> IrrepBlock:
     invariant, so the block acts there in an orthonormal basis; without
     fixed vectors it keeps the tableau basis.
     """
-    if sum(parts) != gens.n:
-        raise ValueError(f"partition {parts} does not partition {gens.n}")
+    check_partition(parts, gens.n)
     rho = young_orthogonal(parts, gens.perms)
     eye = np.eye(rho.shape[1])
     coeffs = eye - rho

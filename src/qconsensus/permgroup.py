@@ -175,29 +175,36 @@ def generator_set(
     return GeneratorSet(n=n, perms=perms, labels=tuple(labels) if labels else ())
 
 
+def orbit(
+    x: tuple[int, ...], gens: GeneratorSet, cap: int = DEFAULT_GROUP_CAP
+) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """Sorted orbit of the word ``x`` under y -> compose(y, p), p in the
+    generators, and its (V, m) image table: generator g moves point i to
+    ``img[i, g]``.  The one closure: a group is the orbit of the identity,
+    a shape's graph that of its canonical tabloid.  Past ``cap`` points
+    raises :class:`CapExceededError`."""
+    images: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    queue: deque[tuple[int, ...]] = deque([tuple(x)])
+    while queue:
+        y = queue.popleft()
+        if y in images:
+            continue
+        if len(images) == cap:
+            raise CapExceededError(f"orbit of {tuple(x)} exceeds cap {cap}")
+        images[y] = [compose(y, p) for p in gens.perms]
+        queue.extend(images[y])
+    points = sorted(images)
+    index = {y: i for i, y in enumerate(points)}
+    img = np.array([[index[u] for u in images[y]] for y in points], dtype=np.intp)
+    return tuple(points), img
+
+
 def generate_group(
     gens: GeneratorSet, cap: int = DEFAULT_GROUP_CAP
 ) -> set[Permutation]:
-    """Breadth-first closure of the generators under composition.
-
-    Raises :class:`CapExceededError` as soon as the closure would grow
-    past ``cap`` elements.
-    """
-    start = identity(gens.n)
-    group: set[Permutation] = {start}
-    queue: deque[Permutation] = deque([start])
-    while queue:
-        x = queue.popleft()
-        for s in gens.perms:
-            y = compose(x, s)
-            if y not in group:
-                if len(group) + 1 > cap:
-                    raise CapExceededError(
-                        f"generated group exceeds cap of {cap} elements"
-                    )
-                group.add(y)
-                queue.append(y)
-    return group
+    """The group the generators generate, as the :func:`orbit` of the
+    identity; past ``cap`` elements raises :class:`CapExceededError`."""
+    return set(orbit(identity(gens.n), gens, cap)[0])
 
 
 def is_full_symmetric(gens: GeneratorSet) -> bool:

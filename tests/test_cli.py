@@ -94,6 +94,25 @@ def test_invented_label_skips_later_symbolic_label():
     assert list(resolve_weights(spec, "0.1")) == [0.25, 0.1]
 
 
+def test_weight_labels_may_contain_the_word_weight(tmp_path, capsys):
+    # the cycles never contain "weight", so the line splits at its first one
+    text = (
+        "name: t\nN: 3\n"
+        "generator: (1 2 3) weight weight1\n"
+        "generator: (1 2) weight heavyweight\n"
+    )
+    spec = parse_topology(text)
+    assert spec.gens.labels == ("weight1", "heavyweight")
+    assert spec.gens.perms == ((2, 3, 1), (2, 1, 3))
+    path = tmp_path / "labels.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "rates", str(path), "--weights", "0.3,0.1")
+    assert code == 0, err
+    assert "weight1=0.3" in out and "heavyweight=0.1" in out
+    fixed = parse_topology("name: t\nN: 3\ngenerator: (1 2) weight 0.25\n")
+    assert fixed.fixed == {"w1": 0.25}
+
+
 def test_parse_topology_disjoint_cycles_one_generator():
     text = "name: t\nN: 4\ngenerator: (1 2)(3 4) weight wd\n"
     spec = parse_topology(text)

@@ -14,9 +14,9 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from qconsensus.induced import (
-    act_on_tabloid,
     canonical_tabloid,
     check_block_cap,
+    check_partition,
     dominates,
     enumerate_tabloids,
     induced_laplacian,
@@ -147,19 +147,41 @@ def test_canonical_tabloid_fills_rows_in_order():
     assert canonical_tabloid((3, 1, 1)) == (1, 1, 1, 2, 3)
 
 
-def test_act_on_tabloid_pulls_along_images():
+def test_compose_pulls_tabloid_rows_along_images():
     t = (1, 1, 2)
     p = from_cycles(3, [[1, 2, 3]])
     # entry k of the moved tabloid is read from position p(k)
-    assert act_on_tabloid(t, p) == (1, 2, 1)
-    assert act_on_tabloid(t, identity(3)) == t
+    assert compose(t, p) == (1, 2, 1)
+    assert compose(t, identity(3)) == t
 
 
-def test_act_on_tabloid_is_right_action():
+def test_compose_is_a_right_action_on_tabloids():
     t = (1, 2, 1, 3)
     p = from_cycles(4, [[1, 2, 3, 4]])
     q = from_cycles(4, [[2, 4]])
-    assert act_on_tabloid(act_on_tabloid(t, p), q) == act_on_tabloid(t, compose(p, q))
+    assert compose(compose(t, p), q) == compose(t, compose(p, q))
+
+
+def test_one_partition_rule():
+    # positive integers, non-increasing, summing to n; every reader of a
+    # shape refuses the same bad shapes before it builds anything
+    check_partition((2, 1), 3)
+    check_partition((1, 1, 1), 3)
+    for bad, n, match in (((1, 2), 3, "increase"), ((2, 0, 1), 3, "positive"),
+                          ((2, -1, 2), 3, "positive"), ((2.0, 1), 3, "integers"),
+                          ((2, 1), 4, "does not partition")):
+        with pytest.raises(ValueError, match=match):
+            check_partition(bad, n)
+    gens = g13()
+    for bad in ((1, 2), (2, 0, 1), (1, 1, 0, 1)):
+        with pytest.raises(ValueError):
+            tabloid_orbit(bad, gens)
+        with pytest.raises(ValueError):
+            irrep_block(bad, gens)
+        with pytest.raises(ValueError):
+            irrep_dim(bad)
+        with pytest.raises(ValueError):
+            canonical_tabloid(bad)
 
 
 # --- induced Laplacians ---
@@ -270,6 +292,12 @@ def test_orbit_past_cap_raises():
         tabloid_orbit((1,) * 8, ring_swap(8))
     with pytest.raises(CapExceededError, match="cap"):
         induced_laplacian((1,) * 8, ring_swap(8), [0.1, 0.1])
+    # ring+swap generates S_8: (2,2,1,1,1,1) has exactly the cap of 10080
+    # tabloids, (2,1,1,1,1,1,1) twice as many
+    verts, img = tabloid_orbit((2, 2, 1, 1, 1, 1), ring_swap(8))
+    assert len(verts) == 10080 and img.shape == (10080, 2)
+    with pytest.raises(CapExceededError, match="cap"):
+        tabloid_orbit((2, 1, 1, 1, 1, 1, 1), ring_swap(8))
 
 
 @st.composite
@@ -306,7 +334,7 @@ def test_induced_laplacian_is_the_orbit_laplacian(gens, data):
         for p, w in zip(gens.perms, dyadic):
             perm = np.zeros_like(ref)
             for t, i in index.items():
-                perm[i, index[act_on_tabloid(t, p)]] = 1.0
+                perm[i, index[compose(t, p)]] = 1.0
             ref += w * (np.eye(len(verts)) - perm)
         assert np.array_equal(ind.laplacian, ref)
         block = eigenvalues(induced_laplacian(parts, gens, generic).laplacian)

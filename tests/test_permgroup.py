@@ -2,8 +2,9 @@
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qconsensus.permgroup import (
     CapExceededError,
@@ -17,9 +18,11 @@ from qconsensus.permgroup import (
     inverse,
     is_full_symmetric,
     is_valid,
+    orbit,
     parity,
     to_cycles,
 )
+from qconsensus.quantum import _pull_map
 
 
 @st.composite
@@ -208,7 +211,7 @@ def test_generate_group_cyclic_subgroup():
 def test_generate_group_respects_cap():
     gens = generator_set(5, [[[1, 2, 3, 4, 5]], [[1, 2]]])
     with pytest.raises(CapExceededError):
-        generate_group(gens, cap=100)
+        generate_group(gens, cap=119)
     assert len(generate_group(gens, cap=120)) == math.factorial(5)
 
 
@@ -230,3 +233,27 @@ def test_single_generator_group_is_cyclic(p):
     for cyc in to_cycles(p):
         order = math.lcm(order, len(cyc))
     assert len(group) == order
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_one_right_action_across_layers(data):
+    # the quantum layer's pull map on base-ary site digits and the orbit
+    # tables of the induced graphs both act as y -> compose(y, p)
+    n = data.draw(st.integers(min_value=2, max_value=5))
+    base = data.draw(st.integers(min_value=2, max_value=4))
+    moved = perms(n=n).filter(lambda p: p != identity(n))
+    gens = GeneratorSet(n, tuple(data.draw(st.lists(moved, min_size=1, max_size=3))))
+    place = base ** np.arange(n - 1, -1, -1)
+    words = [tuple(int(a) for a in (x // place) % base) for x in range(base**n)]
+    for p in gens.perms:
+        pulled = _pull_map(p, base)
+        for x, word in enumerate(words):
+            assert pulled[x] == int(np.dot(compose(word, p), place))
+    start = words[data.draw(st.integers(min_value=0, max_value=base**n - 1))]
+    points, img = orbit(start, gens)
+    assert start in points and list(points) == sorted(set(points))
+    assert img.dtype == np.intp and img.shape == (len(points), len(gens))
+    for i, y in enumerate(points):
+        for g, p in enumerate(gens.perms):
+            assert points[img[i, g]] == compose(y, p)

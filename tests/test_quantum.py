@@ -16,7 +16,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qconsensus.cli import _load_rho0, load_topology
-from qconsensus.induced import act_on_tabloid, induced_laplacian
+from qconsensus.induced import induced_laplacian
 from qconsensus.permgroup import (
     CapExceededError,
     compose,
@@ -553,7 +553,7 @@ def test_symmetric_state_averages_coefficients():
     x = decompose(rho).reshape(4, 4, 4)
     avg = np.zeros_like(x)
     for nu in itertools.product(range(4), repeat=3):
-        vals = [x[act_on_tabloid(nu, p)] for p in group]
+        vals = [x[compose(nu, p)] for p in group]
         avg[nu] = np.mean(vals)
     assert_allclose(sym_coeffs, avg.reshape(-1), atol=1e-10)
 

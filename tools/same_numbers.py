@@ -21,7 +21,11 @@ weight (exit 2, nothing printed), and ``optimize`` (both objectives,
 seed 0) on g1-4 and g2-3 at budgets 0.5 and 2 and on a five-generator
 set on four sites, whose uniform start has no feasible first move.
 Rates read irrep blocks, so ring+swap N = 7 at d = 3 (a 5040-vertex
-orbit graph) is in the list too.
+orbit graph) is in the list too.  ``rates`` and ``spectrum --partition
+2,1`` run on g1-3 with the weight labels ``weight1`` and ``heavyweight``,
+and ``spectrum --all`` and ``spectrum --partition 2,1,1,1,1,1,1`` on
+ring+swap N = 8 at d = 3, whose orbits pass the cap (exit 4, nothing
+printed).
 
     python tools/same_numbers.py dump /path/to/old/src old.json
     python tools/same_numbers.py dump src new.json
@@ -124,6 +128,23 @@ def commands(work):
                  "generator: (1 3 2) weight w132\ngenerator: (2 4) weight w24\n")
     for obj in ("consensus", "synchronization"):
         cmds.append(("optimize", path, "--objective", obj, "--seed", "0"))
+
+    # weight labels that contain the word "weight"
+    path = os.path.join(work, "g1-3-labels.txt")
+    with open(path, "w") as fh:
+        fh.write("name: g1-3-labels\nN: 3\ngenerator: (1 2 3) weight weight1\n"
+                 "generator: (1 2) weight heavyweight\n")
+    base = (path, "--weights", wa(PRESETS["g1-3"][1][0]))
+    cmds += [("rates",) + base, ("spectrum",) + base + ("--partition", "2,1")]
+
+    # 8-site ring+swap at d = 3: the (2,1,1,1,1,1,1) orbit of 20160
+    # tabloids is past the orbit cap (exit 4, nothing printed)
+    path = os.path.join(work, "ring-swap-8.txt")
+    with open(path, "w") as fh:
+        fh.write("name: ring-swap-8\nN: 8\ngenerator: (1 2 3 4 5 6 7 8) weight wring\n"
+                 "generator: (1 2) weight wswap\n")
+    base = ("spectrum", path, "--weights", "0.3,0.7", "--d", "3")
+    cmds += [base + ("--all",), base + ("--partition", "2,1,1,1,1,1,1")]
 
     draws = 1.0 - np.random.default_rng(20261018).random((3, 2))
     for n in range(3, 8):
