@@ -14,6 +14,7 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -398,7 +399,10 @@ def cmd_spectrum(args, spec: TopologySpec, d: int) -> int:
             outer = ",".join(map(str, pc.outer))
             verdict = "ok"
             if not pc.included:
-                verdict = f"VIOLATED at {fmt_c(pc.witness, abs(pc.witness))}"
+                # a pair checked by the cover maps has no eigenvalue to name
+                verdict = "VIOLATED"
+                if pc.witness is not None:
+                    verdict += f" at {fmt_c(pc.witness, abs(pc.witness))}"
             print(
                 f"  ({inner}) into ({outer}) [{pc.kind}]: {verdict} "
                 f"(max defect {pc.max_defect:.3e})"
@@ -488,9 +492,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built by the first :func:`main` call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         spec = load_topology(args.topology)
         d = spec.d if args.d is None else args.d

@@ -136,6 +136,62 @@ def tabloid_orbit(
     return orbit(canonical_tabloid(parts), gens, DEFAULT_GROUP_CAP)
 
 
+def tabloid_count(parts: Partition) -> int:
+    """Number of tabloids of shape ``parts``: n! over the rows' factorials."""
+    check_partition(parts, sum(parts))
+    return math.factorial(sum(parts)) // math.prod(math.factorial(k) for k in parts)
+
+
+def dominance_covers(parts: Partition) -> list[tuple[Partition, int, int]]:
+    """Every shape ``parts`` covers in the dominance order, with the rows
+    (i, j), 0-based, between which its box moves.
+
+    A cover moves one box from row i, the last row of its length a, to row
+    j > i, the first of its length b <= a - 2 (j may be a new row), where
+    j = i + 1 or b = a - 2 (Brylawski, Discrete Math. 6, 1973).  Ordered
+    by i, then j.
+    """
+    check_partition(parts, sum(parts))
+    rows = list(parts) + [0]
+    out = []
+    for i, a in enumerate(parts):
+        if rows[i + 1] == a:
+            continue
+        for j in range(i + 1, len(rows)):
+            b = rows[j]
+            if b <= a - 2 and rows[j - 1] != b and (j == i + 1 or b == a - 2):
+                moved = rows.copy()
+                moved[i] -= 1
+                moved[j] += 1
+                out.append((tuple(k for k in moved if k), i, j))
+    return out
+
+
+def cover_map(
+    inner_verts: tuple[Tabloid, ...], outer_verts: tuple[Tabloid, ...], i: int, j: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The 0/1 map Phi from the tabloids of a shape to those of the shape it
+    covers by moving a box from row i to row j (0-based, as
+    :func:`dominance_covers` gives them), as the (rows, cols) of its ones:
+    Phi[s, t] = 1 iff s is t with one entry moved from row i to row j.
+
+    Both vertex lists are whole sorted tabloid sets, so each tabloid is a
+    number in base ``rows`` (the covered shape's row count) and every s is
+    found by one search.  Phi commutes with the action of S_N, and it is
+    of full column rank (Gottlieb, Proc. AMS 17, 1966; Kantor, Math. Z.
+    124, 1972): with the other rows fixed it is the inclusion matrix of
+    b-subsets in (b+1)-subsets of a+b points, b < a.
+    """
+    inner = np.asarray(inner_verts, dtype=np.int64)
+    outer = np.asarray(outer_verts, dtype=np.int64)
+    rows = int(outer.max())
+    place = rows ** np.arange(inner.shape[1] - 1, -1, -1, dtype=np.int64)
+    cols, at = np.nonzero(inner == i + 1)
+    moved = (inner - 1) @ place
+    moved = moved[cols] + (j - i) * place[at]
+    return np.searchsorted((outer - 1) @ place, moved), cols
+
+
 @dataclass(frozen=True)
 class InducedGraph:
     partition: Partition

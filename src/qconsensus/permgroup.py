@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -183,6 +184,10 @@ def orbit(
     ``img[i, g]``.  The one closure: a group is the orbit of the identity,
     a shape's graph that of its canonical tabloid.  Past ``cap`` points
     raises :class:`CapExceededError`."""
+    if len(x) != gens.n:
+        raise ValueError("degree mismatch")
+    # compose(y, p) is y read at p's images: one itemgetter per generator
+    movers = [itemgetter(*(i - 1 for i in p)) for p in gens.perms]
     images: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     queue: deque[tuple[int, ...]] = deque([tuple(x)])
     while queue:
@@ -191,7 +196,7 @@ def orbit(
             continue
         if len(images) == cap:
             raise CapExceededError(f"orbit of {tuple(x)} exceeds cap {cap}")
-        images[y] = [compose(y, p) for p in gens.perms]
+        images[y] = [move(y) for move in movers]
         queue.extend(images[y])
     points = sorted(images)
     index = {y: i for i, y in enumerate(points)}

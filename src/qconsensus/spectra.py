@@ -5,9 +5,11 @@ eigenvalues: ``lambda_synch`` from the site-label graph, which is the
 shape ``(n-1, 1)`` induced graph, and ``lambda_cons`` as the minimum
 over every admissible partition shape.  The rates read each shape's
 spectrum from irrep blocks (:func:`batch_rates`); the spectral-inclusion
-checks read the induced graphs themselves.  Eigenvalues of directed
-topologies come in conjugate pairs, so everything sorts and compares by
-(real, imaginary) with explicit tolerances.
+checks read the induced graphs themselves, through equivariant maps
+between their image tables when every orbit is a whole tabloid set.
+Eigenvalues of directed topologies come in conjugate pairs, so
+everything sorts and compares by (real, imaginary) with explicit
+tolerances.
 """
 
 from __future__ import annotations
@@ -22,11 +24,14 @@ from .induced import (
     IrrepBlock,
     Partition,
     check_block_cap,
+    cover_map,
+    dominance_covers,
     dominates,
     induced_laplacian,
     irrep_block,
     irrep_dim,
     rate_shapes,
+    tabloid_count,
     tabloid_orbit,
 )
 from .permgroup import GeneratorSet, check_weights, parity
@@ -203,23 +208,28 @@ def alternating_mode_rate(gens: GeneratorSet, weights) -> float:
 def multiset_contained(
     inner: np.ndarray, outer: np.ndarray, tol: float = INCLUSION_TOL
 ) -> tuple[bool, float, complex | None]:
-    """Greedy matching of ``inner`` into ``outer`` with per-element tolerance.
+    """Greedy matching of ``inner`` into ``outer`` within ``tol`` times the
+    largest modulus of the two, so the verdict does not move with the
+    weights' scale (the inner one counts too: a one-vertex orbit's
+    spectrum is exactly 0).
 
     In (real, imaginary) order each inner value takes the nearest outer
     value not yet taken, the first by index on a tie.  Returns (contained,
     max matched distance, first unmatched value).
     """
+    inner = np.asarray(inner, dtype=complex)
     pool = np.asarray(outer, dtype=complex)
     taken = np.zeros(len(pool), dtype=bool)
+    cut = tol * max(np.abs(inner).max(initial=0.0), np.abs(pool).max(initial=0.0))
     worst = 0.0
-    for v in sorted(np.asarray(inner, dtype=complex), key=lambda z: (z.real, z.imag)):
+    for v in sorted(inner, key=lambda z: (z.real, z.imag)):
         if taken.all():
             return False, worst, v
         gap = pool - v
         # hypot rounds as abs of one complex does; abs of an array may not
         dist = np.where(taken, np.inf, np.hypot(gap.real, gap.imag))
         j = int(dist.argmin())
-        if dist[j] > tol:
+        if dist[j] > cut:
             return False, worst, v
         worst = max(worst, dist[j])
         taken[j] = True
@@ -227,10 +237,13 @@ def multiset_contained(
 
 
 def distinct_values(vals: np.ndarray, tol: float = INCLUSION_TOL) -> list[complex]:
-    """Collapse a spectrum to representatives separated by more than ``tol``."""
+    """Collapse a spectrum to representatives separated by more than ``tol``
+    times its largest modulus."""
+    vals = np.asarray(vals, dtype=complex)
+    cut = tol * np.abs(vals).max(initial=0.0)
     out: list[complex] = []
-    for v in sorted(np.asarray(vals, dtype=complex), key=lambda z: (z.real, z.imag)):
-        if not any(abs(v - u) <= tol for u in out):
+    for v in sorted(vals, key=lambda z: (z.real, z.imag)):
+        if not any(abs(v - u) <= cut for u in out):
             out.append(complex(v))
     return out
 
@@ -251,43 +264,135 @@ class IntertwiningReport:
     ok: bool
 
 
+def _laplacian_diagonal(img: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Diagonal of one orbit's Laplacian, summed in generator order as
+    :func:`induced_laplacian` sums it; a nan/inf entry (weights that
+    overflow) raises :class:`NumericalFailureError`, as its eigensolve
+    would."""
+    idx = np.arange(len(img))
+    diag = np.zeros(len(img))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for target, w_g in zip(img.T, w):
+            diag[target != idx] += w_g
+    if not np.all(np.isfinite(diag)):
+        raise NumericalFailureError("induced Laplacian has nan/inf entries")
+    return diag
+
+
+def _cover_residual(phi, inner_img: np.ndarray, outer_img: np.ndarray, w) -> float:
+    """Largest entry of L_mu Phi - Phi L_lambda = sum_g w_g (Phi P_g - P_g Phi)
+    for a :func:`cover_map` ``phi`` between the two orbits' image tables.
+
+    Generator g moves Phi's one at (s, t) to (s, img_lambda[t, g]) in Phi P_g
+    and to (img_mu^-1[s, g], t) in P_g Phi.  The entries of each generator's
+    difference are integer counts, so on an equivariant Phi the residual is
+    exactly 0.
+    """
+    s, t = phi
+    m, v_in = len(w), len(inner_img)
+    outer_inv = np.empty_like(outer_img)
+    outer_inv[outer_img, np.arange(m)] = np.arange(len(outer_img))[:, None]
+    # each entry (s, t) as the key s * V_lambda + t, one column per generator
+    plus = s[:, None] * v_in + inner_img[t]
+    minus = outer_inv[s] * v_in + t[:, None]
+    keys, where = np.unique(np.stack([plus, minus]), return_inverse=True)
+    where = where.reshape(2, len(s), m)
+    counts = np.array([
+        np.bincount(where[0, :, g], minlength=len(keys))
+        - np.bincount(where[1, :, g], minlength=len(keys))
+        for g in range(m)
+    ])
+    return float(np.abs(w @ counts).max(initial=0.0))
+
+
+def _dominance_by_maps(pairs, orbits, w, tol) -> list[tuple[bool, float]]:
+    """(included, max defect) of each dominance pair (a, b) of ``pairs``,
+    whose shapes' orbits are whole tabloid sets, through the cover maps.
+
+    For a cover lambda > mu, :func:`cover_map` Phi is S_N-equivariant, so
+    L_mu Phi = Phi L_lambda, and injective, so the characteristic
+    polynomial of L_lambda divides that of L_mu, defective spectra
+    included.  A cover holds when that identity's residual is within
+    ``tol`` of the largest diagonal entry of L_mu.  A pair a > b takes the
+    verdict and largest residual of one chain of covers from a to b, each
+    step the first cover (:func:`dominance_covers` order) still dominating
+    b, as inclusion is transitive.
+    """
+    verts = {p: np.asarray(orbit[0]) for p, orbit in orbits.items()}
+    scale = {p: _laplacian_diagonal(orbit[1], w).max() for p, orbit in orbits.items()}
+    below = {p: dominance_covers(p) for p in orbits}
+    memo: dict = {}
+
+    def cover(lam, mu, i, j):
+        phi = cover_map(verts[lam], verts[mu], i, j)
+        defect = _cover_residual(phi, orbits[lam][1], orbits[mu][1], w)
+        return defect <= tol * scale[mu], defect
+
+    def chain(a, b):
+        if (a, b) not in memo:
+            mu, i, j = next(c for c in below[a] if dominates(c[0], b))
+            if (a, mu) not in memo:
+                memo[a, mu] = cover(a, mu, i, j)
+            if mu != b:
+                (ok, defect), (rest_ok, rest) = memo[a, mu], chain(mu, b)
+                memo[a, b] = (ok and rest_ok, max(defect, rest))
+        return memo[a, b]
+
+    return [chain(a, b) for a, b in pairs]
+
+
 def intertwining_check(
     gens: GeneratorSet, weights, d: int = 2, tol: float = INCLUSION_TOL
 ) -> IntertwiningReport:
     """Spectral inclusions along the dominance order.
 
     For every comparable pair the dominant shape's spectrum must embed
-    (as a multiset) in the less dominant one's.  When both the
-    finest shape (1,..,1) and (2,1,..,1) are admissible, the finest
-    spectrum minus its antisymmetric mode must also re-embed upward as a
-    set; that mode is the one eigenvalue living outside the coarser
-    graph.
+    (as a multiset) in the less dominant one's.  When every shape's orbit
+    is its whole tabloid set, :func:`_dominance_by_maps` proves each
+    inclusion by the cover maps' identity, with no eigensolve; otherwise
+    the two dense spectra are matched within ``tol`` of their largest
+    modulus.  When both the finest shape (1,..,1) and (2,1,..,1)
+    are admissible, the finest spectrum minus its antisymmetric mode must
+    also re-embed upward as a set; that mode is the one eigenvalue living
+    outside the coarser graph, and this pair is always matched
+    spectrally.
     """
     shapes = rate_shapes(gens.n, d)
-    # every orbit's cap check comes before the first dense solve, and one
-    # dense Laplacian is held at a time
+    # every orbit's cap check comes before any other work, and one dense
+    # Laplacian is held at a time
     orbits = {p: tabloid_orbit(p, gens) for p in shapes}
-    spectra = {
-        p: eigenvalues(induced_laplacian(p, gens, weights, orbits[p]).laplacian)
-        for p in shapes
-    }
-    checks: list[PairCheck] = []
-    for a in shapes:
-        for b in shapes:
-            if a != b and dominates(a, b):
-                ok, defect, witness = multiset_contained(spectra[a], spectra[b], tol)
-                checks.append(
-                    PairCheck(
-                        inner=a, outer=b, kind="dominance",
-                        included=ok, max_defect=defect, witness=witness,
-                    )
-                )
+    w = check_weights([weights], len(gens))[0]
+    pairs = [(a, b) for a in shapes for b in shapes if a != b and dominates(a, b)]
     finest = (1,) * gens.n
     coarser = (2,) + (1,) * (gens.n - 2)
+    whole = all(len(orbits[p][0]) == tabloid_count(p) for p in shapes)
+    if not whole:
+        dense = shapes
+    elif finest in orbits and coarser in orbits:
+        dense = [finest, coarser]
+    else:
+        dense = []
+    spectra = {
+        p: eigenvalues(induced_laplacian(p, gens, w, orbits[p]).laplacian) for p in dense
+    }
+    if whole:
+        verdicts = [
+            (ok, defect, None) for ok, defect in _dominance_by_maps(pairs, orbits, w, tol)
+        ]
+    else:
+        verdicts = [multiset_contained(spectra[a], spectra[b], tol) for a, b in pairs]
+    checks = [
+        PairCheck(
+            inner=a, outer=b, kind="dominance",
+            included=ok, max_defect=defect, witness=witness,
+        )
+        for (a, b), (ok, defect, witness) in zip(pairs, verdicts)
+    ]
     if finest in spectra and coarser in spectra:
-        alt = alternating_mode_rate(gens, weights)
+        alt = alternating_mode_rate(gens, w)
+        cut = tol * np.abs(spectra[finest]).max()
         kept = [
-            v for v in distinct_values(spectra[finest], tol) if abs(v - alt) > tol
+            v for v in distinct_values(spectra[finest], tol) if abs(v - alt) > cut
         ]
         ok, defect, witness = multiset_contained(
             np.array(kept), spectra[coarser], tol

@@ -723,3 +723,93 @@ def test_spectrum_needs_partition_or_all(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "not allowed with argument" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("g1-3", "--weights", "1e8,1e8"),
+    ("g1-4", "--weights", "1e9,2e9,3e9"),
+    ("g3-3", "--weights", "1e200,1e200"),
+], ids=["g1-3", "g1-4", "g3-3"])
+def test_spectrum_all_holds_at_large_weights(argv, capsys):
+    # the spectra scale exactly with the weights, and so must every verdict
+    code, out, _ = run(capsys, "spectrum", *argv, "--all")
+    assert code == 0
+    assert "VIOLATED" not in out
+    assert out.endswith("verdict: all inclusions hold\n")
+
+
+def test_spectrum_all_overflow_on_whole_orbits(tmp_path, capsys):
+    # every orbit of ring+swap is a whole tabloid set, so no eigensolve
+    # runs; the overflowing Laplacian still fails before any output
+    topo = tmp_path / "ring5.topo"
+    topo.write_text("name: ring5\nN: 5\ngenerator: (1 2 3 4 5) weight wc\n"
+                    "generator: (1 2) weight wt\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "spectrum", str(topo), "--weights", "1e308,1e308", "--all")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert "nan/inf" in err
+
+
+def test_spectrum_all_names_no_eigenvalue_for_a_failed_cover_map(capsys, monkeypatch):
+    real = spectra.tabloid_orbit
+
+    def planted(parts, gens):
+        verts, img = real(parts, gens)
+        if parts == (3, 1):
+            img = img.copy()
+            img[[0, -1], 0] = img[[-1, 0], 0]
+        return verts, img
+
+    monkeypatch.setattr(spectra, "tabloid_orbit", planted)
+    code, out, _ = run(capsys, "spectrum", "g1-4", "--weights", "0.1,0.2,0.15", "--all")
+    assert code == 0
+    lines = out.splitlines()
+    assert "  (3,1) into (2,2) [dominance]: VIOLATED (max defect 1.000e-01)" in lines
+    assert "  (2,2) into (2,1,1) [dominance]: ok (max defect 0.000e+00)" in lines
+    assert lines[-1] == "verdict: violations found"
+
+
+def test_spectrum_all_loads_no_scipy():
+    probe = ("import sys; from qconsensus.cli import main; "
+             "main(['spectrum', 'g1-4', '--weights', '0.1,0.2,0.15', '--all']); "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "[]"
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    from qconsensus import cli
+
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cases = [
+        ("rates", "g1-3", "--weights", "0.3,0.1"),
+        ("rates", "g1-3", "--weights", "0.3,0.1", "--seed", "1"),
+        ("spectrum", "g1-4", "--weights", "0.1,0.2,0.15", "--all"),
+        ("--help",),
+        ("spectrum", "--help"),
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    cli._parser.cache_clear()
+    reused = [outcome(argv) for argv in cases]
+    assert len(built) == 1
+    fresh = []
+    for argv in cases:
+        cli._parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert reused == fresh
+    assert [r[0] for r in reused] == [0, ("exit", 2), 0, ("exit", 0), ("exit", 0)]
+    cli._parser.cache_clear()

@@ -17,6 +17,8 @@ from qconsensus.induced import (
     canonical_tabloid,
     check_block_cap,
     check_partition,
+    cover_map,
+    dominance_covers,
     dominates,
     enumerate_tabloids,
     induced_laplacian,
@@ -25,6 +27,7 @@ from qconsensus.induced import (
     partitions_of,
     rate_shapes,
     standard_tableaux,
+    tabloid_count,
     tabloid_orbit,
     young_orthogonal,
 )
@@ -416,3 +419,68 @@ def test_irrep_blocks_reach_eight_sites_past_the_orbit_cap():
     # 8-cycle and the swap are both odd, so each adds 2 w
     block = irrep_block((1,) * 8, ring_swap(8))
     assert_allclose(np.tensordot([0.3, 0.7], block.coeffs, axes=1) + 0.0, [[2.0]])
+
+
+# --- dominance covers and their equivariant maps ---
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_dominance_covers_are_the_covers_of_the_order(n):
+    every = partitions_of(n, n) + [(n,)]
+    for lam in every:
+        below = [mu for mu in every if mu != lam and dominates(lam, mu)]
+        covered = {
+            mu for mu in below
+            if not any(nu != mu and dominates(nu, mu) for nu in below)
+        }
+        got = dominance_covers(lam)
+        assert {mu for mu, _, _ in got} == covered
+        assert len(got) == len(covered)
+
+
+def test_tabloid_count_counts_the_tabloids():
+    for n in range(2, 8):
+        for p in partitions_of(n, n) + [(n,)]:
+            assert tabloid_count(p) == len(enumerate_tabloids(p)) == multinomial(p)
+
+
+def dense_cover_map(inner, outer, i, j):
+    rows, cols = cover_map(inner, outer, i, j)
+    phi = np.zeros((len(outer), len(inner)))
+    phi[rows, cols] = 1.0
+    return phi
+
+
+def permutation_matrix(img, g):
+    mat = np.zeros((len(img), len(img)))
+    mat[np.arange(len(img)), img[:, g]] = 1.0
+    return mat
+
+
+@pytest.mark.parametrize("gens,d", [
+    (g13(), 2), (generator_set(4, [[[1, 2, 3, 4]], [[1, 2]], [[3, 4]]]), 2),
+    (ring_swap(4), 3), (ring_swap(5), 2), (ring_swap(6), 2),
+], ids=["g1-3", "g1-4", "ring-swap-4-d3", "ring-swap-5", "ring-swap-6"])
+def test_cover_maps_are_equivariant(gens, d):
+    shapes = rate_shapes(gens.n, d)
+    orbits = {p: tabloid_orbit(p, gens) for p in shapes}
+    seen = 0
+    for lam in shapes:
+        for mu, i, j in dominance_covers(lam):
+            if mu not in shapes:
+                continue
+            (inner, inner_img), (outer, outer_img) = orbits[lam], orbits[mu]
+            phi = dense_cover_map(inner, outer, i, j)
+            # Phi[s, t] = 1 iff s is t with one entry moved from row i to row j
+            for s, t in zip(*np.nonzero(phi)):
+                diff = [k for k in range(gens.n) if outer[s][k] != inner[t][k]]
+                assert len(diff) == 1
+                assert (inner[t][diff[0]], outer[s][diff[0]]) == (i + 1, j + 1)
+            assert np.array_equal(phi.sum(axis=0), np.full(len(inner), lam[i]))
+            for g in range(len(gens)):
+                assert np.array_equal(
+                    permutation_matrix(outer_img, g) @ phi,
+                    phi @ permutation_matrix(inner_img, g),
+                )
+            seen += 1
+    assert seen > 0

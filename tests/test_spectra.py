@@ -18,7 +18,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from qconsensus.induced import dominates, induced_laplacian, irrep_block, rate_shapes
+from qconsensus import spectra
+from qconsensus.induced import (
+    cover_map,
+    dominance_covers,
+    dominates,
+    induced_laplacian,
+    irrep_block,
+    rate_shapes,
+    tabloid_orbit,
+)
 from qconsensus.netgraph import generator_laplacian
 from qconsensus.optimize import BudgetConstraint, maximize_rate, pareto_scan
 from qconsensus.permgroup import GeneratorSet, generator_set
@@ -509,6 +518,20 @@ def test_distinct_values_collapses_near_duplicates():
     assert len(got) == 3
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e8, 1e200])
+def test_multiset_tolerance_is_relative_to_the_spectra(scale):
+    # matching noise of a few ulps of the largest modulus, at every scale
+    inner = np.array([1.0, 2.0 + 3e-15, 1.5 - 0.5j]) * scale
+    outer = np.array([3.0, 2.0, 1.0 - 4e-16, 1.5 - 0.5j, 0.0]) * scale
+    ok, defect, witness = multiset_contained(inner, outer)
+    assert ok and witness is None and defect <= 1e-14 * scale
+    vals = np.array([0.0, 1e-12, 0.5, 0.5 + 1e-10, 0.9]) * scale
+    assert len(distinct_values(vals)) == 3
+    # a gap of 1e-6 of the largest modulus is no match at any scale
+    ok, _, witness = multiset_contained(inner + 3e-6 * scale, outer)
+    assert not ok and witness == inner[0] + 3e-6 * scale
+
+
 # --- intertwining and the undirected special case ---
 
 
@@ -520,6 +543,130 @@ def test_intertwining_holds_on_random_draws():
             report = intertwining_check(gens, w)
             assert report.ok
             assert all(p.included for p in report.pairs)
+
+
+def two_swaps():
+    return generator_set(4, [[[1, 2]], [[3, 4]]])
+
+
+def five_cycle():
+    return generator_set(5, [[[1, 2, 3, 4, 5]]])
+
+
+@pytest.mark.parametrize("gens,w", [
+    (g13(), [0.3, 0.1]), (g23(), [0.3, 0.1, 0.25]), (g33(), [0.25, 0.25]),
+    (g14(), [0.1, 0.2, 0.3]), (two_swaps(), [0.3, 0.7]), (five_cycle(), [0.6]),
+], ids=["g1-3", "g2-3", "g3-3", "g1-4", "two-swaps", "five-cycle"])
+def test_intertwining_verdicts_do_not_depend_on_the_weight_scale(gens, w):
+    base = intertwining_check(gens, w)
+    for scale in (1e-6, 1e8, 1e200):
+        got = intertwining_check(gens, np.multiply(w, scale))
+        assert [p.included for p in got.pairs] == [p.included for p in base.pairs]
+
+
+ORACLE_CASES = [(g, d) for g in (g13(), g23(), g14()) for d in (2, 3)] + [
+    (ring_swap(n), 2) for n in (4, 5, 6)
+]
+ORACLE_IDS = [f"{n}-d{d}" for n in ("g1-3", "g2-3", "g1-4") for d in (2, 3)] + [
+    f"ring-swap-{n}-d2" for n in (4, 5, 6)
+]
+
+
+@pytest.mark.parametrize("gens,d", ORACLE_CASES, ids=ORACLE_IDS)
+def test_cover_maps_agree_with_the_dense_spectra(gens, d):
+    # the dense spectral inclusion is the oracle of every map-checked pair
+    shapes = rate_shapes(gens.n, d)
+    pairs = [(a, b) for a in shapes for b in shapes if a != b and dominates(a, b)]
+    rng = np.random.default_rng([20261019, gens.n, len(gens), d])
+    for w in rng.uniform(0.01, 1.0, (3, len(gens))):
+        report = intertwining_check(gens, w, d=d)
+        dense = {p: eigenvalues(induced_laplacian(p, gens, w).laplacian) for p in shapes}
+        got = [p for p in report.pairs if p.kind == "dominance"]
+        assert [(p.inner, p.outer) for p in got] == pairs
+        for p in got:
+            assert p.included == multiset_contained(dense[p.inner], dense[p.outer])[0]
+            assert p.included and p.max_defect == 0.0 and p.witness is None
+    # and every cover map is injective, so each identity is an inclusion
+    orbits = {p: tabloid_orbit(p, gens)[0] for p in shapes}
+    for lam in shapes:
+        for mu, i, j in dominance_covers(lam):
+            if mu in shapes:
+                rows, cols = cover_map(orbits[lam], orbits[mu], i, j)
+                phi = np.zeros((len(orbits[mu]), len(orbits[lam])))
+                phi[rows, cols] = 1.0
+                assert np.linalg.matrix_rank(phi) == len(orbits[lam])
+
+
+def test_whole_orbits_need_no_dense_solve_below_the_finest_shape(monkeypatch):
+    def refuse(_):
+        raise AssertionError("dense eigensolve")
+
+    monkeypatch.setattr(spectra, "eigenvalues", refuse)
+    assert intertwining_check(ring_swap(6), [0.3, 0.7]).ok
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e8])
+@pytest.mark.parametrize("end", [0, -1], ids=["most-dominant", "least-dominant"])
+@pytest.mark.parametrize("gens", [g14(), ring_swap(5), ring_swap(6)],
+                         ids=["g1-4", "ring-swap-5", "ring-swap-6"])
+def test_a_swapped_image_entry_fails_the_pairs_it_touches(gens, end, scale, monkeypatch):
+    # planted fault: the first and the last tabloid trade their images
+    # under the first generator in one shape's image table, so that table
+    # is no longer the action
+    bad = rate_shapes(gens.n, 2)[end]
+    real = spectra.tabloid_orbit
+
+    def planted(parts, g):
+        verts, img = real(parts, g)
+        if parts == bad:
+            img = img.copy()
+            img[[0, -1], 0] = img[[-1, 0], 0]
+        return verts, img
+
+    monkeypatch.setattr(spectra, "tabloid_orbit", planted)
+    w = scale * np.random.default_rng(5).uniform(0.1, 1.0, len(gens))
+    report = intertwining_check(gens, w)
+    assert not report.ok
+    for p in report.pairs:
+        if p.kind == "dominance":
+            # the shape is the top or the bottom of the order, so a chain
+            # of covers meets it only at its own end
+            touched = bad in (p.inner, p.outer)
+            assert p.included == (not touched)
+            assert (p.max_defect > 0) == touched
+
+
+def test_orbits_short_of_the_tabloid_set_keep_the_spectral_reports():
+    # (2,2)'s orbit under two disjoint swaps is one tabloid, and (3,1)'s
+    # two, so "(3,1) into (2,2)" and the alternating pair fail on the orbits
+    report = intertwining_check(two_swaps(), [0.3, 0.7])
+    assert [(p.inner, p.outer, p.kind, p.included) for p in report.pairs] == [
+        ((3, 1), (2, 2), "dominance", False),
+        ((3, 1), (2, 1, 1), "dominance", True),
+        ((3, 1), (1, 1, 1, 1), "dominance", True),
+        ((2, 2), (2, 1, 1), "dominance", True),
+        ((2, 2), (1, 1, 1, 1), "dominance", True),
+        ((2, 1, 1), (1, 1, 1, 1), "dominance", True),
+        ((1, 1, 1, 1), (2, 1, 1), "alternating-removed", False),
+    ]
+    witnesses = [p.witness for p in report.pairs]
+    assert_allclose(witnesses[0], 1.4, rtol=1e-12)
+    assert_allclose(witnesses[-1], 0.6, rtol=1e-12)
+    assert witnesses[1:-1] == [None] * 5
+    assert max(p.max_defect for p in report.pairs) < 1e-14
+    assert not report.ok
+    # the 5-cycle alone: every orbit is a cyclic graph, every inclusion holds
+    report = intertwining_check(five_cycle(), [0.6])
+    assert [(p.inner, p.outer) for p in report.pairs] == [
+        ((4, 1), (3, 2)), ((4, 1), (3, 1, 1)), ((4, 1), (2, 2, 1)),
+        ((4, 1), (2, 1, 1, 1)), ((3, 2), (3, 1, 1)), ((3, 2), (2, 2, 1)),
+        ((3, 2), (2, 1, 1, 1)), ((3, 1, 1), (2, 2, 1)), ((3, 1, 1), (2, 1, 1, 1)),
+        ((2, 2, 1), (2, 1, 1, 1)),
+    ]
+    assert all(p.kind == "dominance" and p.included and p.witness is None
+               for p in report.pairs)
+    assert max(p.max_defect for p in report.pairs) < 1e-14
+    assert report.ok
 
 
 def test_intertwining_reports_both_kinds():

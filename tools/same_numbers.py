@@ -9,7 +9,9 @@ values.  The list covers ``rates``, ``spectrum --all``, ``spectrum
 --partition`` (graphs of up to 120 vertices), ``optimize`` (both
 objectives, seeds 0 and 1, on g1-4 also 2 and 3) and ``pareto`` on the
 four presets and on ring+swap for N = 3..7 at d = 2 and 3, at fixed
-weights and seeds, and ``simulate`` to t = 2 (stdout and trajectory CSV)
+weights and seeds (on ring+swap, ``spectrum --all`` runs for N = 3..8 at
+d = 2, the largest orbit being N = 8's 2520 tabloids, and N = 3..5 at
+d = 3), and ``simulate`` to t = 2 (stdout and trajectory CSV)
 on g1-3, g1-4 and g3-3 at d = 2 and g1-3 at d = 3, seeds 0 and 3, plus
 one g1-3 run each with ``--h0 zsum`` and ``--store-every 1``, ``simulate``
 on g1-3 from ``--rho0`` files (one valid 8x8 state, and a 4x4 state,
@@ -138,15 +140,17 @@ def commands(work):
     cmds += [("rates",) + base, ("spectrum",) + base + ("--partition", "2,1")]
 
     # 8-site ring+swap at d = 3: the (2,1,1,1,1,1,1) orbit of 20160
-    # tabloids is past the orbit cap (exit 4, nothing printed)
+    # tabloids is past the orbit cap (exit 4, nothing printed); at d = 2
+    # every orbit fits
+    draws = 1.0 - np.random.default_rng(20261018).random((3, 2))
     path = os.path.join(work, "ring-swap-8.txt")
     with open(path, "w") as fh:
         fh.write("name: ring-swap-8\nN: 8\ngenerator: (1 2 3 4 5 6 7 8) weight wring\n"
                  "generator: (1 2) weight wswap\n")
     base = ("spectrum", path, "--weights", "0.3,0.7", "--d", "3")
     cmds += [base + ("--all",), base + ("--partition", "2,1,1,1,1,1,1")]
+    cmds += [("spectrum", path, "--weights", wa(w), "--d", "2", "--all") for w in draws]
 
-    draws = 1.0 - np.random.default_rng(20261018).random((3, 2))
     for n in range(3, 8):
         path = os.path.join(work, f"ring-swap-{n}.txt")
         with open(path, "w") as fh:
@@ -157,7 +161,7 @@ def commands(work):
             for d in (2, 3):
                 base = (path, "--weights", wa(w), "--d", str(d))
                 cmds.append(("rates",) + base)
-                if n <= (6 if d == 2 else 5):
+                if n <= (7 if d == 2 else 5):
                     cmds.append(("spectrum",) + base + ("--all",))
                 for p in partitions_of(n, d * d):
                     if len(enumerate_tabloids(p)) <= 120:
