@@ -363,12 +363,12 @@ def cmd_simulate(args, spec: TopologySpec, d: int) -> int:
         sync.append(sync_distance(states, d))
         dist.append(frobenius_distances(states, target))
     times, sync, dist = map(np.concatenate, (times, sync, dist))
-    _echo_config(spec, w, _topology_lines(spec, d))
     out = args.out or f"{spec.name}-trajectory.csv"
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("t,sync_distance,distance_to_consensus\n")
         for t, s, c in zip(times, sync, dist):
             fh.write(f"{repr(float(t))},{repr(float(s))},{repr(float(c))}\n")
+    _echo_config(spec, w, _topology_lines(spec, d))
     rates = convergence_rates(spec.gens, w, d=d)
     for label, series, ref in (
         ("sync", sync, rates.lambda_synch),

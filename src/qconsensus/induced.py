@@ -4,10 +4,11 @@ set induces on them.
 A tabloid of shape ``parts`` is stored as a ``row_of`` tuple: position k
 (1-based) sits in row ``row_of[k-1]``.  A permutation p acts by pulling
 row labels along positions, ``(t . p)[k] = t[p(k)]``, which is
-``permgroup.compose(t, p)``; the induced Laplacian applies the same
-attend-to-image rule as the site-label Laplacian in
-:mod:`qconsensus.netgraph`, so the shape ``(n-1, 1)`` graph is that
-Laplacian up to relabeling vertices by their singleton position.
+``permgroup.compose(t, p)``; the induced Laplacian and the site-label
+Laplacian in :mod:`qconsensus.netgraph` are both the rows of
+``permgroup.laplacian_rows`` over an image table, so the shape
+``(n-1, 1)`` graph is that Laplacian up to relabeling vertices by their
+singleton position.
 
 Partitions compare in the dominance order (prefix sums); enumeration
 orders are fixed (descending lexicographic for partitions, ascending
@@ -36,6 +37,7 @@ from .permgroup import (
     Permutation,
     check_d,
     check_weights,
+    laplacian_rows,
     orbit,
 )
 
@@ -211,17 +213,11 @@ def induced_laplacian(
     every tabloid when the generators produce the full symmetric group.
     """
     verts, img = tabloid_orbit(parts, gens) if orbit is None else orbit
-    w = check_weights([weights], len(gens))[0]
-    idx = np.arange(len(verts))
+    cols, vals = laplacian_rows(img, check_weights([weights], len(gens))[0])
     lap = np.zeros((len(verts), len(verts)))
-    # generator g adds w_g at (i, i) and -w_g at (i, j) when it moves i to
-    # j; weights that overflow leave inf for the eigensolve to reject
-    with np.errstate(over="ignore", invalid="ignore"):
-        for target, w_g in zip(img.T, w):
-            moved = target != idx
-            rows = idx[moved]
-            lap[rows, target[moved]] -= w_g
-            lap[rows, rows] += w_g
+    # weights that overflow leave inf for the eigensolve to reject
+    with np.errstate(over="ignore"):
+        np.add.at(lap, (np.arange(len(verts))[:, None], cols), vals)
     return InducedGraph(partition=tuple(parts), vertices=verts, laplacian=lap)
 
 

@@ -2,29 +2,25 @@
 
 Vertex v is attracted toward the state at u with strength w when a
 generator p of weight w has u = p^{-1}(v), so the Laplacian carries -w
-at entry [v, u] and the diagonal makes every row sum to zero.  This is
-the shape ``(n-1, 1)`` induced graph with each tabloid relabeled by its
-singleton position.
+at entry [v, u] and the moved weights on the diagonal: the rows
+``permgroup.laplacian_rows`` gives the site table v -> p^{-1}(v).  This
+is the shape ``(n-1, 1)`` induced graph with each tabloid relabeled by
+its singleton position.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .permgroup import GeneratorSet, check_weights, inverse
+from .permgroup import GeneratorSet, check_weights, inverse, laplacian_rows
 
 
 def generator_laplacian(gens: GeneratorSet, weights) -> np.ndarray:
-    """L = sum_p w_p (I - P_p) on site labels; rows sum to zero exactly."""
-    weights = check_weights([weights], len(gens))[0]
-    n = gens.n
-    L = np.zeros((n, n))
-    for p, w in zip(gens.perms, weights):
-        pinv = inverse(p)
-        for v in range(n):
-            u = pinv[v] - 1
-            if u == v:
-                continue
-            L[v, v] += w
-            L[v, u] -= w
+    """L = sum_p w_p (I - P_p) on site labels, by :func:`laplacian_rows`
+    over the site table v -> p^{-1}(v)."""
+    img = np.array([inverse(p) for p in gens.perms], dtype=np.intp).reshape(-1, gens.n).T - 1
+    cols, vals = laplacian_rows(img, check_weights([weights], len(gens))[0])
+    L = np.zeros((gens.n, gens.n))
+    with np.errstate(over="ignore"):
+        np.add.at(L, (np.arange(gens.n)[:, None], cols), vals)
     return L

@@ -204,6 +204,21 @@ def orbit(
     return tuple(points), img
 
 
+def laplacian_rows(img: np.ndarray, w) -> tuple[np.ndarray, np.ndarray]:
+    """The (V, m + 1) columns and values of every row of sum_g w_g (I - P_g)
+    over a (V, m) image table (as :func:`orbit` returns it): column g < m
+    is ``img[i, g]`` with -w_g (0 where g fixes i), column m is i with the
+    diagonal, the moved weights summed in generator order.  The one
+    Laplacian rule; a sum that overflows is left inf for the caller."""
+    idx = np.arange(len(img))
+    vals = np.where(img != idx[:, None], -np.asarray(w, dtype=float), 0.0)
+    diag = np.zeros(len(img))
+    with np.errstate(over="ignore"):
+        for col in vals.T:
+            diag -= col
+    return np.column_stack([img, idx]), np.column_stack([vals, diag])
+
+
 def generate_group(
     gens: GeneratorSet, cap: int = DEFAULT_GROUP_CAP
 ) -> set[Permutation]:

@@ -14,8 +14,9 @@ the cross-validation tests lean on.
 
 States are plain dense numpy arrays and every U_p acts on them as an
 index gather (:func:`_pull_map`).  :func:`_generator` builds the
-equation's generator S once, sparse on row-major vec(rho): :func:`evolve`
-powers it into an RK4 step, :func:`build_lq` is -S reindexed by the
+equation's generator S once, sparse on row-major vec(rho), as
+``permgroup.laplacian_rows`` of the pair maps: :func:`evolve` powers it
+into an RK4 step, :func:`build_lq` is -S reindexed by the
 :func:`_interleave` map that :func:`decompose` reads too, and
 :func:`symmetric_state` averages over the :func:`_components` of its
 pattern.  :func:`lindblad_rhs` applies the gathers without S.  Sites are
@@ -30,7 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .permgroup import CapExceededError, GeneratorSet, Permutation, check_d, check_weights
+from .permgroup import (
+    CapExceededError,
+    GeneratorSet,
+    Permutation,
+    check_d,
+    check_weights,
+    laplacian_rows,
+)
 
 EVOLVE_DIM_CAP = 256
 LQ_DIM_CAP = 4096
@@ -275,23 +283,18 @@ def _generator(perms, weights, n: int, d: int, h0=None):
     """S = sum_p w_p (P_p - I) - i (H0 x I - I x H0^T) as a CSR matrix on
     row-major vec(rho), P_p the gather rho[s[a], s[b]] of :func:`_pair_map`.
 
-    The one builder of the master equation.  Row x stores, in generator
-    order, w_p at the entry P_p reads for each p that moves x, then minus
-    their sum, added in the same order, on the diagonal; so S @ 1 is
-    exactly 0 when H0 is None, and S is then real.  Zero weights and
-    entries that no generator moves store nothing.
+    The one builder of the master equation: ``permgroup.laplacian_rows``
+    over the pair maps, negated, storing no zero (a zero weight adds no
+    entry); S @ 1 is exactly 0 when H0 is None, and S is then real.
     """
     from scipy import sparse
 
     size = d ** (2 * n)
-    x = np.arange(size)
-    live = [(p, w) for p, w in zip(perms, weights) if w != 0.0]
-    cols = np.stack([_pair_map(_pull_map(tuple(p), d)) for p, _ in live] + [x], axis=1)
-    vals = np.where(cols != x[:, None], [w for _, w in live] + [0.0], 0.0)
-    vals[:, -1] = -np.cumsum(vals, axis=1)[:, -1]  # sequential, in generator order
+    img = np.array([_pair_map(_pull_map(tuple(p), d)) for p in perms], dtype=np.intp)
+    cols, vals = laplacian_rows(img.reshape(-1, size).T, weights)
     keep = vals != 0.0
     indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-    s = sparse.csr_array((vals[keep], cols[keep], indptr), shape=(size, size))
+    s = sparse.csr_array((-vals[keep], cols[keep], indptr), shape=(size, size))
     if h0 is not None:
         h = sparse.csr_array(np.asarray(h0, dtype=complex))
         one = sparse.eye_array(d**n, format="csr")

@@ -6,7 +6,8 @@ shape ``(n-1, 1)`` induced graph, and ``lambda_cons`` as the minimum
 over every admissible partition shape.  The rates read each shape's
 spectrum from irrep blocks (:func:`batch_rates`); the spectral-inclusion
 checks read the induced graphs themselves, through equivariant maps
-between their image tables when every orbit is a whole tabloid set.
+between their image tables when every orbit is a whole tabloid set
+(scaled by the diagonal ``permgroup.laplacian_rows`` gives).
 Eigenvalues of directed topologies come in conjugate pairs, so
 everything sorts and compares by (real, imaginary) with explicit
 tolerances.
@@ -34,7 +35,7 @@ from .induced import (
     tabloid_count,
     tabloid_orbit,
 )
-from .permgroup import GeneratorSet, check_weights, parity
+from .permgroup import GeneratorSet, check_weights, laplacian_rows, parity
 
 INCLUSION_TOL = 1e-7
 
@@ -264,21 +265,6 @@ class IntertwiningReport:
     ok: bool
 
 
-def _laplacian_diagonal(img: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Diagonal of one orbit's Laplacian, summed in generator order as
-    :func:`induced_laplacian` sums it; a nan/inf entry (weights that
-    overflow) raises :class:`NumericalFailureError`, as its eigensolve
-    would."""
-    idx = np.arange(len(img))
-    diag = np.zeros(len(img))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for target, w_g in zip(img.T, w):
-            diag[target != idx] += w_g
-    if not np.all(np.isfinite(diag)):
-        raise NumericalFailureError("induced Laplacian has nan/inf entries")
-    return diag
-
-
 def _cover_residual(phi, inner_img: np.ndarray, outer_img: np.ndarray, w) -> float:
     """Largest entry of L_mu Phi - Phi L_lambda = sum_g w_g (Phi P_g - P_g Phi)
     for a :func:`cover_map` ``phi`` between the two orbits' image tables.
@@ -319,7 +305,10 @@ def _dominance_by_maps(pairs, orbits, w, tol) -> list[tuple[bool, float]]:
     b, as inclusion is transitive.
     """
     verts = {p: np.asarray(orbit[0]) for p, orbit in orbits.items()}
-    scale = {p: _laplacian_diagonal(orbit[1], w).max() for p, orbit in orbits.items()}
+    # each L_mu's largest diagonal entry; an overflow fails as an eigensolve would
+    scale = {p: laplacian_rows(orbit[1], w)[1][:, -1].max() for p, orbit in orbits.items()}
+    if not np.all(np.isfinite(list(scale.values()))):
+        raise NumericalFailureError("induced Laplacian has nan/inf entries")
     below = {p: dominance_covers(p) for p in orbits}
     memo: dict = {}
 

@@ -78,22 +78,30 @@ def cayley_laplacian(gens: GeneratorSet, weights=None) -> np.ndarray:
     return L
 
 
-def dense_lq(gens: GeneratorSet, weights, d: int = 2) -> np.ndarray:
-    """Laplacian of the coefficient dynamics on all d^(2N) multi-indices,
-    one dense scatter per generator: row nu gets -w at nu o p and +w on the
-    diagonal for every generator p that moves nu (the pull rule of
-    ``_pull_map`` at base d*d)."""
-    weights = check_weights([weights], len(gens))[0]
-    q = d * d
-    idx = np.arange(q**gens.n)
+def scatter_laplacian(img, weights) -> np.ndarray:
+    """sum_g w_g (I - P_g) over a (V, m) image table, generator g moving
+    point i to ``img[i, g]``, one dense scatter per generator: row i gets
+    -w_g at img[i, g] and +w_g on the diagonal for every g that moves i.
+    It shares no code with ``permgroup.laplacian_rows``."""
+    img = np.asarray(img)
+    idx = np.arange(len(img))
     L = np.zeros((idx.size, idx.size))
-    for p, w in zip(gens.perms, weights):
-        target = _pull_map(p, q)
-        moved = target != idx
-        rows = idx[moved]
-        L[rows, target[moved]] -= w
-        L[rows, rows] += w
+    with np.errstate(over="ignore"):
+        for target, w in zip(img.T, weights):
+            moved = target != idx
+            rows = idx[moved]
+            L[rows, target[moved]] -= w
+            L[rows, rows] += w
     return L
+
+
+def dense_lq(gens: GeneratorSet, weights, d: int = 2) -> np.ndarray:
+    """Laplacian of the coefficient dynamics on all d^(2N) multi-indices:
+    :func:`scatter_laplacian` over the pull rule of ``_pull_map`` at base
+    d*d, so row nu gets -w at nu o p for every generator p that moves nu."""
+    weights = check_weights([weights], len(gens))[0]
+    img = np.array([_pull_map(p, d * d) for p in gens.perms]).reshape(-1, (d * d) ** gens.n)
+    return scatter_laplacian(img.T, weights)
 
 
 def sparse_lambda_cons(gens: GeneratorSet, weights, d: int = 2) -> float:

@@ -645,6 +645,18 @@ def test_simulate_bad_rho0_rejected_before_output(tmp_path, capsys, content, mes
     assert not csv.exists()
 
 
+def test_simulate_unwritable_out_prints_nothing(tmp_path, capsys):
+    # the trajectory CSV is written before any output, as pareto's is
+    csv = tmp_path / "missing" / "x.csv"
+    code, out, err = run(
+        capsys, "simulate", "g1-3", "--weights", "0.2,0.2", "--t", "0.5", "--out", str(csv),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("i/o error: ")
+    assert not csv.exists()
+
+
 # --- spectrum ---
 
 

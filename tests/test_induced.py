@@ -41,9 +41,10 @@ from qconsensus.permgroup import (
     identity,
     parity,
 )
+from qconsensus.cli import load_topology
 from qconsensus.quantum import build_lq
 from qconsensus.spectra import eigenvalues, multiset_contained
-from reference import cayley_laplacian
+from reference import cayley_laplacian, scatter_laplacian
 
 
 def multinomial(parts):
@@ -275,6 +276,28 @@ def test_eight_site_vertex_shape_is_the_site_graph():
     # tabloid k in lex order has its singleton at site 8 - k
     order = list(range(7, -1, -1))
     assert np.array_equal(ind.laplacian, generator_laplacian(gens, w)[np.ix_(order, order)])
+
+
+def test_laplacians_are_the_reference_scatter_bit_for_bit():
+    """The shared rule against per-generator code that does not share it:
+    every shape of d = 3 (those of d = 2 among them) up to 2,000 tabloids
+    and the site graph, on the presets and ring+swap N = 3..6, at two
+    seeded positive draws, at the first draw with its first weight 0, and
+    at 1, 1e-16, .., whose sum rounds differently out of generator order."""
+    rng = np.random.default_rng(20261019)
+    sets = [load_topology(name).gens for name in ("g1-3", "g2-3", "g3-3", "g1-4")]
+    for gens in sets + [ring_swap(n) for n in range(3, 7)]:
+        draws = 1.0 - rng.random((2, len(gens)))
+        ordered = np.r_[1.0, np.full(len(gens) - 1, 1e-16)]
+        for w in (*draws, np.r_[0.0, draws[0][1:]], ordered):
+            for parts in rate_shapes(gens.n, 3):
+                if tabloid_count(parts) <= 2000:
+                    _, img = tabloid_orbit(parts, gens)
+                    lap = induced_laplacian(parts, gens, w).laplacian
+                    assert np.array_equal(lap, scatter_laplacian(img, w)), (parts, w)
+            # p^-1(v) is where p takes the value v
+            sites = np.argsort(np.array(gens.perms), axis=1).T
+            assert np.array_equal(generator_laplacian(gens, w), scatter_laplacian(sites, w))
 
 
 def test_induced_laplacian_rejects_negative_and_nonfinite_weights():

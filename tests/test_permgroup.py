@@ -1,6 +1,7 @@
 """Permutation primitives: cycles, composition, parity, group closure."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from qconsensus.permgroup import (
     inverse,
     is_full_symmetric,
     is_valid,
+    laplacian_rows,
     orbit,
     parity,
     to_cycles,
@@ -213,6 +215,23 @@ def test_generate_group_respects_cap():
     with pytest.raises(CapExceededError):
         generate_group(gens, cap=119)
     assert len(generate_group(gens, cap=120)) == math.factorial(5)
+
+
+def test_laplacian_rows_of_an_image_table():
+    # g0 swaps points 0 and 1, g1 is the 3-cycle 0 -> 1 -> 2 -> 0
+    img = np.array([[1, 1], [0, 2], [2, 0]])
+    cols, vals = laplacian_rows(img, [0.5, 0.25])
+    assert np.array_equal(cols, [[1, 1, 0], [0, 2, 1], [2, 0, 2]])
+    assert np.array_equal(vals, [[-0.5, -0.25, 0.75], [-0.5, -0.25, 0.75], [0.0, -0.25, 0.25]])
+    assert not np.any(np.signbit(vals) & (vals == 0.0))
+    # no generators: each row is its zero diagonal
+    cols, vals = laplacian_rows(np.empty((3, 0), dtype=np.intp), [])
+    assert np.array_equal(cols, [[0], [1], [2]]) and np.array_equal(vals, np.zeros((3, 1)))
+    # a diagonal that overflows is left inf, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, vals = laplacian_rows(img, [1e308, 1e308])
+    assert np.array_equal(vals[:, -1], [np.inf, np.inf, 1e308])
 
 
 def test_is_full_symmetric():

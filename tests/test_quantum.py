@@ -713,6 +713,20 @@ def test_generator_rows_sum_to_exactly_zero(d):
             assert np.all(s @ np.ones(s.shape[0]) == 0.0)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_a_zero_weight_stores_no_entry(d):
+    # an explicit zero in S's pattern would join its components and count
+    # in the nnz that decides whether evolve powers the step operator
+    for gens, w in lq_cases():
+        if (d * d) ** gens.n <= LQ_DIM_CAP:
+            w = np.r_[0.0, w[1:]]
+            s = _generator(gens.perms, w, gens.n, d)
+            assert np.all(s.data != 0.0)
+            # two generators that move a row to one entry store it twice
+            s.sum_duplicates()
+            assert s.nnz == np.count_nonzero(dense_lq(gens, w, d=d))
+
+
 def test_lq_rejects_oversized_index_space():
     gens = generator_set(7, [[[1, 2]]])
     with pytest.raises(CapExceededError):

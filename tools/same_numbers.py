@@ -27,7 +27,11 @@ orbit graph) is in the list too.  ``rates`` and ``spectrum --partition
 2,1`` run on g1-3 with the weight labels ``weight1`` and ``heavyweight``,
 and ``spectrum --all`` and ``spectrum --partition 2,1,1,1,1,1,1`` on
 ring+swap N = 8 at d = 3, whose orbits pass the cap (exit 4, nothing
-printed).
+printed).  Three sets short of S_N, (1 2),(3 4) and the lone 5-cycle on
+five sites and the lone 3-cycle, run ``rates``, ``spectrum --all`` and
+``spectrum --partition`` at d = 2 and 3 (the dense intertwining path and
+the irrep blocks' fixed vectors), and g1-4 at the zero weight
+``0.2,0,0.15`` runs ``rates``, ``spectrum --all`` and ``simulate`` to t = 2.
 
     python tools/same_numbers.py dump /path/to/old/src old.json
     python tools/same_numbers.py dump src new.json
@@ -174,6 +178,25 @@ def commands(work):
         if n == 6:
             cmds.append(("optimize", path))
             cmds.append(("pareto", path, "--resolution", "10", "--out", "@CSV"))
+
+    # groups short of S_N: orbits short of their tabloid sets take the
+    # dense intertwining path, and irrep blocks drop fixed vectors
+    for name, n, gens, w in (("swaps-5", 5, ("(1 2)", "(3 4)"), "0.3,0.7"),
+                             ("cycle-5", 5, ("(1 2 3 4 5)",), "0.3"),
+                             ("cycle-3", 3, ("(1 2 3)",), "0.3")):
+        path = os.path.join(work, f"{name}.txt")
+        with open(path, "w") as fh:
+            fh.write(f"name: {name}\nN: {n}\n")
+            fh.write("".join(f"generator: {g} weight w{i + 1}\n" for i, g in enumerate(gens)))
+        for d in (2, 3):
+            base = (path, "--weights", w, "--d", str(d))
+            cmds += [("rates",) + base, ("spectrum",) + base + ("--all",)]
+            cmds += [("spectrum",) + base + ("--partition", p) for p in shapes(n, d)]
+
+    # a zero weight: a generator that adds no entry to any Laplacian
+    base = ("g1-4", "--weights", "0.2,0,0.15")
+    cmds += [("rates",) + base, ("spectrum",) + base + ("--all",),
+             ("simulate",) + base + ("--t", "2", "--out", "@CSV")]
     return cmds
 
 
