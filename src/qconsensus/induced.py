@@ -254,14 +254,13 @@ def irrep_dim(parts: Partition) -> int:
     return math.factorial(sum(parts)) // hooks
 
 
-def check_block_cap(shapes, m: int) -> int:
-    """The coefficients the rate blocks of ``shapes`` under m generators
-    hold at most, sized by :func:`irrep_dim` before any block is built;
-    past ``RATE_BLOCK_CAP`` raises :class:`CapExceededError`."""
+def check_block_cap(shapes, m: int) -> None:
+    """Raise :class:`CapExceededError` if the rate blocks of ``shapes``
+    under m generators would hold more than ``RATE_BLOCK_CAP``
+    coefficients, sized by :func:`irrep_dim` before any block is built."""
     size = m * sum(irrep_dim(p) ** 2 for p in shapes)
     if size > RATE_BLOCK_CAP:
         raise CapExceededError(f"rate blocks of {size} coefficients exceed cap {RATE_BLOCK_CAP}")
-    return size
 
 
 def _bubble_word(p: Permutation) -> list[int]:

@@ -108,7 +108,8 @@ def pareto_scan(
         raise ValueError("resolution must be >= 2")
     lengths = np.asarray(constraint.lengths, dtype=float)
     grid = _compositions(resolution, m)
-    w_all = constraint.budget * grid / (resolution * lengths[None, :])
+    # every grid weight is at most D / length, so dividing first cannot overflow
+    w_all = constraint.budget * (grid / (resolution * lengths[None, :]))
     ev = _RateEvaluator(gens, d=d)
     pieces = [ev.rates(w_all[i:i + CHUNK]) for i in range(0, len(w_all), CHUNK)]
     cons, synch = (np.concatenate(x) for x in zip(*pieces))

@@ -4,7 +4,8 @@ The quantities of interest are real parts of second-smallest
 eigenvalues: ``lambda_synch`` from the site-label graph, which is the
 shape ``(n-1, 1)`` induced graph, and ``lambda_cons`` as the minimum
 over every admissible partition shape.  The rates read each shape's
-spectrum from irrep blocks (:func:`batch_rates`); the spectral-inclusion
+spectrum from irrep blocks, one eigensolve per block
+(:func:`batch_rates`); the spectral-inclusion
 checks read the induced graphs themselves, through equivariant maps
 between their image tables when every orbit is a whole tabloid set
 (scaled by the diagonal ``permgroup.laplacian_rows`` gives).
@@ -15,7 +16,6 @@ tolerances.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +30,6 @@ from .induced import (
     dominates,
     induced_laplacian,
     irrep_block,
-    irrep_dim,
     rate_shapes,
     tabloid_count,
     tabloid_orbit,
@@ -87,57 +86,32 @@ class RateStructure:
     """Everything :func:`batch_rates` needs of one (generators, shapes) but
     the weights, built by :func:`rate_structure`.
 
-    ``blocks`` follow the shapes, one irrep each.  ``coeffs`` stores every
-    coefficient once: each block's (m, k, k) stack in turn, the blocks
-    ordered by size.  The blocks' stacks are views into it, and so is
-    ``groups``: per size, the (count, m, k, k) stack of its blocks.
-    ``columns`` gives, per shape, the indices of the trivial zero (column
-    0) and of the eigenvalues of every block dominating it in the spectrum
-    that :func:`batch_rates` concatenates, groups in order.
+    ``blocks`` follow the shapes, one irrep each, as
+    :func:`~qconsensus.induced.irrep_block` builds them.  ``columns``
+    gives, per shape, the indices of the trivial zero (column 0) and of
+    the eigenvalues of every block dominating it in the spectrum that
+    :func:`batch_rates` concatenates, blocks in shape order.
     """
 
     blocks: tuple[IrrepBlock, ...]
-    coeffs: np.ndarray
-    groups: tuple[np.ndarray, ...]
     columns: tuple[np.ndarray, ...]
 
 
 def rate_structure(gens: GeneratorSet, shapes) -> RateStructure:
-    """The :class:`RateStructure` of ``shapes`` under ``gens``.
-
-    The cap check comes before the first block, and each block is copied
-    into ``coeffs`` as it is built, so the cap sizes the only copy.  The
-    array is allocated by :func:`irrep_dim`; a block that loses fixed
-    vectors leaves its unused tail untouched.
-    """
-    m = len(gens)
-    store = np.empty(check_block_cap(shapes, m))
-    blocks: list[IrrepBlock | None] = [None] * len(shapes)
+    """The :class:`RateStructure` of ``shapes`` under ``gens``; the cap
+    check comes before the first block."""
+    check_block_cap(shapes, len(gens))
+    blocks = tuple(irrep_block(p, gens) for p in shapes)
     # each block's first column in the spectrum, after the trivial zero
-    first = [0] * len(shapes)
-    sizes, at = [], 0
-    for i in sorted(range(len(shapes)), key=lambda i: irrep_dim(shapes[i])):
-        block = irrep_block(shapes[i], gens)
-        view = store[at:at + block.coeffs.size].reshape(block.coeffs.shape)
-        view[...] = block.coeffs
-        blocks[i] = IrrepBlock(block.partition, view, block.fixed)
-        first[i] = 1 + sum(sizes)
-        sizes.append(len(view[0]))
-        at += view.size
-    groups, start = [], 0
-    for k, run in itertools.groupby(sizes):
-        count = len(list(run))
-        if k:  # a block the group fixes whole has no eigenvalue to add
-            groups.append(store[start:start + count * m * k * k].reshape(count, m, k, k))
-        start += count * m * k * k
+    first = np.cumsum([1] + [len(b.coeffs[0]) for b in blocks])
     columns = tuple(
         np.concatenate([[0]] + [
-            np.arange(first[i], first[i] + len(b.coeffs[0]))
+            np.arange(first[i], first[i + 1])
             for i, b in enumerate(blocks) if dominates(b.partition, mu)
         ])
         for mu in shapes
     )
-    return RateStructure(tuple(blocks), store[:at], tuple(groups), columns)
+    return RateStructure(blocks, columns)
 
 
 def batch_rates(rs: RateStructure, w) -> tuple[np.ndarray, ...]:
@@ -145,8 +119,8 @@ def batch_rates(rs: RateStructure, w) -> tuple[np.ndarray, ...]:
 
     The structure's shapes follow :func:`rate_shapes`, so the first is the
     site graph's (n-1, 1).  By Young's rule a shape's spectrum is that of
-    every block whose irrep dominates it, plus the one trivial zero.  The
-    blocks of one size share one product and one eigensolve; the product
+    every block whose irrep dominates it, plus the one trivial zero.  Each
+    block with rows makes one product and one eigensolve; the product
     runs block by block, as one over all blocks would round some entries
     differently.  Returns the (shapes, b) table, lambda_cons (its column
     minima) and lambda_synch: the first row if the group fixes no vector
@@ -157,14 +131,14 @@ def batch_rates(rs: RateStructure, w) -> tuple[np.ndarray, ...]:
     m = len(rs.blocks[0].coeffs)
     w = check_weights(w, m)
     spectra = [np.zeros((len(w), 1))]
-    for stack in rs.groups:
-        count, _, k, _ = stack.shape
-        # + 0.0 turns the -0.0 of a zero weight into 0.0; weights that
-        # overflow leave inf for the eigensolve to reject
-        with np.errstate(over="ignore", invalid="ignore"):
-            laps = np.matmul(w, stack.reshape(count, m, k * k)) + 0.0
-        vals = eigenvalues(laps.reshape(count, len(w), k, k).swapaxes(0, 1))
-        spectra.append(vals.reshape(len(w), count * k))
+    for block in rs.blocks:
+        k = len(block.coeffs[0])
+        if k:  # a block the group fixes whole has no eigenvalue to add
+            # + 0.0 turns the -0.0 of a zero weight into 0.0; weights that
+            # overflow leave inf for the eigensolve to reject
+            with np.errstate(over="ignore", invalid="ignore"):
+                lap = w @ block.coeffs.reshape(m, k * k) + 0.0
+            spectra.append(eigenvalues(lap.reshape(len(w), k, k)))
     spectrum = np.concatenate(spectra, axis=1)
     table = np.array([lambda2_re_batch(spectrum[:, c]) for c in rs.columns])
     synch = table[0] if rs.blocks[0].fixed == 0 else np.zeros(len(w))

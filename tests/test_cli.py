@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from qconsensus import induced, spectra
 from qconsensus.cli import (
+    PRESETS,
     TopologyError,
     load_topology,
     main,
@@ -562,6 +563,24 @@ def test_pareto_reruns_are_byte_identical(tmp_path, capsys):
     run(capsys, "pareto", "g1-3", "--resolution", "30", "--out", str(a))
     run(capsys, "pareto", "g1-3", "--resolution", "30", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_pareto_at_a_budget_near_the_float_limit(tmp_path, capsys):
+    """Grid weights stay at most D / length, so a budget of 1e307 neither
+    overflows nor warns, and the maxima scale with it.  Only the maxima
+    are compared, as the first tied grid point may differ."""
+    maxima = {}
+    for budget in ("1", "1e307"):
+        topo = tmp_path / f"g1-4-{budget}.topo"
+        topo.write_text(PRESETS["g1-4"] + f"budget: {budget}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "pareto", str(topo), "--resolution", "20",
+                                 "--out", str(tmp_path / f"{budget}.csv"))
+        assert code == 0, err
+        maxima[budget] = [float(grab(out, f"max {t}:").split()[0])
+                          for t in ("lambda_cons", "lambda_synch")]
+    assert_allclose(maxima["1e307"], 1e307 * np.array(maxima["1"]), rtol=1e-12)
 
 
 # --- simulate ---

@@ -437,8 +437,8 @@ def test_each_objective_builds_each_shape_once(monkeypatch):
     assert built == [(2, 1)]
     built.clear()
     maximize_rate(gens, c, objective="consensus")
-    # blocks are built smallest first, to store the blocks of one size together
-    assert built == [(1, 1, 1), (2, 1)]
+    # blocks are built in shape order, (n-1, 1) first
+    assert built == [(2, 1), (1, 1, 1)]
 
 
 def test_maximize_rejects_unknown_objective():

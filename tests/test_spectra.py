@@ -370,8 +370,8 @@ STRUCTURE_SETS = {
     "ring-swap-5": lambda: ring_swap(5),
     "five-4": lambda: generator_set(
         4, [[[1, 2, 3, 4]], [[1, 2]], [[3, 4]], [[1, 3, 2]], [[2, 4]]]),
-    # subgroups of S_4: fixed vectors shrink blocks out of their size order
-    # (C_4: sizes 1, 1, 3, 2 in storage order), one to no rows at all
+    # subgroups of S_4: fixed vectors shrink blocks (C_4: sizes 3, 1, 2, 1
+    # against S_4's 3, 2, 3, 1), two of double-swap-4's to no rows at all
     "cycle-4": lambda: generator_set(4, [[[1, 2, 3, 4]]]),
     "swaps-4": lambda: generator_set(4, [[[1, 2]], [[3, 4]]]),
     "double-swap-4": lambda: generator_set(4, [[[1, 3], [2, 4]]]),
@@ -381,40 +381,45 @@ STRUCTURE_SETS = {
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("name", STRUCTURE_SETS)
 def test_structure_rates_equal_the_per_shape_concatenation(name, d):
-    """One product and one eigensolve per block size and the precomputed
-    columns give the per-block path's table bit for bit."""
+    """One product and one eigensolve per block and the precomputed
+    columns give the per-block path's table bit for bit, at batches of
+    one row (the product's gemv), six and 256."""
     gens = STRUCTURE_SETS[name]()
     shapes = rate_shapes(gens.n, d)
     rs = rate_structure(gens, shapes)
     assert [b.partition for b in rs.blocks] == shapes
-    assert sum(len(g) for g in rs.groups) == sum(b.coeffs.size > 0 for b in rs.blocks)
-    assert sum(g.size for g in rs.groups) == rs.coeffs.size
-    assert all(np.shares_memory(x, rs.coeffs) for x in rs.groups)
-    assert all(np.shares_memory(b.coeffs, rs.coeffs) for b in rs.blocks if b.coeffs.size)
-    w = np.vstack([1.0 - np.random.default_rng([gens.n, d]).random((5, len(gens))),
-                   np.eye(len(gens))[:1]])
-    table, cons, synch = batch_rates(rs, w)
-    reference = per_shape_concatenation([irrep_block(p, gens) for p in shapes], w)
-    assert np.array_equal(table, reference)
-    assert np.array_equal(cons, reference.min(axis=0))
+    blocks = [irrep_block(p, gens) for p in shapes]
     transitive = rs.blocks[0].fixed == 0
-    assert np.array_equal(synch, reference[0] if transitive else np.zeros(len(w)))
+    draws = 1.0 - np.random.default_rng([gens.n, d]).random((256, len(gens)))
+    for w in (draws[:1], np.vstack([draws[:5], np.eye(len(gens))[:1]]), draws):
+        table, cons, synch = batch_rates(rs, w)
+        reference = per_shape_concatenation(blocks, w)
+        assert np.array_equal(table, reference)
+        assert np.array_equal(cons, reference.min(axis=0))
+        assert np.array_equal(synch, reference[0] if transitive else np.zeros(len(w)))
 
 
-def test_equal_size_blocks_share_one_eigensolve(monkeypatch):
+@pytest.mark.parametrize("name, shapes", [
+    # g1-4's blocks in shape order, the two of three rows solved apart
+    ("g1-4", [(4, 3, 3), (4, 2, 2), (4, 3, 3), (4, 1, 1)]),
+    # (1 3)(2 4) fixes the (2,2) and (1,1,1,1) irreps whole: no rows, no solve
+    ("double-swap-4", [(4, 2, 2), (4, 2, 2)]),
+], ids=["g1-4", "double-swap-4"])
+def test_each_block_with_rows_has_one_eigensolve(monkeypatch, name, shapes):
     import qconsensus.spectra as spectra
 
     solved = []
     real = spectra.eigenvalues
 
     def counted(m):
-        solved.append(m.shape[1:])
+        solved.append(m.shape)
         return real(m)
 
     monkeypatch.setattr(spectra, "eigenvalues", counted)
-    # g1-4's (3,1) and (2,1,1) blocks both have three rows
-    batch_rates(rate_structure(g14(), rate_shapes(4, 2)), [[0.1, 0.2, 0.15]] * 4)
-    assert solved == [(1, 1, 1), (1, 2, 2), (2, 3, 3)]
+    gens = STRUCTURE_SETS[name]()
+    rs = rate_structure(gens, rate_shapes(4, 2))
+    batch_rates(rs, np.full((4, len(gens)), 0.1))
+    assert solved == shapes
 
 
 def test_overflowing_weights_fail_the_eigensolve_without_warnings():

@@ -2,7 +2,11 @@
 
 import ast
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import qconsensus
 import qconsensus.optimize
@@ -32,10 +36,21 @@ def test_traced_names_resolve():
 
 
 def test_demo_imports_resolve():
-    # the package re-exports only what the demos use; no demo is run here
+    # the package re-exports only what the demos use
     for script in sorted((ROOT / "demos").glob("*.py")):
         tree = ast.parse(script.read_text(encoding="utf-8"))
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "qconsensus":
                 for alias in node.names:
                     assert hasattr(qconsensus, alias.name), (script.name, alias.name)
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_runs(tmp_path, script):
+    # each demo reaches the rate path through pareto_scan, maximize_rate
+    # or convergence_rates; any file it writes lands in its working directory
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / script)], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    if script == "pareto_tradeoff.py":
+        assert (tmp_path / "pareto_tradeoff.csv").is_file()

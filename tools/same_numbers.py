@@ -32,6 +32,12 @@ five sites and the lone 3-cycle, run ``rates``, ``spectrum --all`` and
 ``spectrum --partition`` at d = 2 and 3 (the dense intertwining path and
 the irrep blocks' fixed vectors), and g1-4 at the zero weight
 ``0.2,0,0.15`` runs ``rates``, ``spectrum --all`` and ``simulate`` to t = 2.
+The two swaps on five sites and (1 3)(2 4) on four, whose (2,2) and
+(1,1,1,1) blocks have no rows, run ``optimize`` (both objectives, seed 0)
+and ``pareto --resolution 20`` at d = 2 and 3, so the batched rate path
+sees blocks with fixed vectors and empty ones; ``pareto`` also runs on
+g1-4 at budget 1e307, where the budget times a grid count would
+overflow.
 
     python tools/same_numbers.py dump /path/to/old/src old.json
     python tools/same_numbers.py dump src new.json
@@ -197,6 +203,23 @@ def commands(work):
     base = ("g1-4", "--weights", "0.2,0,0.15")
     cmds += [("rates",) + base, ("spectrum",) + base + ("--all",),
              ("simulate",) + base + ("--t", "2", "--out", "@CSV")]
+
+    # the batched rate path on groups short of S_N: blocks with fixed
+    # vectors, and (1 3)(2 4)'s blocks with no rows
+    double = os.path.join(work, "double-swap-4.txt")
+    with open(double, "w") as fh:
+        fh.write("name: double-swap-4\nN: 4\ngenerator: (1 3)(2 4) weight w1324\n")
+    for path in (os.path.join(work, "swaps-5.txt"), double):
+        for d in ("2", "3"):
+            cmds += [("optimize", path, "--objective", obj, "--seed", "0", "--d", d)
+                     for obj in ("consensus", "synchronization")]
+            cmds.append(("pareto", path, "--resolution", "20", "--d", d, "--out", "@CSV"))
+
+    # a budget whose grid products budget * i would overflow
+    path = os.path.join(work, "g1-4-budget-1e307.txt")
+    with open(path, "w") as fh:
+        fh.write(TOPOLOGIES["g1-4"] + "budget: 1e307\n")
+    cmds.append(("pareto", path, "--out", "@CSV"))
     return cmds
 
 
