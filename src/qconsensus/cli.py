@@ -27,16 +27,17 @@ from .optimize import TIE_TOL, BudgetConstraint, maximize_rate, pareto_scan
 from .permgroup import (
     CapExceededError,
     GeneratorSet,
+    check_cap,
     check_weights,
     from_cycles,
     to_cycles,
 )
 from .quantum import (
+    EVOLVE_DIM_CAP,
     InsufficientDecayError,
     StepSizeError,
     check_density,
     check_state,
-    check_state_dim,
     evolve_chunks,
     fit_decay_rate,
     frobenius_distances,
@@ -346,7 +347,7 @@ def _load_rho0(path: str, d: int, n: int) -> np.ndarray:
 
 def cmd_simulate(args, spec: TopologySpec, d: int) -> int:
     w = resolve_weights(spec, args.weights)
-    check_state_dim(d**spec.n)
+    check_cap("state dimension", d**spec.n, EVOLVE_DIM_CAP)
     if args.rho0 == "generic":
         rho0 = generic_state(d, spec.n, seed=args.seed)
     else:

@@ -9,15 +9,17 @@ u_i = l_i w_i / D.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .induced import rate_shapes
-from .permgroup import GeneratorSet
+from .permgroup import GeneratorSet, check_cap
 from .spectra import batch_rates, rate_structure
 
 CHUNK = 256
+GRID_CAP = 2**20
 N_STARTS = 20
 STEP_FLOOR = 1e-8
 # rates within TIE_TOL times the budget count as equal, so ties among
@@ -99,13 +101,15 @@ def pareto_scan(
     P grid points, in lexicographic order of the grid compositions.
 
     Rates are evaluated ``CHUNK`` points at a time, which bounds the
-    memory of one batch.
+    memory of one batch; P = C(resolution + m - 1, m - 1) is checked
+    against ``GRID_CAP`` before the grid is built.
     """
     m = len(gens)
     if resolution is None:
         resolution = 200 if m <= 3 else 60
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
+    check_cap("grid points", math.comb(resolution + m - 1, m - 1), GRID_CAP)
     lengths = np.asarray(constraint.lengths, dtype=float)
     grid = _compositions(resolution, m)
     # every grid weight is at most D / length, so dividing first cannot overflow

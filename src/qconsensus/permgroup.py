@@ -25,7 +25,16 @@ DEFAULT_GROUP_CAP = 10080
 
 
 class CapExceededError(RuntimeError):
-    """Raised when a closure or state-space enumeration would exceed its cap."""
+    """Raised by :func:`check_cap` when a predicted size is past its cap."""
+
+
+def check_cap(what: str, size, cap: int) -> None:
+    """Raise :class:`CapExceededError` "<what> <size> exceeds cap <cap>" past
+    ``cap``: the one size rule, given a size predicted before allocating.
+    An int size prints exactly, a float ratio to 15 significant digits."""
+    if size > cap:
+        shown = f"{size:.15g}" if isinstance(size, float) else size
+        raise CapExceededError(f"{what} {shown} exceeds cap {cap}")
 
 
 def identity(n: int) -> Permutation:
@@ -195,7 +204,7 @@ def orbit(
         if y in images:
             continue
         if len(images) == cap:
-            raise CapExceededError(f"orbit of {tuple(x)} exceeds cap {cap}")
+            check_cap(f"orbit of {tuple(x)} size at least", cap + 1, cap)
         images[y] = [move(y) for move in movers]
         queue.extend(images[y])
     points = sorted(images)
@@ -230,6 +239,5 @@ def generate_group(
 def is_full_symmetric(gens: GeneratorSet) -> bool:
     """True iff the generators generate all n! permutations."""
     full = math.factorial(gens.n)
-    if full > DEFAULT_GROUP_CAP:
-        raise CapExceededError(f"{gens.n}! = {full} exceeds cap of {DEFAULT_GROUP_CAP}")
+    check_cap(f"{gens.n}! =", full, DEFAULT_GROUP_CAP)
     return len(generate_group(gens)) == full

@@ -32,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .permgroup import (
-    CapExceededError,
     GeneratorSet,
     Permutation,
+    check_cap,
     check_d,
     check_weights,
     laplacian_rows,
@@ -42,6 +42,7 @@ from .permgroup import (
 
 EVOLVE_DIM_CAP = 256
 LQ_DIM_CAP = 4096
+STEP_CAP = 10**7
 
 
 class StepSizeError(RuntimeError):
@@ -233,10 +234,11 @@ def evolve_chunks(
     rho0 = np.asarray(rho0, dtype=complex)
     check_state(rho0, gens.n, d)
     dim = rho0.shape[0]
-    check_state_dim(dim)
+    check_cap("state dimension", dim, EVOLVE_DIM_CAP)
     check_density(rho0, d)
-    stored_idx = list(range(0, steps, store_every)) + [steps]
-    times = np.array([i * dt for i in stored_idx])
+    # a stride past steps stores only the ends; min keeps it an int64
+    idx = np.append(np.arange(0, steps, min(store_every, steps + 1)), steps)
+    times = idx * dt
     per_chunk = max(1, (1 << 20) // (16 * dim * dim))
 
     # entry state gets the same conditioning as every stored state, so
@@ -253,16 +255,16 @@ def evolve_chunks(
                     "reduce dt or the weights"
                 )
             power = _no_fill(one_step)
-            for k in {b - a for a, b in zip(stored_idx, stored_idx[1:])}:
+            for k in set(np.diff(idx).tolist()):
                 advance[k] = (_matrix_power(one_step, k), 1) if power else (one_step, k)
-    for start in range(0, len(stored_idx), per_chunk):
-        chunk = np.empty((min(per_chunk, len(stored_idx) - start), dim, dim),
+    for start in range(0, len(idx), per_chunk):
+        chunk = np.empty((min(per_chunk, len(idx) - start), dim, dim),
                          dtype=complex)
         # no yield inside: np.errstate must not outlive this block
         with np.errstate(over="ignore", invalid="ignore"):
             for i, pos in enumerate(range(start, start + len(chunk))):
                 if pos:
-                    op, repeats = advance[stored_idx[pos] - stored_idx[pos - 1]]
+                    op, repeats = advance[int(idx[pos] - idx[pos - 1])]
                     for _ in range(repeats):
                         rho = _apply(op, rho)
                     tr = np.trace(rho)
@@ -371,18 +373,14 @@ def _apply(op, rho: np.ndarray) -> np.ndarray:
 
 def check_steps(t_final: float, dt: float, store_every: int) -> int:
     """Step count round(t_final / dt), or ValueError unless dt > 0, t_final >= 0
-    and their ratio are finite and store_every is an integer >= 1."""
+    and their ratio are finite and store_every is an integer >= 1, then
+    CapExceededError if the ratio is past ``STEP_CAP`` (steps + 1 bound the stored states)."""
     if not (0 < dt < math.inf and 0 <= t_final and t_final / dt < math.inf):
         raise ValueError("need finite dt > 0, t_final >= 0 and t_final / dt")
     if not (isinstance(store_every, (int, np.integer)) and store_every >= 1):
         raise ValueError(f"store_every must be an integer >= 1, got {store_every!r}")
+    check_cap("steps", t_final / dt, STEP_CAP)
     return int(round(t_final / dt))
-
-
-def check_state_dim(dim: int) -> None:
-    """Raise CapExceededError if a dim x dim state is past ``EVOLVE_DIM_CAP``."""
-    if dim > EVOLVE_DIM_CAP:
-        raise CapExceededError(f"state dimension {dim} exceeds cap {EVOLVE_DIM_CAP}")
 
 
 def check_density(rho: np.ndarray, d: int = 2) -> None:
@@ -474,9 +472,7 @@ def build_lq(gens: GeneratorSet, weights, d: int = 2) -> np.ndarray:
     """
     weights = check_weights([weights], len(gens))[0]
     check_d(d)
-    dim = (d * d) ** gens.n
-    if dim > LQ_DIM_CAP:
-        raise CapExceededError(f"coefficient dimension {dim} exceeds cap {LQ_DIM_CAP}")
+    check_cap("coefficient dimension", (d * d) ** gens.n, LQ_DIM_CAP)
     pull = _interleave(gens.n, d)
     return (-_generator(gens.perms, weights, gens.n, d)[pull][:, pull]).toarray()
 

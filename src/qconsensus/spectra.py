@@ -24,19 +24,24 @@ from .induced import (
     ZERO_TOL,
     IrrepBlock,
     Partition,
-    check_block_cap,
     cover_map,
     dominance_covers,
     dominates,
     induced_laplacian,
     irrep_block,
+    irrep_dim,
     rate_shapes,
     tabloid_count,
     tabloid_orbit,
 )
-from .permgroup import GeneratorSet, check_weights, laplacian_rows, parity
+from .permgroup import GeneratorSet, check_cap, check_weights, laplacian_rows, parity
 
 INCLUSION_TOL = 1e-7
+
+# float64 coefficients one set of rate blocks may hold, m * sum k^2 over
+# blocks of k rows: 2**27 (1 GiB) keeps ring+swap (m = 2) through N = 11
+# at d = 2 and 3 and refuses N = 12, whose d = 2 blocks would hold 2.8 GB
+RATE_BLOCK_CAP = 2**27
 
 
 class NumericalFailureError(RuntimeError):
@@ -98,9 +103,10 @@ class RateStructure:
 
 
 def rate_structure(gens: GeneratorSet, shapes) -> RateStructure:
-    """The :class:`RateStructure` of ``shapes`` under ``gens``; the cap
-    check comes before the first block."""
-    check_block_cap(shapes, len(gens))
+    """The :class:`RateStructure` of ``shapes`` under ``gens``; the blocks'
+    m * sum k^2 coefficients, by ``irrep_dim``, are capped before the first."""
+    size = len(gens) * sum(irrep_dim(p) ** 2 for p in shapes)
+    check_cap("rate block coefficients", size, RATE_BLOCK_CAP)
     blocks = tuple(irrep_block(p, gens) for p in shapes)
     # each block's first column in the spectrum, after the trivial zero
     first = np.cumsum([1] + [len(b.coeffs[0]) for b in blocks])

@@ -1,5 +1,9 @@
 """Command-line front end: parsing, subcommands, exit codes, determinism."""
 
+import math
+import os
+import re
+import resource
 import subprocess
 import sys
 import warnings
@@ -8,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qconsensus import induced, spectra
+from qconsensus import induced, optimize, spectra
 from qconsensus.cli import (
     PRESETS,
     TopologyError,
@@ -330,7 +334,7 @@ def test_rates_check_the_block_cap_before_any_block(tmp_path, monkeypatch, capsy
     # ring+swap N=5 at d=2 has blocks of 4, 5, 6, 5 and 4 rows, 118
     # coefficients a generator; with the cap below that, rates must exit
     # before building the first block
-    monkeypatch.setattr(induced, "RATE_BLOCK_CAP", 100, raising=False)
+    monkeypatch.setattr(spectra, "RATE_BLOCK_CAP", 100)
     built = []
     real = spectra.irrep_block
 
@@ -406,6 +410,69 @@ def test_simulate_state_cap_before_output(tmp_path, capsys, n):
     assert code == 4
     assert out == ""
     assert f"state dimension {2**n} exceeds cap 256" in err
+    assert not csv.exists()
+
+
+def _limit_address_space():
+    # runs in the child before exec: a 2 GB address space, so an input
+    # that escapes its cap fails with a MemoryError instead of swapping
+    limit = 2 * 1024**3
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "g1-3", "--weights", "0.2,0.2", "--t", "1e9"),
+    ("simulate", "g1-3", "--weights", "0.2,0.2", "--t", "1", "--dt", "1e-300"),
+    ("pareto", "g1-3", "--resolution", "100000000"),
+], ids=["simulate-t-1e9", "simulate-dt-1e-300", "pareto-resolution-1e8"])
+def test_inputs_past_a_size_cap_exit_4_under_a_memory_limit(tmp_path, argv):
+    # 10^12 steps, 10^300 steps and 10^8 + 1 grid points: each size is
+    # predicted from the arguments and refused before anything is allocated
+    csv = tmp_path / "out.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qconsensus.cli", *argv, "--out", str(csv)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=30,
+        preexec_fn=_limit_address_space, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == ""
+    # one short line: the 10^300 steps print as 1e+300, not as 301 digits
+    assert re.fullmatch(r"error: (steps|grid points) \S{1,20} exceeds cap \d+\n", proc.stderr)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_pareto_grid_cap_before_any_rate(tmp_path, capsys, monkeypatch):
+    # g1-3's default grid has C(201, 1) = 201 points; with the cap at 100
+    # pareto must exit before its first batched rate call
+    monkeypatch.setattr(optimize, "GRID_CAP", 100)
+    calls = []
+    real = optimize._RateEvaluator.rates
+    monkeypatch.setattr(optimize._RateEvaluator, "rates",
+                        lambda self, w: calls.append(len(w)) or real(self, w))
+    csv = tmp_path / "cloud.csv"
+    code, out, err = run(capsys, "pareto", "g1-3", "--out", str(csv))
+    assert code == 4
+    assert out == ""
+    assert err == "error: grid points 201 exceeds cap 100\n"
+    assert calls == []
+    assert not csv.exists()
+
+
+def test_pareto_default_grids_fit_the_grid_cap(tmp_path, capsys):
+    # the default resolution is 200 for m <= 3 generators and 60 above:
+    # m = 5 makes C(64, 4) = 635,376 points, under 2^20; six generators
+    # would make C(65, 5) = 8,259,888 and exit 4 at once
+    for m in range(1, 6):
+        assert math.comb((200 if m <= 3 else 60) + m - 1, m - 1) <= optimize.GRID_CAP
+    topo = tmp_path / "six.topo"
+    topo.write_text("name: six\nN: 4\n" + "".join(
+        f"generator: {g} weight w{i}\n"
+        for i, g in enumerate(["(1 2)", "(2 3)", "(3 4)", "(1 2 3)", "(1 3 2)", "(1 2 3 4)"])))
+    csv = tmp_path / "six.csv"
+    code, out, err = run(capsys, "pareto", str(topo), "--out", str(csv))
+    assert code == 4
+    assert out == ""
+    assert err == "error: grid points 8259888 exceeds cap 1048576\n"
     assert not csv.exists()
 
 

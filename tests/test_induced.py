@@ -15,7 +15,6 @@ from numpy.testing import assert_allclose
 
 from qconsensus.induced import (
     canonical_tabloid,
-    check_block_cap,
     check_partition,
     cover_map,
     dominance_covers,
@@ -41,9 +40,10 @@ from qconsensus.permgroup import (
     identity,
     parity,
 )
+from qconsensus import spectra
 from qconsensus.cli import load_topology
 from qconsensus.quantum import build_lq
-from qconsensus.spectra import eigenvalues, multiset_contained
+from qconsensus.spectra import eigenvalues, multiset_contained, rate_structure
 from reference import cayley_laplacian, scatter_laplacian
 
 
@@ -385,14 +385,33 @@ def test_irrep_dim_counts_standard_tableaux():
             assert irrep_dim(parts) == len(standard_tableaux(parts)), parts
 
 
-def test_block_cap_admits_eleven_sites_and_refuses_twelve():
-    # sized by hook lengths alone: nothing of N = 12's 2.8 GB is allocated
+class _Built(Exception):
+    """Raised by a stub block builder once the cap check has passed."""
+
+
+def test_block_cap_admits_eleven_sites_and_refuses_twelve(monkeypatch):
+    # sized by hook lengths alone: nothing of N = 12's 2.8 GB is allocated;
+    # the stub records each block asked for and stops at the first
+    built = []
+
+    def stub(parts, gens):
+        built.append(parts)
+        raise _Built
+
+    monkeypatch.setattr(spectra, "irrep_block", stub)
     for n, d in ((10, 2), (10, 3), (11, 2), (11, 3)):
-        check_block_cap(rate_shapes(n, d), 2)
-    with pytest.raises(CapExceededError, match="cap"):
-        check_block_cap(rate_shapes(12, 2), 2)
+        built.clear()
+        with pytest.raises(_Built):
+            rate_structure(ring_swap(n), rate_shapes(n, d))
+        assert built == [(n - 1, 1)]
+    built.clear()
+    with pytest.raises(CapExceededError, match=r"^rate block coefficients \d+ exceeds cap 134217728$"):
+        rate_structure(ring_swap(12), rate_shapes(12, 2))
+    assert built == []
     # synchronization builds only the (n-1, 1) block
-    check_block_cap(rate_shapes(12, 2)[:1], 2)
+    with pytest.raises(_Built):
+        rate_structure(ring_swap(12), rate_shapes(12, 2)[:1])
+    assert built == [(11, 1)]
 
 
 @pytest.mark.parametrize("parts", [(2, 1), (3, 1, 1), (2, 2, 1), (3, 2), (2, 1, 1, 1)])

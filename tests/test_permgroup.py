@@ -24,7 +24,10 @@ from qconsensus.permgroup import (
     parity,
     to_cycles,
 )
-from qconsensus.quantum import _pull_map
+from qconsensus.induced import rate_shapes
+from qconsensus.optimize import BudgetConstraint, pareto_scan
+from qconsensus.quantum import _pull_map, build_lq, check_steps, evolve_chunks
+from qconsensus.spectra import rate_structure
 
 
 @st.composite
@@ -215,6 +218,32 @@ def test_generate_group_respects_cap():
     with pytest.raises(CapExceededError):
         generate_group(gens, cap=119)
     assert len(generate_group(gens, cap=120)) == math.factorial(5)
+
+
+def _ring_swap(n):
+    return generator_set(n, [[list(range(1, n + 1))], [[1, 2]]])
+
+
+def _first_chunk(n):
+    return next(evolve_chunks(np.eye(2**n) / 2**n, None, _ring_swap(n), [0.1, 0.1], 1.0))
+
+
+CAP_SITES = {
+    "orbit": lambda: orbit(identity(5), _ring_swap(5), cap=119),
+    "n-factorial": lambda: is_full_symmetric(_ring_swap(8)),
+    "rate-blocks": lambda: rate_structure(_ring_swap(12), rate_shapes(12, 2)),
+    "state": lambda: _first_chunk(9),
+    "build-lq": lambda: build_lq(_ring_swap(7), [0.1, 0.1]),
+    "steps": lambda: check_steps(10000.002, 1e-3, 1000000),
+    "grid": lambda: pareto_scan(_ring_swap(3), BudgetConstraint((3, 2), 1.0), resolution=10**7),
+}
+
+
+@pytest.mark.parametrize("site", CAP_SITES)
+def test_every_cap_site_raises_the_one_message_form(site):
+    # each cap goes through permgroup.check_cap: "<what> <size> exceeds cap <cap>"
+    with pytest.raises(CapExceededError, match=r"^\S.* \d+ exceeds cap \d+$"):
+        CAP_SITES[site]()
 
 
 def test_laplacian_rows_of_an_image_table():

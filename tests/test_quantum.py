@@ -345,6 +345,9 @@ def test_evolve_store_grid_includes_endpoints():
     traj = evolve(rho0, None, swap2(), [0.4], t_final=1.0, dt=0.25, store_every=3)
     assert_allclose(traj.times, [0.0, 0.75, 1.0])
     assert_allclose(traj.states[0], rho0, atol=1e-14)
+    # a stride past the step count, even past int64, stores only the ends
+    traj = evolve(rho0, None, swap2(), [0.4], t_final=1.0, dt=0.25, store_every=2**64)
+    assert_allclose(traj.times, [0.0, 1.0])
 
 
 def test_evolve_nan_drift_is_a_step_size_error():

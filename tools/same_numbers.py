@@ -37,7 +37,11 @@ The two swaps on five sites and (1 3)(2 4) on four, whose (2,2) and
 and ``pareto --resolution 20`` at d = 2 and 3, so the batched rate path
 sees blocks with fixed vectors and empty ones; ``pareto`` also runs on
 g1-4 at budget 1e307, where the budget times a grid count would
-overflow.
+overflow.  ``simulate`` on g1-3 at ``--store-every 1000000`` runs at
+each side of the step cap: ``--t 10000`` takes its 10^7 steps, and
+``--t 10000.002`` is refused (exit 4, nothing printed).  Inputs far past
+a cap are left out, as a dump of code without that cap would try to
+allocate them.
 
     python tools/same_numbers.py dump /path/to/old/src old.json
     python tools/same_numbers.py dump src new.json
@@ -220,6 +224,11 @@ def commands(work):
     with open(path, "w") as fh:
         fh.write(TOPOLOGIES["g1-4"] + "budget: 1e307\n")
     cmds.append(("pareto", path, "--out", "@CSV"))
+
+    # the step cap of 10^7: --t 10000 takes exactly 10^7 steps (exit 0),
+    # --t 10000.002 two more (exit 4, nothing printed)
+    base = ("simulate", "g1-3", "--weights", "0.2,0.2", "--store-every", "1000000")
+    cmds += [base + ("--t", t, "--out", "@CSV") for t in ("10000", "10000.002")]
     return cmds
 
 
