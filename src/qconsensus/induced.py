@@ -25,6 +25,7 @@ the irrep's dimension instead of the orbit's.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -57,30 +58,38 @@ def partitions_of(n: int, max_parts: int) -> list[Partition]:
     descending lexicographically, a linear extension of dominance with
     the most dominant shape first.
     """
+    return list(_partitions(n, max_parts))
+
+
+def _partitions(n: int, max_parts: int) -> Iterator[Partition]:
+    """The partitions of :func:`partitions_of`, one at a time in its order,
+    so a caller can stop before listing them all."""
     if n < 1 or max_parts < 1:
         raise ValueError("n and max_parts must be positive")
-    out: list[Partition] = []
 
+    # parts tried largest first: descending lexicographic order
     def rec(remaining: int, largest: int, prefix: tuple[int, ...]):
         if remaining == 0:
-            out.append(prefix)
-            return
-        if len(prefix) == max_parts:
-            return
-        for part in range(min(largest, remaining), 0, -1):
-            rec(remaining - part, part, prefix + (part,))
+            yield prefix
+        elif len(prefix) < max_parts:
+            for part in range(min(largest, remaining), 0, -1):
+                yield from rec(remaining - part, part, prefix + (part,))
 
-    rec(n, n, ())
-    out = [p for p in out if p != (n,)]
-    out.sort(reverse=True)
-    return out
+    return (p for p in rec(n, n, ()) if p != (n,))
 
 
 def rate_shapes(n: int, d: int) -> list[Partition]:
-    """The shapes of every rate at site dimension d: at most d*d rows, most
-    dominant first, so the (n-1, 1) site graph of lambda_synch leads."""
+    """The shapes of every rate at site dimension d, listed
+    (:func:`iter_rate_shapes`)."""
+    return list(iter_rate_shapes(n, d))
+
+
+def iter_rate_shapes(n: int, d: int) -> Iterator[Partition]:
+    """The shapes of every rate at site dimension d, one at a time: at most
+    d*d rows, most dominant first, so the (n-1, 1) site graph of
+    lambda_synch leads.  The one shape rule."""
     check_d(d)
-    return partitions_of(n, d * d)
+    return _partitions(n, d * d)
 
 
 def dominates(a: Partition, b: Partition) -> bool:

@@ -9,12 +9,13 @@ u_i = l_i w_i / D.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .induced import rate_shapes
+from .induced import iter_rate_shapes
 from .permgroup import GeneratorSet, check_cap
 from .spectra import batch_rates, rate_structure
 
@@ -48,8 +49,8 @@ class _RateEvaluator:
     """Batched (lambda_cons, lambda_synch) over the irrep blocks of one topology."""
 
     def __init__(self, gens: GeneratorSet, d: int = 2, synch_only: bool = False):
-        shapes = rate_shapes(gens.n, d)[:1] if synch_only else rate_shapes(gens.n, d)
-        self.structure = rate_structure(gens, shapes)
+        shapes = iter_rate_shapes(gens.n, d)
+        self.structure = rate_structure(gens, itertools.islice(shapes, 1 if synch_only else None))
 
     def rates(self, w_batch: np.ndarray):
         return batch_rates(self.structure, w_batch)[1:]

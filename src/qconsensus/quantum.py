@@ -13,14 +13,18 @@ induced graphs use, which is what :func:`build_lq` returns and what
 the cross-validation tests lean on.
 
 States are plain dense numpy arrays and every U_p acts on them as an
-index gather (:func:`_pull_map`).  :func:`_generator` builds the
-equation's generator S once, sparse on row-major vec(rho), as
-``permgroup.laplacian_rows`` of the pair maps: :func:`evolve` powers it
-into an RK4 step, :func:`build_lq` is -S reindexed by the
-:func:`_interleave` map that :func:`decompose` reads too, and
-:func:`symmetric_state` averages over the :func:`_components` of its
-pattern.  :func:`lindblad_rhs` applies the gathers without S.  Sites are
-1-based and d, the per-site dimension, passes ``permgroup.check_d``.
+index gather (:func:`_pull_map`).  :func:`_generator_rows` gives the
+rows of the equation's generator S on row-major vec(rho), as
+``permgroup.laplacian_rows`` of the pair image table
+(:func:`_pair_images`).  :func:`evolve` turns them into dense RK4 step
+blocks, one per orbit of S's pattern (:func:`_orbit_step`), or, where
+powers of the step would fill, into the sparse step of
+:func:`_generator`, the one importer of ``scipy.sparse``;
+:func:`build_lq` scatters them densely at the :func:`_interleave` map
+that :func:`decompose` reads too, and :func:`symmetric_state` averages
+over the :func:`_components` of the image table.  :func:`lindblad_rhs`
+applies the gathers without S.  Sites are 1-based and d, the per-site
+dimension, passes ``permgroup.check_d``.
 """
 
 from __future__ import annotations
@@ -194,12 +198,15 @@ def evolve(
 
     The equation is linear and time-invariant, so one RK4 step is the
     fixed polynomial T1 = T4(dt*S) = sum_{j<=4} (dt*S)^j / j! of the
-    superoperator S.  T1 is built once (:func:`_step_operator`) as a
-    sparse matrix on row-major vec(rho), and each stored segment of k
-    steps is one product with T1^k when that power adds no fill (the
-    pattern of T1 is a disjoint union of dense blocks), otherwise k
-    products with T1.  Weights must pass :func:`check_weights` and the
-    state :func:`check_state`, both checked before the step operator.  A step
+    superoperator S, built once.  S is block diagonal over the orbits of
+    the entries (a, b) of rho, so where every dense block of T1 has no
+    zero entry (:func:`_orbit_step`; H0 absent or diagonal) T1 is held as
+    numpy blocks and each group of stored states, segments of k steps
+    apart, is one product with the stacked powers of T1^k.  Otherwise
+    (powers of T1 would fill its blocks, or H0 is not diagonal) T1 is
+    the sparse :func:`_step_operator` and each segment is k products
+    with it.  Weights must pass :func:`check_weights` and the state
+    :func:`check_state`, both checked before the step operator.  A step
     operator with nan/inf entries raises :class:`StepSizeError` before
     any step; each stored state is re-Hermitized and trace-renormalized,
     and its drift beyond 1e-6, or NaN, raises :class:`StepSizeError`.
@@ -226,8 +233,13 @@ def evolve_chunks(
 
     Each chunk holds about 1 MB of states (at least one state), so a
     caller that reduces every state to a few numbers, as ``qcl simulate``
-    does, never holds the whole trajectory.  Inputs are checked when the
-    first chunk is asked for.
+    does, never holds the whole trajectory.  On the block path the
+    stacked powers [A; A^2; ..; A^c] of A = T1^k take the same 1 MB, which
+    sets c; a group of up to c stored states is one product per block
+    size, its states are drift-checked, re-Hermitized and renormalized
+    as arrays, and the next group starts from its last state.  The
+    sparse stepping path advances one stored state at a time.  Inputs
+    are checked when the first chunk is asked for.
     """
     steps = check_steps(t_final, dt, store_every)
     weights = check_weights([weights], len(gens))[0]
@@ -239,64 +251,99 @@ def evolve_chunks(
     # a stride past steps stores only the ends; min keeps it an int64
     idx = np.append(np.arange(0, steps, min(store_every, steps + 1)), steps)
     times = idx * dt
+    lengths = np.diff(idx)
     per_chunk = max(1, (1 << 20) // (16 * dim * dim))
 
     # entry state gets the same conditioning as every stored state, so
     # all stored states are exactly Hermitian with unit trace
     rho = 0.5 * (rho0 + rho0.conj().T)
     rho = rho / np.trace(rho).real
-    advance = {}  # segment length k -> (operator, repeats) advancing k steps
+    advance = {}  # segment length k -> fill(rho, out): the next len(out) stored states
+    group = 1
     with np.errstate(over="ignore", invalid="ignore"):
         if steps:
-            one_step = _step_operator(h0, gens, weights, dt, d)
-            if not np.isfinite(one_step.data).all():
+            blocks = _orbit_step(h0, gens, weights, dt, d)
+            one_step = None if blocks else _step_operator(h0, gens, weights, dt, d)
+            entries = blocks[1] if blocks else [one_step.data]
+            if not all(np.isfinite(t).all() for t in entries):
                 raise StepSizeError(
                     f"step operator has nan/inf entries at dt={dt:.6g}; "
                     "reduce dt or the weights"
                 )
-            power = _no_fill(one_step)
-            for k in set(np.diff(idx).tolist()):
-                advance[k] = (_matrix_power(one_step, k), 1) if power else (one_step, k)
+            if blocks:
+                group = max(1, (1 << 20) // sum(t.nbytes for t in entries))
+            for k in set(lengths.tolist()):
+                if blocks:
+                    c = min(group, int(np.count_nonzero(lengths == k)))
+                    powers = [_powers(_matrix_power(t, k), c) for t in entries]
+                    advance[k] = functools.partial(_block_states, blocks[0], powers)
+                else:
+                    advance[k] = functools.partial(_step_states, one_step, k)
     for start in range(0, len(idx), per_chunk):
         chunk = np.empty((min(per_chunk, len(idx) - start), dim, dim),
                          dtype=complex)
         # no yield inside: np.errstate must not outlive this block
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, pos in enumerate(range(start, start + len(chunk))):
-                if pos:
-                    op, repeats = advance[int(idx[pos] - idx[pos - 1])]
-                    for _ in range(repeats):
-                        rho = _apply(op, rho)
-                    tr = np.trace(rho)
-                    herm_defect = float(np.abs(rho - rho.conj().T).max())
-                    drift = abs(tr - 1.0) + herm_defect
-                    if not drift <= 1e-6:
-                        raise StepSizeError(
-                            f"invariant drift {drift:.2e} at t={times[pos]:.6g}; "
-                            "reduce dt"
-                        )
-                    rho = 0.5 * (rho + rho.conj().T)
-                    rho = rho / np.trace(rho).real
-                chunk[i] = rho
+            i = 0
+            if not start:
+                chunk[0], i = rho, 1
+            while i < len(chunk):
+                pos = start + i
+                k = int(lengths[pos - 1])
+                # a run of stored states k steps apart, filled in place;
+                # only the last segment of a trajectory can be shorter
+                run = lengths[pos - 1:pos - 1 + min(group, len(chunk) - i)] == k
+                out = chunk[i:i + int(np.argmin(np.append(run, False)))]
+                advance[k](rho, out)
+                flip = out.conj().transpose(0, 2, 1)
+                drift = (np.abs(np.trace(out, axis1=1, axis2=2) - 1.0)
+                         + np.abs(out - flip).max(axis=(1, 2)))
+                bad = ~(drift <= 1e-6)
+                if bad.any():
+                    j = int(np.argmax(bad))
+                    raise StepSizeError(
+                        f"invariant drift {drift[j]:.2e} at t={times[pos + j]:.6g}; "
+                        "reduce dt"
+                    )
+                out += flip
+                out *= 0.5
+                out /= np.trace(out, axis1=1, axis2=2).real[:, None, None]
+                rho = out[-1].copy()
+                i += len(out)
         yield times[start:start + len(chunk)], chunk
+
+
+def _pair_images(perms, n: int, d: int) -> np.ndarray:
+    """The (d^(2n), m) image table of the pair maps: column p is
+    :func:`_pair_map` of p's :func:`_pull_map`, entry i the vec(rho)
+    index that entry i reads under U_p rho U_p^dag."""
+    img = [_pair_map(_pull_map(tuple(p), d)) for p in perms]
+    return np.array(img, dtype=np.intp).reshape(-1, d ** (2 * n)).T
+
+
+def _generator_rows(perms, weights, n: int, d: int):
+    """The (V, m + 1) columns and values of the rows of
+    S = sum_p w_p (P_p - I) on row-major vec(rho): ``permgroup.laplacian_rows``
+    over :func:`_pair_images`, negated, so each row sums to exactly 0."""
+    cols, vals = laplacian_rows(_pair_images(perms, n, d), weights)
+    return cols, -vals
 
 
 def _generator(perms, weights, n: int, d: int, h0=None):
     """S = sum_p w_p (P_p - I) - i (H0 x I - I x H0^T) as a CSR matrix on
     row-major vec(rho), P_p the gather rho[s[a], s[b]] of :func:`_pair_map`.
 
-    The one builder of the master equation: ``permgroup.laplacian_rows``
-    over the pair maps, negated, storing no zero (a zero weight adds no
-    entry); S @ 1 is exactly 0 when H0 is None, and S is then real.
+    :func:`_generator_rows` stored with no zero (a zero weight adds no
+    entry); S @ 1 is exactly 0 when H0 is None, and S is then real.  The
+    sparse stepping path and the tests' references read it.
     """
     from scipy import sparse
 
     size = d ** (2 * n)
-    img = np.array([_pair_map(_pull_map(tuple(p), d)) for p in perms], dtype=np.intp)
-    cols, vals = laplacian_rows(img.reshape(-1, size).T, weights)
+    cols, vals = _generator_rows(perms, weights, n, d)
     keep = vals != 0.0
     indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-    s = sparse.csr_array((-vals[keep], cols[keep], indptr), shape=(size, size))
+    s = sparse.csr_array((vals[keep], cols[keep], indptr), shape=(size, size))
     if h0 is not None:
         h = sparse.csr_array(np.asarray(h0, dtype=complex))
         one = sparse.eye_array(d**n, format="csr")
@@ -311,33 +358,77 @@ def _step_operator(h0, gens: GeneratorSet, weights, dt: float, d: int):
     from scipy import sparse
 
     hs = dt * _generator(gens.perms, weights, gens.n, d, h0)
-    eye = sparse.eye_array(hs.shape[0], format="csr")
+    return _horner(hs, sparse.eye_array(hs.shape[0], format="csr"))
+
+
+def _horner(hs, eye):
+    """T4(hS) = I + hS(I + hS/2(I + hS/3(I + hS/4))) for a matrix or a stack."""
     t = eye + hs / 4.0
     for j in (3.0, 2.0, 1.0):
         t = (hs / j) @ t + eye
     return t
 
 
-def _no_fill(t) -> bool:
-    """True iff T's pattern is a disjoint union of dense blocks, so that
-    every power of T keeps its pattern: sum |B|^2 == nnz over the weakly
-    connected components B of the pattern (:func:`_components`)."""
-    sizes = np.bincount(_components(t)).astype(np.int64)
-    return int((sizes * sizes).sum()) == t.nnz
+def _orbit_step(h0, gens: GeneratorSet, weights, dt: float, d: int):
+    """T1 = T4(dt*S) as dense numpy blocks, one per orbit of S's pattern, or
+    None where the sparse stepping path is needed.
+
+    Entries of vec(rho) linked by a nonzero entry of :func:`_generator_rows`
+    are labelled by :func:`_components` and grouped by orbit size k: the
+    result is (rows, blocks), per size the (count, k) vec(rho) indices of
+    its blocks' rows and the (count, k, k) T1 blocks.  None when H0 is not
+    diagonal, or when a block has a zero entry, so that powers of T1
+    would fill it.  Four steps along m generators reach at most
+    1 + m + .. + m^4 entries from one, so a larger orbit is not built.
+    """
+    n = gens.n
+    if h0 is not None:
+        h0 = np.asarray(h0, dtype=complex)
+        h = np.diagonal(h0)
+        if np.count_nonzero(h0 - np.diag(h)):
+            return None
+    cols, vals = _generator_rows(gens.perms, weights, n, d)
+    idx = np.arange(len(cols))
+    cols = np.where(vals != 0.0, cols, idx[:, None])
+    _, orbit, counts = np.unique(_components(cols), return_inverse=True,
+                                 return_counts=True)
+    k = counts[orbit]
+    moving = np.count_nonzero(weights)
+    if k.max() > sum(moving**j for j in range(5)):
+        return None
+    # rows by orbit size, then orbit, then index: each block's rows are a
+    # run, and its entries the next k * k of one flat array
+    order = np.lexsort((orbit, k))
+    ks = k[order]
+    first = np.flatnonzero(np.r_[True, np.diff(orbit[order]) != 0])
+    ends = np.cumsum(ks)
+    local, start = np.empty_like(idx), np.empty_like(idx)
+    local[order] = idx - np.repeat(first, ks[first])
+    start[order] = ends - ks
+    flat = np.zeros(int(ends[-1]), dtype=float if h0 is None else complex)
+    np.add.at(flat, start[:, None] + local[cols], vals)
+    if h0 is not None:
+        dim = d**n
+        flat[start + local] -= 1j * (h[idx // dim] - h[idx % dim])
+    rows, blocks = [], []
+    for size in np.unique(ks):
+        lo, hi = np.searchsorted(ks, [size, size + 1])
+        rows.append(order[lo:hi].reshape(-1, size))
+        hs = dt * flat[ends[lo] - size:ends[hi - 1]].reshape(-1, size, size)
+        blocks.append(_horner(hs, np.eye(size)))
+    if not all(np.all(t != 0.0) for t in blocks):
+        return None
+    return rows, blocks
 
 
-def _components(t) -> np.ndarray:
-    """Each row of the square CSR matrix T labelled with the smallest row of
-    its weakly connected component under T's pattern, by min-label
-    propagation with pointer jumping."""
-    rows = np.repeat(np.arange(t.shape[0], dtype=np.int32), np.diff(t.indptr))
-    cols = t.indices
-    label = np.arange(t.shape[0], dtype=np.int32)
+def _components(cols: np.ndarray) -> np.ndarray:
+    """Each row i of a (V, c) column table labelled with the smallest row of
+    its weakly connected component under the links i - cols[i, j], by
+    min-label propagation with pointer jumping."""
+    label = np.arange(len(cols))
     while True:
-        low = np.minimum(label[rows], label[cols])
-        new = label.copy()
-        np.minimum.at(new, rows, low)
-        np.minimum.at(new, cols, low)
+        new = np.minimum(label, label[cols].min(axis=1, initial=len(cols)))
+        np.minimum.at(new, cols, label[:, None])
         new = new[new]
         if np.array_equal(new, label):
             return label
@@ -351,7 +442,7 @@ def _pair_map(s: np.ndarray) -> np.ndarray:
 
 
 def _matrix_power(t, k: int):
-    """T^k by repeated squaring."""
+    """T^k by repeated squaring; T a matrix or a stack of them."""
     out = None
     while True:
         if k & 1:
@@ -360,6 +451,41 @@ def _matrix_power(t, k: int):
         if not k:
             return out
         t = t @ t
+
+
+def _powers(a: np.ndarray, c: int) -> np.ndarray:
+    """The (count, c*k, k) stacked powers [A; A^2; ..; A^c] of a (count, k, k)
+    stack A, by doubling: the first j powers times A^j are the next j."""
+    k = a.shape[-1]
+    p = a
+    while p.shape[1] < c * k:
+        p = np.concatenate([p, p[:, :c * k - p.shape[1]] @ p[:, -k:]], axis=1)
+    return p
+
+
+def _block_states(rows, powers, rho: np.ndarray, out: np.ndarray) -> None:
+    """Fill the (c, dim, dim) ``out`` with the states A^j vec(rho), j = 1..c:
+    per block size, ``rows`` holds the (count, k) vec(rho) indices of the
+    blocks and ``powers`` their stacked powers (:func:`_powers`); a real
+    stack acts on the (re, im) pairs of rho."""
+    c = len(out)
+    flat = rho.reshape(-1)
+    for r, p in zip(rows, powers):
+        count, k = r.shape
+        x = flat[r]
+        if np.iscomplexobj(p):
+            y = p[:, :c * k] @ x[..., None]
+        else:
+            y = (p[:, :c * k] @ x.view(np.float64).reshape(count, k, 2)).view(complex)
+        out.reshape(c, -1)[:, r] = y.reshape(count, c, k).transpose(1, 0, 2)
+
+
+def _step_states(op, k: int, rho: np.ndarray, out: np.ndarray) -> None:
+    """Fill the (1, dim, dim) ``out`` with the next stored state: k products
+    with the sparse T1."""
+    for _ in range(k):
+        rho = _apply(op, rho)
+    out[0] = rho
 
 
 def _apply(op, rho: np.ndarray) -> np.ndarray:
@@ -399,15 +525,15 @@ def symmetric_state(rho: np.ndarray, perms, d: int = 2) -> np.ndarray:
     """Group average (1/|G|) sum_g U_g rho U_g^dag over the group G = <perms>.
 
     ``perms`` may generate G or be G; G is never enumerated.  The orbits
-    of the entries (a, b) of rho are the :func:`_components` of the
-    pattern of :func:`_generator` at unit weights, and the orbit mean
+    of the entries (a, b) of rho are the :func:`_components` of the pair
+    image table (:func:`_pair_images`), and the orbit mean
     (orbit-stabilizer) is the group average: the consensus target,
     invariant under every U_g.
     """
     rho = np.asarray(rho, dtype=complex)
     for n in {len(p) for p in perms} or {state_sites(rho, d)}:
         check_state(rho, n, d)
-    label = _components(_generator(perms, np.ones(len(perms)), n, d))
+    label = _components(_pair_images(perms, n, d))
     flat = rho.ravel()
     sums = np.bincount(label, flat.real) + 1j * np.bincount(label, flat.imag)
     return (sums[label] / np.bincount(label)[label]).reshape(rho.shape)
@@ -467,20 +593,29 @@ def build_lq(gens: GeneratorSet, weights, d: int = 2) -> np.ndarray:
 
     Row nu couples to nu o p (entry -w) for every generator p: the same
     pull rule as the induced graphs, of which this matrix is the direct
-    sum over index-pattern classes.  It is -S of :func:`_generator`,
-    dense, with rows and columns reindexed by :func:`_interleave`.
+    sum over index-pattern classes.  It is -S of :func:`_generator_rows`,
+    scattered densely in row order at the multi-index of each vec(rho)
+    entry (the inverse of :func:`_interleave`).
     """
     weights = check_weights([weights], len(gens))[0]
     check_d(d)
-    check_cap("coefficient dimension", (d * d) ** gens.n, LQ_DIM_CAP)
-    pull = _interleave(gens.n, d)
-    return (-_generator(gens.perms, weights, gens.n, d)[pull][:, pull]).toarray()
+    size = (d * d) ** gens.n
+    check_cap("coefficient dimension", size, LQ_DIM_CAP)
+    cols, vals = _generator_rows(gens.perms, weights, gens.n, d)
+    at = np.argsort(_interleave(gens.n, d))
+    lq = np.zeros((size, size))
+    with np.errstate(over="ignore"):
+        np.add.at(lq, (at[:, None], at[cols]), -vals)
+    return lq
 
 
 def frobenius_distances(states: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Frobenius distance of each trajectory state to a fixed reference."""
-    reference = np.asarray(reference)
-    return np.array([np.linalg.norm(s - reference) for s in states])
+    diff = np.asarray(states) - np.asarray(reference)
+    x = diff.reshape(diff.shape[:-2] + (1, diff.shape[-2] * diff.shape[-1]))
+    # one dot product per state and part, as np.linalg.norm takes it
+    sq = x.real @ np.swapaxes(x.real, -1, -2) + x.imag @ np.swapaxes(x.imag, -1, -2)
+    return np.sqrt(sq[..., 0, 0])
 
 
 def fit_decay_rate(times: np.ndarray, values: np.ndarray) -> float:

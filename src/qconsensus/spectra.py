@@ -30,6 +30,7 @@ from .induced import (
     induced_laplacian,
     irrep_block,
     irrep_dim,
+    iter_rate_shapes,
     rate_shapes,
     tabloid_count,
     tabloid_orbit,
@@ -104,9 +105,14 @@ class RateStructure:
 
 def rate_structure(gens: GeneratorSet, shapes) -> RateStructure:
     """The :class:`RateStructure` of ``shapes`` under ``gens``; the blocks'
-    m * sum k^2 coefficients, by ``irrep_dim``, are capped before the first."""
-    size = len(gens) * sum(irrep_dim(p) ** 2 for p in shapes)
-    check_cap("rate block coefficients", size, RATE_BLOCK_CAP)
+    m * sum k^2 coefficients, by ``irrep_dim``, are capped as the shapes
+    are read, so a long shape stream stops at the cap, before any block."""
+    listed, size = [], 0
+    for p in shapes:
+        size += len(gens) * irrep_dim(p) ** 2
+        check_cap("rate block coefficients", size, RATE_BLOCK_CAP)
+        listed.append(p)
+    shapes = listed  # read twice below
     blocks = tuple(irrep_block(p, gens) for p in shapes)
     # each block's first column in the spectrum, after the trivial zero
     first = np.cumsum([1] + [len(b.coeffs[0]) for b in blocks])
@@ -165,7 +171,7 @@ def convergence_rates(gens: GeneratorSet, weights, d: int = 2) -> ConvergenceRat
     orbit of its shape.  For generators not transitive on sites
     ``lambda_synch`` is 0 and may sit below ``lambda_cons``.
     """
-    rs = rate_structure(gens, rate_shapes(gens.n, d))
+    rs = rate_structure(gens, iter_rate_shapes(gens.n, d))
     table, cons, synch = batch_rates(rs, [weights])
     return ConvergenceRates(
         lambda_cons=float(cons[0]),

@@ -1,8 +1,9 @@
 """References the tests compare the package against.
 
-None of these runs in the package: the dynamics applies one sparse RK4
-step operator, ``build_lq`` reindexes the sparse generator, and the
-rates read the irrep blocks of ``induced``.
+None of these runs in the package: the dynamics applies dense orbit
+blocks of one RK4 step operator (or its sparse form), ``build_lq``
+scatters the generator's rows, and the rates read the irrep blocks of
+``induced``.
 """
 
 import numpy as np
@@ -17,7 +18,6 @@ from qconsensus.permgroup import (
 from qconsensus.quantum import (
     StepSizeError,
     Trajectory,
-    _components,
     _generator,
     _pull_map,
     check_state,
@@ -104,6 +104,23 @@ def dense_lq(gens: GeneratorSet, weights, d: int = 2) -> np.ndarray:
     return scatter_laplacian(img.T, weights)
 
 
+def components(t) -> np.ndarray:
+    """Weakly connected component of each row of the square sparse matrix
+    T's pattern, by ``scipy.sparse.csgraph`` (no package code)."""
+    from scipy.sparse.csgraph import connected_components
+
+    return connected_components(abs(t), directed=True, connection="weak")[1]
+
+
+def no_fill(t) -> bool:
+    """True iff T's pattern is a disjoint union of dense blocks, so that
+    every power of T keeps its pattern: sum |B|^2 == nnz over the weakly
+    connected components B of the pattern.  The sparse rule the block
+    decision of ``quantum._orbit_step`` must agree with."""
+    sizes = np.bincount(components(t)).astype(np.int64)
+    return int((sizes * sizes).sum()) == t.nnz
+
+
 def sparse_lambda_cons(gens: GeneratorSet, weights, d: int = 2) -> float:
     """lambda_cons as the slowest nonzero decay of the master equation's
     generator S (``quantum._generator``), by ARPACK, with no irrep involved.
@@ -118,7 +135,7 @@ def sparse_lambda_cons(gens: GeneratorSet, weights, d: int = 2) -> float:
 
     weights = check_weights([weights], len(gens))[0]
     s = _generator(gens.perms, weights, gens.n, d)
-    _, orbit = np.unique(_components(s), return_inverse=True)
+    orbit = components(s)
     size = np.bincount(orbit)
     sigma = 2.0 * weights.sum() + 1.0
 

@@ -441,6 +441,26 @@ def test_inputs_past_a_size_cap_exit_4_under_a_memory_limit(tmp_path, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_rate_shapes_are_capped_as_they_are_listed(tmp_path):
+    # ring+swap on 100 sites at d = 3: listing every partition of 100 into
+    # at most nine parts never ends, but the fourth shape already passes
+    # the rate block cap
+    n = 100
+    topo = tmp_path / "ring-swap-100.txt"
+    topo.write_text(f"name: ring-swap-100\nN: {n}\n"
+                    f"generator: ({' '.join(map(str, range(1, n + 1)))}) weight wring\n"
+                    "generator: (1 2) weight wswap\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "qconsensus.cli", "rates", str(topo), "--weights", "0.3,0.7",
+         "--d", "3"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=20,
+        preexec_fn=_limit_address_space, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == ""
+    assert re.fullmatch(r"error: rate block coefficients \d+ exceeds cap \d+\n", proc.stderr)
+
+
 def test_pareto_grid_cap_before_any_rate(tmp_path, capsys, monkeypatch):
     # g1-3's default grid has C(201, 1) = 201 points; with the cap at 100
     # pareto must exit before its first batched rate call
@@ -531,7 +551,8 @@ def test_overflowing_budget_cost_is_input_error(argv, capsys):
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy.sparse costs import time and memory; only a simulation loads it
+    # scipy.sparse costs import time and memory; only the sparse stepping
+    # path of a simulation loads it
     probe = ("import sys, qconsensus.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
@@ -876,6 +897,22 @@ def test_spectrum_all_loads_no_scipy():
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True).stdout
+    assert out.splitlines()[-1] == "[]"
+
+
+def test_simulate_on_the_presets_loads_no_scipy(tmp_path):
+    # the orbit-block path holds the step operator in numpy; only the
+    # sparse stepping path imports scipy.sparse
+    runs = [("g1-3", "0.2,0.2", "2"), ("g1-3", "0.2,0.2", "3"), ("g1-4", "0.46,0.29,0.29", "2")]
+    calls = "; ".join(
+        f"main(['simulate', {name!r}, '--weights', {w!r}, '--d', {d!r}, '--h0', {h0!r}, "
+        f"'--t', '0.5', '--out', {str(tmp_path / f'{name}-{d}-{h0}.csv')!r}])"
+        for name, w, d in runs for h0 in ("zero", "zsum"))
+    probe = (f"import sys; from qconsensus.cli import main; {calls}; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.count("wrote: ") == 6
     assert out.splitlines()[-1] == "[]"
 
 

@@ -43,9 +43,22 @@ from qconsensus.quantum import (
     sync_distance,
     uniform_site_hamiltonian,
 )
-from qconsensus.quantum import LQ_DIM_CAP, _generator, _no_fill, _step_operator
+from qconsensus.quantum import (
+    LQ_DIM_CAP,
+    _block_states,
+    _generator,
+    _orbit_step,
+    _step_operator,
+)
 from qconsensus.spectra import eigenvalues, multiset_contained
-from reference import dense_lq, permutation_unitary, reconstruct, rk4_evolve, rk4_step
+from reference import (
+    dense_lq,
+    no_fill,
+    permutation_unitary,
+    reconstruct,
+    rk4_evolve,
+    rk4_step,
+)
 
 
 def swap2():
@@ -270,9 +283,11 @@ def test_step_operator_is_one_reference_rk4_step(gens, weights, d, h0_kind):
     (g13(), [0.2, 0.2], 2, True),
 ], ids=["g1-3", "g1-4", "g1-3-d3", "g1-3-zsum"])
 def test_evolve_matches_per_step_reference(gens, weights, d, zsum):
-    # the three `dynamics` benchmark inputs and the lab-frame `zsum` run
+    # the three `dynamics` benchmark inputs and the lab-frame `zsum` run,
+    # all on the orbit-block path
     rho0 = generic_state(d, gens.n, seed=1)
     h0 = uniform_site_hamiltonian(d, gens.n) if zsum else None
+    assert _orbit_step(h0, gens, np.array(weights), 1e-3, d) is not None
     traj = evolve(rho0, h0, gens, weights, t_final=2.0, d=d, store_every=10)
     ref = rk4_evolve(rho0, h0, gens, weights, t_final=2.0, d=d, store_every=10)
     assert_allclose(traj.times, ref.times, rtol=0, atol=0)
@@ -284,8 +299,7 @@ def test_evolve_matches_per_step_reference(gens, weights, d, zsum):
     (ring_swap(5), [0.3, 0.2], 0.3, False),
 ], ids=["power", "stepping"])
 def test_evolve_segment_paths_match_single_steps(gens, weights, t_final, power):
-    step = _step_operator(None, gens, np.array(weights), 1e-3, 2)
-    assert _no_fill(step) is power
+    assert (_orbit_step(None, gens, np.array(weights), 1e-3, 2) is not None) is power
     rho0 = generic_state(2, gens.n, seed=4)
     every = evolve(rho0, None, gens, weights, t_final=t_final, store_every=1)
     tenth = evolve(rho0, None, gens, weights, t_final=t_final, store_every=10)
@@ -308,9 +322,55 @@ def test_no_fill_reads_dense_blocks_only():
     from scipy import sparse
 
     blocks = sparse.csr_array(np.kron(np.eye(3), np.ones((2, 2))))
-    assert _no_fill(blocks)
+    assert no_fill(blocks)
     path = sparse.csr_array(np.eye(4) + np.eye(4, k=1))
-    assert not _no_fill(path)
+    assert not no_fill(path)
+
+
+def block_cases():
+    """The four presets at d = 2 and 3, with and without ``zsum`` (g1-4 also
+    with a zero weight), ring+swap on 3 to 6 sites, C_4, (1 2),(3 4) and
+    (1 3)(2 4)."""
+    weights = {"g1-3": (0.3, 0.1), "g2-3": (0.3, 0.1, 0.25), "g3-3": (0.3, 0.4),
+               "g1-4": (0.46, 0.29, 0.29)}
+    for name, w in list(weights.items()) + [("g1-4", (0.2, 0.0, 0.15))]:
+        for d in (2, 3):
+            for zsum in (False, True):
+                yield pytest.param(load_topology(name).gens, w, d, zsum,
+                                   id=f"{name}{'-zero-weight' * (0.0 in w)}-d{d}"
+                                      f"{'-zsum' * zsum}")
+    for n in range(3, 7):
+        yield pytest.param(ring_swap(n), (0.3, 0.2), 2, False, id=f"ring-swap-{n}")
+    for label, cycles in (("c4", [[[1, 2, 3, 4]]]), ("12-34", [[[1, 2]], [[3, 4]]]),
+                          ("13.24", [[[1, 3], [2, 4]]])):
+        for d in (2, 3):
+            gens = generator_set(4, cycles)
+            yield pytest.param(gens, (0.3, 0.7)[:len(gens)], d, False, id=f"{label}-d{d}")
+
+
+@pytest.mark.parametrize("gens,weights,d,zsum", block_cases())
+def test_block_decision_is_the_sparse_no_fill_rule(gens, weights, d, zsum):
+    # evolve takes the orbit blocks exactly where the sparse step's powers
+    # add no fill, and there the blocks act as the sparse step does
+    h0 = uniform_site_hamiltonian(d, gens.n) if zsum else None
+    step = _step_operator(h0, gens, np.array(weights), 1e-3, d)
+    blocks = _orbit_step(h0, gens, np.array(weights), 1e-3, d)
+    assert (blocks is not None) is no_fill(step)
+    if blocks is not None:
+        rho = random_density(np.random.default_rng(22), d**gens.n)
+        out = np.empty((1,) + rho.shape, dtype=complex)
+        _block_states(*blocks, rho, out)
+        assert_allclose(out[0], (step @ rho.reshape(-1)).reshape(rho.shape), rtol=0, atol=1e-15)
+
+
+def test_a_non_diagonal_h0_takes_the_sparse_step():
+    rng = np.random.default_rng(23)
+    h0 = random_hermitian(rng, 8)
+    assert _orbit_step(h0, g13(), np.array([0.3, 0.2]), 1e-3, 2) is None
+    rho0 = random_density(rng, 8)
+    traj = evolve(rho0, h0, g13(), [0.3, 0.2], t_final=0.1, store_every=10)
+    ref = rk4_evolve(rho0, h0, g13(), [0.3, 0.2], t_final=0.1, store_every=10)
+    assert_allclose(traj.states, ref.states, rtol=0, atol=1e-13)
 
 
 def test_evolve_checks_drift_at_stored_states():
@@ -764,6 +824,15 @@ def test_frobenius_distances_shape_and_values():
     states = np.stack([np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)])
     ref = np.eye(2, dtype=complex)
     assert_allclose(frobenius_distances(states, ref), [0.0, np.sqrt(2.0)])
+
+
+@pytest.mark.parametrize("dim", [2, 8, 16, 27])
+def test_frobenius_distances_are_the_per_state_norms_bit_for_bit(dim):
+    rng = np.random.default_rng(dim)
+    states = rng.normal(size=(7, dim, dim)) + 1j * rng.normal(size=(7, dim, dim))
+    ref = random_density(rng, dim)
+    want = [np.linalg.norm(s - ref) for s in states]
+    np.testing.assert_array_equal(frobenius_distances(states, ref), want)
 
 
 def test_generic_state_is_reproducible_density():

@@ -39,9 +39,11 @@ sees blocks with fixed vectors and empty ones; ``pareto`` also runs on
 g1-4 at budget 1e307, where the budget times a grid count would
 overflow.  ``simulate`` on g1-3 at ``--store-every 1000000`` runs at
 each side of the step cap: ``--t 10000`` takes its 10^7 steps, and
-``--t 10000.002`` is refused (exit 4, nothing printed).  Inputs far past
-a cap are left out, as a dump of code without that cap would try to
-allocate them.
+``--t 10000.002`` is refused (exit 4, nothing printed).  ``simulate``
+also runs on ring+swap N = 5 at d = 2 to t = 0.5 (the sparse stepping
+path) and on g1-3 and g3-3 at d = 3 with ``--h0 zsum`` (complex orbit
+blocks).  Inputs far past a cap are left out, as a dump of code without
+that cap would try to allocate them.
 
     python tools/same_numbers.py dump /path/to/old/src old.json
     python tools/same_numbers.py dump src new.json
@@ -229,6 +231,15 @@ def commands(work):
     # --t 10000.002 two more (exit 4, nothing printed)
     base = ("simulate", "g1-3", "--weights", "0.2,0.2", "--store-every", "1000000")
     cmds += [base + ("--t", t, "--out", "@CSV") for t in ("10000", "10000.002")]
+
+    # both integrator paths: ring+swap on five sites steps the sparse T1
+    # (its powers would fill), and zsum puts complex orbit blocks on g1-3
+    # and g3-3 at d = 3
+    cmds.append(("simulate", os.path.join(work, "ring-swap-5.txt"), "--weights", wa(draws[0]),
+                 "--t", "0.5", "--out", "@CSV"))
+    for name in ("g1-3", "g3-3"):
+        cmds.append(("simulate", name, "--weights", wa(PRESETS[name][1][0]), "--d", "3",
+                     "--h0", "zsum", "--t", "2", "--out", "@CSV"))
     return cmds
 
 
