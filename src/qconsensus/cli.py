@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .induced import induced_laplacian, rate_shapes
+from .induced import check_partition, induced_laplacian
 from .optimize import TIE_TOL, BudgetConstraint, maximize_rate, pareto_scan
 from .permgroup import (
     CapExceededError,
@@ -416,7 +416,12 @@ def cmd_spectrum(args, spec: TopologySpec, d: int) -> int:
         parts = tuple(int(tok) for tok in args.partition.split(","))
     except ValueError as exc:
         raise TopologyError(f"--partition: {exc}") from exc
-    if parts not in rate_shapes(spec.n, d):
+    try:
+        check_partition(parts, spec.n)
+        rate_shape = 2 <= len(parts) <= d * d
+    except ValueError:
+        rate_shape = False
+    if not rate_shape:
         raise TopologyError(
             f"--partition must be a non-increasing partition of {spec.n} into 2 to "
             f"d*d = {d * d} parts: the one-part partition is excluded (its graph is "

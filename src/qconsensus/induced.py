@@ -39,6 +39,7 @@ from .permgroup import (
     check_weights,
     laplacian_rows,
     orbit,
+    proves_full_symmetric,
 )
 
 Partition = tuple[int, ...]
@@ -92,18 +93,24 @@ def iter_rate_shapes(n: int, d: int) -> Iterator[Partition]:
     return _partitions(n, d * d)
 
 
-def dominates(a: Partition, b: Partition) -> bool:
-    """True iff every prefix sum of ``a`` is >= the matching one of ``b``."""
-    if sum(a) != sum(b):
+def dominance(shapes) -> np.ndarray:
+    """(S, S) table of the dominance order on ``shapes``: entry (i, j) is
+    True iff every prefix sum of shapes[i] is >= the matching one of
+    shapes[j].  The one dominance rule; ValueError unless all the shapes
+    partition the same integer."""
+    shapes = list(shapes)
+    if len({sum(p) for p in shapes}) > 1:
         raise ValueError("partitions must partition the same integer")
-    k = max(len(a), len(b))
-    sa = sb = 0
-    for i in range(k):
-        sa += a[i] if i < len(a) else 0
-        sb += b[i] if i < len(b) else 0
-        if sa < sb:
-            return False
-    return True
+    sums = np.zeros((len(shapes), max(map(len, shapes), default=0)), dtype=np.int64)
+    for row, p in zip(sums, shapes):
+        row[:len(p)] = p
+    sums = np.cumsum(sums, axis=1)
+    return np.all(sums[:, None] >= sums[None], axis=2)
+
+
+def dominates(a: Partition, b: Partition) -> bool:
+    """True iff ``a`` dominates ``b`` (:func:`dominance`)."""
+    return bool(dominance((a, b))[0, 1])
 
 
 def enumerate_tabloids(parts: Partition) -> list[Tabloid]:
@@ -275,23 +282,37 @@ def young_orthogonal(parts: Partition, perms) -> np.ndarray:
     irrep ``parts`` in Young's orthogonal form on :func:`standard_tableaux`.
 
     rho(s_i) maps tableau T to T / r + sqrt(1 - 1/r^2) s_i T, where r is the
-    axial distance c(i+1) - c(i) of the contents c = column - row (s_i T
-    is not standard when |r| = 1); rho(p) is the product along
+    axial distance c(i+1) - c(i) of the contents c = column - row; s_i T is
+    standard iff |r| > 1.  Contents, axial distances and the partner s_i T
+    of every letter are arrays.  s_i T shares T's prefix P before entry i
+    and, from entry i + 2 on, the same completions in the same order, so
+    ``searchsorted`` finds it by integer keys (letter, rank of P, rows of
+    entries i and i + 1), sorted as the tableaux are and below
+    n k (rows + 1)^2, so no key wraps.  rho(p) is the product along
     :func:`_bubble_word`, applied as row operations.
     """
-    tabs = standard_tableaux(parts)
-    index = {t: j for j, t in enumerate(tabs)}
-    col = np.array([[t[:k].count(t[k]) for k in range(len(t))] for t in tabs])
-    content = col - np.array(tabs)
-    letters = {}
-    for i in range(1, sum(parts)):
-        r = content[:, i] - content[:, i - 1]
-        swapped = [t[:i - 1] + (t[i], t[i - 1]) + t[i + 1:] for t in tabs]
-        partner = np.array([index.get(u, j) for j, u in enumerate(swapped)])
-        letters[i] = (1.0 / r[:, None], np.sqrt(1.0 - 1.0 / r**2)[:, None], partner)
+    tabs = np.array(standard_tableaux(parts)).reshape(-1, sum(parts))
+    (k, n), base = tabs.shape, len(parts) + 1
+    # an entry's column counts the earlier entries in its row; letter i
+    # reads column i - 1 of r, its axial distance
+    in_row = tabs[:, :, None] == np.arange(1, base)
+    content = (np.cumsum(in_row, axis=1) * in_row).sum(axis=2) - tabs
+    r = (content[:, 1:] - content[:, :-1]).T
+    # the rank of each tableau's prefix before letter i, then its key
+    # (letter, prefix rank, row of entry i, row of entry i + 1)
+    first = np.argmax(tabs[1:] != tabs[:-1], axis=1)
+    prefix = np.cumsum(np.vstack([np.zeros(n - 1, dtype=np.intp),
+                                  first[:, None] < np.arange(n - 1)]), axis=0)
+    lead = (prefix + k * np.arange(n - 1)) * base
+    keys = ((lead + tabs[:, :-1]) * base + tabs[:, 1:]).T.ravel()
+    swapped = ((lead + tabs[:, 1:]) * base + tabs[:, :-1]).T.ravel()
+    own = np.arange(k)
+    offset = (np.searchsorted(keys, swapped) - np.searchsorted(keys, keys)).reshape(n - 1, k)
+    letters = dict(enumerate(zip(1.0 / r[:, :, None], np.sqrt(1.0 - 1.0 / r**2)[:, :, None],
+                                 np.where(np.abs(r) > 1, own + offset, own)), start=1))
     out = []
     for p in perms:
-        rho = np.eye(len(tabs))
+        rho = np.eye(k)
         for i in _bubble_word(p):
             diag, off, partner = letters[i]
             rho = diag * rho + off * rho[partner]
@@ -314,18 +335,23 @@ class IrrepBlock:
 def irrep_block(parts: Partition, gens: GeneratorSet) -> IrrepBlock:
     """The :class:`IrrepBlock` of one shape's irrep under ``gens``.
 
-    The group's fixed vectors are the null space of the stacked
-    I - rho(p): singular values within ``ZERO_TOL`` of 0, as rho is
-    orthogonal and each I - rho(p) has norm at most 2 (a block the group
-    fixes whole has only rounding left, so a cut relative to its largest
-    singular value would keep it).  rho keeps their orthocomplement
-    invariant, so the block acts there in an orthonormal basis; without
-    fixed vectors it keeps the tableau basis.
+    When :func:`~qconsensus.permgroup.proves_full_symmetric` holds and the
+    irrep is not the trivial one (n), the group is S_N, which fixes no
+    vector of it: the block is I - rho(p) in the tableau basis, with no
+    decomposition.  Otherwise the group's fixed vectors are the null
+    space of the stacked I - rho(p): singular values within ``ZERO_TOL``
+    of 0, as rho is orthogonal and each I - rho(p) has norm at most 2 (a
+    block the group fixes whole has only rounding left, so a cut relative
+    to its largest singular value would keep it).  rho keeps their
+    orthocomplement invariant, so the block acts there in an orthonormal
+    basis; without fixed vectors it keeps the tableau basis.
     """
     check_partition(parts, gens.n)
     rho = young_orthogonal(parts, gens.perms)
     eye = np.eye(rho.shape[1])
     coeffs = eye - rho
+    if len(parts) > 1 and proves_full_symmetric(gens):
+        return IrrepBlock(tuple(parts), coeffs, 0)
     _, sv, vt = np.linalg.svd(np.concatenate(coeffs), full_matrices=False)
     rank = int(np.sum(sv > ZERO_TOL))
     if rank < len(eye):

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .induced import iter_rate_shapes
+from .induced import irrep_dim, iter_rate_shapes
 from .permgroup import GeneratorSet, check_cap
-from .spectra import batch_rates, rate_structure
+from .spectra import RATE_BLOCK_CAP, batch_rates, rate_structure
 
 CHUNK = 256
 GRID_CAP = 2**20
@@ -154,7 +154,9 @@ def maximize_rate(
     tries the pattern moves ``2u - h`` (Hooke & Jeeves) from the points
     one and two acceptances back, so a walk that zigzags along a ridge
     speeds up instead of crawling at a small step; an accepted pattern
-    move keeps the step.
+    move keeps the step.  The Laplacian entries of the largest round,
+    its rows times the blocks' summed ``irrep_dim`` squared, are capped at
+    ``RATE_BLOCK_CAP`` before the first round.
     """
     if objective not in ("consensus", "synchronization"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -163,6 +165,12 @@ def maximize_rate(
     m = len(gens)
     lengths = np.asarray(constraint.lengths, dtype=float)
     ev = _RateEvaluator(gens, d=d, synch_only=(objective == "synchronization"))
+    # a round's Laplacian entries: every start's transfers and two pattern
+    # moves over each block's irrep_dim^2 coefficients
+    rows = N_STARTS * (m * (m - 1) + 2)
+    check_cap("optimizer round entries",
+              rows * sum(irrep_dim(b.partition) ** 2 for b in ev.structure.blocks),
+              RATE_BLOCK_CAP)
     pick = 0 if objective == "consensus" else 1
 
     def f_batch(u_batch: np.ndarray) -> np.ndarray:

@@ -236,8 +236,45 @@ def generate_group(
     return set(orbit(identity(gens.n), gens, cap)[0])
 
 
+def proves_full_symmetric(gens: GeneratorSet) -> bool:
+    """True if the transpositions among the generators prove that they
+    generate all n! permutations; False proves nothing.
+
+    With (a b) in the group G, so is g (a b) g^-1 = (g(a) g(b)) for every
+    g in G: the orbit of the pair {a, b} under the generators lists
+    transpositions of G.  When those of every transposition generator
+    connect all n sites (union-find), they generate S_n (Wielandt, Finite
+    Permutation Groups, 1964, section 13).  At most n(n-1)/2 pairs are
+    visited; no group element is built.
+    """
+    moved = (tuple(i for i, image in enumerate(p, 1) if image != i) for p in gens.perms)
+    todo = [pair for pair in moved if len(pair) == 2]
+    seen = set(todo)
+    root = list(range(gens.n + 1))
+    parts = gens.n
+    while todo:
+        a, b = todo.pop()
+        for p in gens.perms:
+            ab = (p[a - 1], p[b - 1]) if p[a - 1] < p[b - 1] else (p[b - 1], p[a - 1])
+            if ab not in seen:
+                seen.add(ab)
+                todo.append(ab)
+        while root[a] != a:
+            a = root[a]
+        while root[b] != b:
+            b = root[b]
+        if a != b:
+            root[a] = b
+            parts -= 1
+    return parts == 1
+
+
 def is_full_symmetric(gens: GeneratorSet) -> bool:
-    """True iff the generators generate all n! permutations."""
+    """True iff the generators generate all n! permutations: at once when
+    :func:`proves_full_symmetric` holds, else by the closure, whose n! is
+    capped at ``DEFAULT_GROUP_CAP``."""
+    if proves_full_symmetric(gens):
+        return True
     full = math.factorial(gens.n)
     check_cap(f"{gens.n}! =", full, DEFAULT_GROUP_CAP)
     return len(generate_group(gens)) == full

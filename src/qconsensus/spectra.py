@@ -25,13 +25,12 @@ from .induced import (
     IrrepBlock,
     Partition,
     cover_map,
+    dominance,
     dominance_covers,
-    dominates,
     induced_laplacian,
     irrep_block,
     irrep_dim,
     iter_rate_shapes,
-    rate_shapes,
     tabloid_count,
     tabloid_orbit,
 )
@@ -41,7 +40,8 @@ INCLUSION_TOL = 1e-7
 
 # float64 coefficients one set of rate blocks may hold, m * sum k^2 over
 # blocks of k rows: 2**27 (1 GiB) keeps ring+swap (m = 2) through N = 11
-# at d = 2 and 3 and refuses N = 12, whose d = 2 blocks would hold 2.8 GB
+# at d = 2 and 3 and refuses N = 12, whose d = 2 blocks would hold 2.8 GB;
+# it caps one optimizer round's Laplacian entries, rows * sum k^2, too
 RATE_BLOCK_CAP = 2**27
 
 
@@ -112,18 +112,13 @@ def rate_structure(gens: GeneratorSet, shapes) -> RateStructure:
         size += len(gens) * irrep_dim(p) ** 2
         check_cap("rate block coefficients", size, RATE_BLOCK_CAP)
         listed.append(p)
-    shapes = listed  # read twice below
-    blocks = tuple(irrep_block(p, gens) for p in shapes)
-    # each block's first column in the spectrum, after the trivial zero
-    first = np.cumsum([1] + [len(b.coeffs[0]) for b in blocks])
-    columns = tuple(
-        np.concatenate([[0]] + [
-            np.arange(first[i], first[i + 1])
-            for i, b in enumerate(blocks) if dominates(b.partition, mu)
-        ])
-        for mu in shapes
-    )
-    return RateStructure(blocks, columns)
+    blocks = tuple(irrep_block(p, gens) for p in listed)
+    # spectrum column 0 is the trivial zero, then each block's eigenvalues
+    # in shape order; shape mu reads the blocks that dominate it
+    sizes = [len(b.coeffs[0]) for b in blocks]
+    holds = np.concatenate([np.ones((1, len(listed)), dtype=bool),
+                            np.repeat(dominance(listed), sizes, axis=0)])
+    return RateStructure(blocks, tuple(np.flatnonzero(c) for c in holds.T))
 
 
 def batch_rates(rs: RateStructure, w) -> tuple[np.ndarray, ...]:
@@ -288,8 +283,10 @@ def _dominance_by_maps(pairs, orbits, w, tol) -> list[tuple[bool, float]]:
     ``tol`` of the largest diagonal entry of L_mu.  A pair a > b takes the
     verdict and largest residual of one chain of covers from a to b, each
     step the first cover (:func:`dominance_covers` order) still dominating
-    b, as inclusion is transitive.
+    b, as inclusion is transitive.  ``pairs`` holds every strict pair of
+    the shapes, so a cover dominates b iff it is b or forms a pair with it.
     """
+    strict = set(pairs)
     verts = {p: np.asarray(orbit[0]) for p, orbit in orbits.items()}
     # each L_mu's largest diagonal entry; an overflow fails as an eigensolve would
     scale = {p: laplacian_rows(orbit[1], w)[1][:, -1].max() for p, orbit in orbits.items()}
@@ -305,7 +302,7 @@ def _dominance_by_maps(pairs, orbits, w, tol) -> list[tuple[bool, float]]:
 
     def chain(a, b):
         if (a, b) not in memo:
-            mu, i, j = next(c for c in below[a] if dominates(c[0], b))
+            mu, i, j = next(c for c in below[a] if c[0] == b or (c[0], b) in strict)
             if (a, mu) not in memo:
                 memo[a, mu] = cover(a, mu, i, j)
             if mu != b:
@@ -332,12 +329,13 @@ def intertwining_check(
     outside the coarser graph, and this pair is always matched
     spectrally.
     """
-    shapes = rate_shapes(gens.n, d)
-    # every orbit's cap check comes before any other work, and one dense
-    # Laplacian is held at a time
-    orbits = {p: tabloid_orbit(p, gens) for p in shapes}
+    # each orbit is capped as its shape is listed, every cap check comes
+    # before any other work, and one dense Laplacian is held at a time
+    orbits = {p: tabloid_orbit(p, gens) for p in iter_rate_shapes(gens.n, d)}
+    shapes = list(orbits)
     w = check_weights([weights], len(gens))[0]
-    pairs = [(a, b) for a in shapes for b in shapes if a != b and dominates(a, b)]
+    above = dominance(shapes) & ~np.eye(len(shapes), dtype=bool)
+    pairs = [(shapes[i], shapes[j]) for i, j in zip(*np.nonzero(above))]
     finest = (1,) * gens.n
     coarser = (2,) + (1,) * (gens.n - 2)
     whole = all(len(orbits[p][0]) == tabloid_count(p) for p in shapes)

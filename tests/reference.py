@@ -3,11 +3,13 @@
 None of these runs in the package: the dynamics applies dense orbit
 blocks of one RK4 step operator (or its sparse form), ``build_lq``
 scatters the generator's rows, and the rates read the irrep blocks of
-``induced``.
+``induced``, whose letters are arrays and which skip the fixed-space
+decomposition when a transposition proves the group S_N.
 """
 
 import numpy as np
 
+from qconsensus.induced import ZERO_TOL, _bubble_word, standard_tableaux
 from qconsensus.permgroup import (
     GeneratorSet,
     Permutation,
@@ -191,3 +193,66 @@ def rk4_evolve(rho0, h0, gens, weights, t_final, dt=1e-3, d=2, store_every=1):
             states[pos] = rho
             pos += 1
     return Trajectory(times=times, states=states)
+
+
+def random_generator_sets(seed: int, count: int, max_n: int) -> list[GeneratorSet]:
+    """``count`` seeded generator sets on 3 to ``max_n`` sites: a random
+    permutation, then a random transposition in two sets of three and a
+    second permutation in every other set, so that a transposition proves
+    S_N on some, the group is S_N without one on others, and a proper
+    subgroup on the rest."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for case in range(count):
+        n = int(rng.integers(3, max_n + 1))
+        perms = []
+        for kind in ["perm"] + ["swap"] * (case % 3 != 0) + ["perm"] * (case % 2):
+            p = np.arange(1, n + 1)
+            while np.array_equal(p, np.arange(1, n + 1)):
+                if kind == "swap":
+                    a, b = rng.choice(n, 2, replace=False)
+                    p[[a, b]] = p[[b, a]]
+                else:
+                    p = rng.permutation(n) + 1
+            perms.append(tuple(int(x) for x in p))
+        out.append(GeneratorSet(n, tuple(perms)))
+    return out
+
+
+def young_orthogonal_loops(parts, perms) -> np.ndarray:
+    """Young's orthogonal form with its letters built by tuple loops over
+    the tableaux: contents by counting, each s_i T looked up in a dict,
+    then the package's row-operation products in the same order."""
+    tabs = standard_tableaux(parts)
+    index = {t: j for j, t in enumerate(tabs)}
+    col = np.array([[t[:k].count(t[k]) for k in range(len(t))] for t in tabs])
+    content = col - np.array(tabs)
+    letters = {}
+    for i in range(1, sum(parts)):
+        r = content[:, i] - content[:, i - 1]
+        swapped = [t[:i - 1] + (t[i], t[i - 1]) + t[i + 1:] for t in tabs]
+        partner = np.array([index.get(u, j) for j, u in enumerate(swapped)])
+        letters[i] = (1.0 / r[:, None], np.sqrt(1.0 - 1.0 / r**2)[:, None], partner)
+    out = []
+    for p in perms:
+        rho = np.eye(len(tabs))
+        for i in _bubble_word(p):
+            diag, off, partner = letters[i]
+            rho = diag * rho + off * rho[partner]
+        out.append(rho)
+    return np.array(out)
+
+
+def fixed_space_block(parts, gens: GeneratorSet) -> tuple[np.ndarray, int]:
+    """(coeffs, fixed) of an irrep block by the singular value decomposition
+    of the stacked I - rho(p) on every generator set: the null space (to
+    ``ZERO_TOL``) is projected out, and with none the tableau basis kept."""
+    rho = young_orthogonal_loops(parts, gens.perms)
+    eye = np.eye(rho.shape[1])
+    coeffs = eye - rho
+    _, sv, vt = np.linalg.svd(np.concatenate(coeffs), full_matrices=False)
+    rank = int(np.sum(sv > ZERO_TOL))
+    if rank < len(eye):
+        basis = vt[:rank].T
+        coeffs = basis.T @ coeffs @ basis
+    return coeffs, len(eye) - rank

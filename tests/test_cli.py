@@ -461,6 +461,61 @@ def test_rate_shapes_are_capped_as_they_are_listed(tmp_path):
     assert re.fullmatch(r"error: rate block coefficients \d+ exceeds cap \d+\n", proc.stderr)
 
 
+def _ring_swap_100(tmp_path):
+    topo = tmp_path / "ring-swap-100.txt"
+    topo.write_text("name: ring-swap-100\nN: 100\n"
+                    f"generator: ({' '.join(map(str, range(1, 101)))}) weight wring\n"
+                    "generator: (1 2) weight wswap\n")
+    return topo
+
+
+def _run_limited(tmp_path, *argv, timeout=20):
+    return subprocess.run(
+        [sys.executable, "-m", "qconsensus.cli", *map(str, argv)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=timeout,
+        preexec_fn=_limit_address_space, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+
+
+def test_spectrum_partition_checks_one_shape_at_a_hundred_sites(tmp_path):
+    # the shape is checked by itself, not looked up among the partitions of
+    # 100 into at most nine parts
+    topo = _ring_swap_100(tmp_path)
+    proc = _run_limited(tmp_path, "spectrum", topo, "--weights", "0.3,0.7", "--d", "3",
+                        "--partition", "99,1")
+    assert proc.returncode == 0, proc.stderr
+    assert "partition: (99,1)  vertices: 100\n" in proc.stdout
+    proc = _run_limited(tmp_path, "spectrum", topo, "--weights", "0.3,0.7", "--d", "2",
+                        "--partition", "96,1,1,1,1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "more than d*d = 4" in proc.stderr
+
+
+def test_spectrum_all_stops_at_the_orbit_cap_as_shapes_are_listed(tmp_path):
+    # (97,3), the fourth shape of 100 sites, has 161,700 tabloids
+    proc = _run_limited(tmp_path, "spectrum", _ring_swap_100(tmp_path), "--weights", "0.3,0.7",
+                        "--d", "3", "--all")
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == ""
+    assert re.fullmatch(r"error: orbit of \(.*\) size at least \d+ exceeds cap \d+\n",
+                        proc.stderr)
+
+
+def test_optimize_round_cap_before_the_first_round(tmp_path):
+    # 20 three-cycles on 8 sites: a round of 20 * (20 * 19 + 2) rows over
+    # blocks of 33,323 coefficients a generator would hold 2.5e8 entries
+    rng = np.random.default_rng(5)
+    topo = tmp_path / "cycles-20.txt"
+    topo.write_text("name: cycles-20\nN: 8\n" + "".join(
+        f"generator: ({' '.join(map(str, rng.choice(8, 3, replace=False) + 1))}) weight w{i}\n"
+        for i in range(20)))
+    proc = _run_limited(tmp_path, "optimize", topo)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == ""
+    assert re.fullmatch(r"error: optimizer round entries \d+ exceeds cap \d+\n", proc.stderr)
+
+
 def test_pareto_grid_cap_before_any_rate(tmp_path, capsys, monkeypatch):
     # g1-3's default grid has C(201, 1) = 201 points; with the cap at 100
     # pareto must exit before its first batched rate call

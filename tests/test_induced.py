@@ -44,7 +44,7 @@ from qconsensus import spectra
 from qconsensus.cli import load_topology
 from qconsensus.quantum import build_lq
 from qconsensus.spectra import eigenvalues, multiset_contained, rate_structure
-from reference import cayley_laplacian, scatter_laplacian
+from reference import cayley_laplacian, scatter_laplacian, young_orthogonal_loops
 
 
 def multinomial(parts):
@@ -423,6 +423,37 @@ def test_young_orthogonal_is_an_orthogonal_representation(parts):
         a, b, ab = young_orthogonal(parts, [p, q, compose(p, q)])
         assert_allclose(a @ b, ab, atol=1e-13)
         assert_allclose(a @ a.T, np.eye(len(a)), atol=1e-13)
+
+
+def test_young_orthogonal_equals_the_tuple_loop_letters():
+    # every shape of up to 8 sites, and the one-column shape of 17 sites,
+    # whose row words read in base 17 would pass 2^63
+    rng = np.random.default_rng(8)
+    shapes = [p for n in range(1, 9) for p in partitions_of(n, n) + [(n,)]] + [(1,) * 17]
+    for parts in shapes:
+        n = sum(parts)
+        perms = [tuple(int(x) + 1 for x in rng.permutation(n)) for _ in range(3)]
+        got, want = young_orthogonal(parts, perms), young_orthogonal_loops(parts, perms)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), parts
+
+
+def test_irrep_block_skips_the_decomposition_when_a_transposition_proves_s_n(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    for n in (4, 6):
+        rate_structure(ring_swap(n), rate_shapes(n, 2))
+    assert calls == []
+    # S_4 without a transposition, and the trivial irrep, take it
+    rate_structure(generator_set(4, [[[1, 2, 3]], [[1, 2, 3, 4]]]), rate_shapes(4, 2))
+    assert calls == [(6, 3), (4, 2), (6, 3), (2, 1)]
+    calls.clear()
+    assert irrep_block((4,), ring_swap(4)).fixed == 1 and len(calls) == 1
 
 
 def test_young_orthogonal_one_row_and_one_column():

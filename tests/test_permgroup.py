@@ -1,5 +1,6 @@
 """Permutation primitives: cycles, composition, parity, group closure."""
 
+import itertools
 import math
 import warnings
 
@@ -22,12 +23,14 @@ from qconsensus.permgroup import (
     laplacian_rows,
     orbit,
     parity,
+    proves_full_symmetric,
     to_cycles,
 )
 from qconsensus.induced import rate_shapes
-from qconsensus.optimize import BudgetConstraint, pareto_scan
+from qconsensus.optimize import BudgetConstraint, maximize_rate, pareto_scan
 from qconsensus.quantum import _pull_map, build_lq, check_steps, evolve_chunks
 from qconsensus.spectra import rate_structure
+from reference import random_generator_sets
 
 
 @st.composite
@@ -224,18 +227,27 @@ def _ring_swap(n):
     return generator_set(n, [[list(range(1, n + 1))], [[1, 2]]])
 
 
+def _three_cycles(n, count):
+    return itertools.islice(itertools.combinations(range(1, n + 1), 3), count)
+
+
 def _first_chunk(n):
     return next(evolve_chunks(np.eye(2**n) / 2**n, None, _ring_swap(n), [0.1, 0.1], 1.0))
 
 
 CAP_SITES = {
     "orbit": lambda: orbit(identity(5), _ring_swap(5), cap=119),
-    "n-factorial": lambda: is_full_symmetric(_ring_swap(8)),
+    # without a transposition S_N is proved by the capped closure alone
+    "n-factorial": lambda: is_full_symmetric(generator_set(8, [[list(range(1, 9))], [[1, 2, 3]]])),
     "rate-blocks": lambda: rate_structure(_ring_swap(12), rate_shapes(12, 2)),
     "state": lambda: _first_chunk(9),
     "build-lq": lambda: build_lq(_ring_swap(7), [0.1, 0.1]),
     "steps": lambda: check_steps(10000.002, 1e-3, 1000000),
     "grid": lambda: pareto_scan(_ring_swap(3), BudgetConstraint((3, 2), 1.0), resolution=10**7),
+    # twenty 3-cycles on 8 sites: 7,640 rows a round over blocks of 33,323
+    "optimizer-round": lambda: maximize_rate(
+        GeneratorSet(8, tuple(from_cycles(8, [list(c)]) for c in _three_cycles(8, 20))),
+        BudgetConstraint((3,) * 20, 1.0)),
 }
 
 
@@ -268,6 +280,38 @@ def test_is_full_symmetric():
     assert is_full_symmetric(generator_set(3, [[[1, 2]], [[2, 3]]]))
     assert not is_full_symmetric(generator_set(3, [[[1, 2, 3]]]))
     assert not is_full_symmetric(generator_set(4, [[[1, 2]], [[3, 4]]]))
+    # no transposition: the closure decides
+    assert is_full_symmetric(generator_set(4, [[[1, 2, 3]], [[1, 2, 3, 4]]]))
+    assert not is_full_symmetric(generator_set(4, [[[1, 2, 3, 4]], [[1, 3]]]))
+    # the transposition proves S_N past the closure's 10080 cap
+    assert is_full_symmetric(_ring_swap(12))
+
+
+@pytest.mark.parametrize("n", range(3, 12))
+def test_ring_swap_proves_full_symmetric(n):
+    assert proves_full_symmetric(_ring_swap(n))
+
+
+def test_the_proof_never_holds_short_of_the_full_group():
+    fulls = held = 0
+    for gens in random_generator_sets(20261019, 800, 6):
+        full = len(generate_group(gens)) == math.factorial(gens.n)
+        proved = proves_full_symmetric(gens)
+        assert full or not proved, gens.perms
+        assert is_full_symmetric(gens) == full
+        fulls += full
+        held += proved
+    # the proof decides most of the full groups drawn, not all
+    assert fulls / 2 < held < fulls
+
+
+def test_the_proof_needs_every_generator():
+    # (1 2) alone connects two sites; only the 4-cycle carries it further
+    assert not proves_full_symmetric(generator_set(4, [[[1, 2]], [[3, 4]]]))
+    assert proves_full_symmetric(generator_set(4, [[[1, 2]], [[1, 2, 3, 4]]]))
+    assert proves_full_symmetric(generator_set(4, [[[1, 2, 3, 4]], [[1, 2]]]))
+    # a product of two transpositions is no transposition
+    assert not proves_full_symmetric(generator_set(4, [[[1, 2], [3, 4]], [[1, 2, 3]]]))
 
 
 @given(perms(max_n=6))

@@ -46,7 +46,7 @@ from qconsensus.spectra import (
     rate_structure,
     rates_coincide,
 )
-from reference import sparse_lambda_cons
+from reference import fixed_space_block, random_generator_sets, sparse_lambda_cons
 
 
 def g13():
@@ -397,6 +397,37 @@ def test_structure_rates_equal_the_per_shape_concatenation(name, d):
         assert np.array_equal(table, reference)
         assert np.array_equal(cons, reference.min(axis=0))
         assert np.array_equal(synch, reference[0] if transitive else np.zeros(len(w)))
+
+
+BLOCK_SETS = {
+    **STRUCTURE_SETS,
+    # the other sets of this file: proper subgroups, and S_3 from swaps
+    "swap-on-3": lambda: generator_set(3, [[[1, 2]]]),
+    "swap-23-on-3": lambda: generator_set(3, [[[2, 3]]]),
+    "cycle-3": lambda: generator_set(3, [[[1, 2, 3]]]),
+    "3-cycle-on-4": lambda: generator_set(4, [[[1, 2, 3]]]),
+    "five-cycle": lambda: generator_set(5, [[[1, 2, 3, 4, 5]]]),
+    # S_4 without a transposition: the decomposition finds no fixed vector
+    "no-swap-4": lambda: generator_set(4, [[[1, 2, 3]], [[1, 2, 3, 4]]]),
+    "swaps-3": lambda: generator_set(3, [[[1, 2]], [[2, 3]], [[1, 3]]]),
+    **{f"ring-swap-{n}": lambda n=n: ring_swap(n) for n in range(3, 9)},
+    **{f"random-{i}": lambda g=g: g for i, g in enumerate(random_generator_sets(20261019, 24, 7))},
+}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("name", BLOCK_SETS)
+def test_irrep_blocks_equal_the_fixed_space_oracle(name, d):
+    """Every block equals, bit for bit, the singular value decomposition
+    of its fixed space on the letters built by tuple loops, whether the
+    transposition proof skips that decomposition or not."""
+    gens = BLOCK_SETS[name]()
+    for p in rate_shapes(gens.n, d):
+        block = irrep_block(p, gens)
+        coeffs, fixed = fixed_space_block(p, gens)
+        assert block.fixed == fixed, p
+        assert block.coeffs.shape == coeffs.shape, p
+        assert block.coeffs.tobytes() == coeffs.tobytes(), p
 
 
 @pytest.mark.parametrize("name, shapes", [

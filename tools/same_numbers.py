@@ -42,7 +42,10 @@ each side of the step cap: ``--t 10000`` takes its 10^7 steps, and
 ``--t 10000.002`` is refused (exit 4, nothing printed).  ``simulate``
 also runs on ring+swap N = 5 at d = 2 to t = 0.5 (the sparse stepping
 path) and on g1-3 and g3-3 at d = 3 with ``--h0 zsum`` (complex orbit
-blocks).  Inputs far past a cap are left out, as a dump of code without
+blocks).  ``rates`` runs on ring+swap N = 8 and 9 at d = 2 and 3, whose
+transposition proves the group S_N so no block takes the fixed-space
+decomposition, and on (1 2 3),(1 2 3 4), which generates S_4 without a
+transposition and takes it.  Inputs far past a cap are left out, as a dump of code without
 that cap would try to allocate them.
 
     python tools/same_numbers.py dump /path/to/old/src old.json
@@ -240,6 +243,22 @@ def commands(work):
     for name in ("g1-3", "g3-3"):
         cmds.append(("simulate", name, "--weights", wa(PRESETS[name][1][0]), "--d", "3",
                      "--h0", "zsum", "--t", "2", "--out", "@CSV"))
+
+    # both sides of the fixed-space test: ring+swap on eight and nine sites
+    # holds a transposition that proves S_N, (1 2 3),(1 2 3 4) generates S_4
+    # without one and takes the singular value decomposition
+    path = os.path.join(work, "ring-swap-9.txt")
+    with open(path, "w") as fh:
+        fh.write("name: ring-swap-9\nN: 9\ngenerator: (1 2 3 4 5 6 7 8 9) weight wring\n"
+                 "generator: (1 2) weight wswap\n")
+    for path in (os.path.join(work, "ring-swap-8.txt"), path):
+        cmds += [("rates", path, "--weights", wa(w), "--d", d) for w in draws for d in ("2", "3")]
+    path = os.path.join(work, "no-swap-4.txt")
+    with open(path, "w") as fh:
+        fh.write("name: no-swap-4\nN: 4\ngenerator: (1 2 3) weight w123\n"
+                 "generator: (1 2 3 4) weight w1234\n")
+    cmds += [("rates", path, "--weights", wa(w), "--d", d)
+             for w in PRESETS["g3-3"][1] for d in ("2", "3")]
     return cmds
 
 
