@@ -37,7 +37,7 @@ from .permgroup import (
     Permutation,
     check_d,
     check_weights,
-    laplacian_rows,
+    laplacian_matrix,
     orbit,
     proves_full_symmetric,
 )
@@ -223,11 +223,8 @@ def induced_laplacian(
     every tabloid when the generators produce the full symmetric group.
     """
     verts, img = tabloid_orbit(parts, gens) if orbit is None else orbit
-    cols, vals = laplacian_rows(img, check_weights([weights], len(gens))[0])
-    lap = np.zeros((len(verts), len(verts)))
     # weights that overflow leave inf for the eigensolve to reject
-    with np.errstate(over="ignore"):
-        np.add.at(lap, (np.arange(len(verts))[:, None], cols), vals)
+    lap = laplacian_matrix(img, check_weights([weights], len(gens))[0])
     return InducedGraph(partition=tuple(parts), vertices=verts, laplacian=lap)
 
 

@@ -12,15 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .permgroup import GeneratorSet, check_weights, inverse, laplacian_rows
+from .permgroup import GeneratorSet, check_weights, inverse, laplacian_matrix
 
 
 def generator_laplacian(gens: GeneratorSet, weights) -> np.ndarray:
-    """L = sum_p w_p (I - P_p) on site labels, by :func:`laplacian_rows`
+    """L = sum_p w_p (I - P_p) on site labels, by :func:`laplacian_matrix`
     over the site table v -> p^{-1}(v)."""
     img = np.array([inverse(p) for p in gens.perms], dtype=np.intp).reshape(-1, gens.n).T - 1
-    cols, vals = laplacian_rows(img, check_weights([weights], len(gens))[0])
-    L = np.zeros((gens.n, gens.n))
-    with np.errstate(over="ignore"):
-        np.add.at(L, (np.arange(gens.n)[:, None], cols), vals)
-    return L
+    return laplacian_matrix(img, check_weights([weights], len(gens))[0])

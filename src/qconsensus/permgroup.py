@@ -228,6 +228,17 @@ def laplacian_rows(img: np.ndarray, w) -> tuple[np.ndarray, np.ndarray]:
     return np.column_stack([img, idx]), np.column_stack([vals, diag])
 
 
+def laplacian_matrix(img: np.ndarray, w) -> np.ndarray:
+    """The dense (V, V) sum_g w_g (I - P_g): the :func:`laplacian_rows` of
+    ``img`` scattered in row order, so repeated columns add in generator
+    order; an entry that overflows is left inf for the caller."""
+    cols, vals = laplacian_rows(img, w)
+    lap = np.zeros((len(img), len(img)))
+    with np.errstate(over="ignore"):
+        np.add.at(lap, (np.arange(len(img))[:, None], cols), vals)
+    return lap
+
+
 def generate_group(
     gens: GeneratorSet, cap: int = DEFAULT_GROUP_CAP
 ) -> set[Permutation]:

@@ -41,6 +41,7 @@ from .permgroup import (
     check_cap,
     check_d,
     check_weights,
+    laplacian_matrix,
     laplacian_rows,
 )
 
@@ -574,18 +575,13 @@ def uniform_site_hamiltonian(d: int, n_sites: int) -> np.ndarray:
     Commutes with every permutation unitary, so it is a valid
     Hamiltonian for the invariant-Hamiltonian convergence statements.
     """
-    basis = gellmann_basis(d)
-    h_site = basis[-1]
-    dim = d**n_sites
-    out = np.zeros((dim, dim), dtype=complex)
+    h_site = np.diagonal(gellmann_basis(d)[-1])
+    # site k is digit k of the basis index, site 0 the slowest; the terms
+    # add in site order
+    diag = np.zeros((d,) * n_sites, dtype=complex)
     for k in range(n_sites):
-        ops = [np.eye(d, dtype=complex)] * n_sites
-        ops[k] = h_site
-        term = ops[0]
-        for o in ops[1:]:
-            term = np.kron(term, o)
-        out += term
-    return out
+        diag += h_site.reshape((d,) + (1,) * (n_sites - 1 - k))
+    return np.diag(diag.ravel())
 
 
 def build_lq(gens: GeneratorSet, weights, d: int = 2) -> np.ndarray:
@@ -593,20 +589,19 @@ def build_lq(gens: GeneratorSet, weights, d: int = 2) -> np.ndarray:
 
     Row nu couples to nu o p (entry -w) for every generator p: the same
     pull rule as the induced graphs, of which this matrix is the direct
-    sum over index-pattern classes.  It is -S of :func:`_generator_rows`,
-    scattered densely in row order at the multi-index of each vec(rho)
-    entry (the inverse of :func:`_interleave`).
+    sum over index-pattern classes.  It is -S of :func:`_generator_rows`:
+    ``permgroup.laplacian_matrix`` of :func:`_pair_images` relabelled at
+    the multi-index of each vec(rho) entry (the inverse of
+    :func:`_interleave`).
     """
     weights = check_weights([weights], len(gens))[0]
     check_d(d)
-    size = (d * d) ** gens.n
-    check_cap("coefficient dimension", size, LQ_DIM_CAP)
-    cols, vals = _generator_rows(gens.perms, weights, gens.n, d)
+    check_cap("coefficient dimension", (d * d) ** gens.n, LQ_DIM_CAP)
+    img = _pair_images(gens.perms, gens.n, d)
     at = np.argsort(_interleave(gens.n, d))
-    lq = np.zeros((size, size))
-    with np.errstate(over="ignore"):
-        np.add.at(lq, (at[:, None], at[cols]), -vals)
-    return lq
+    table = np.empty_like(img)
+    table[at] = at[img]
+    return laplacian_matrix(table, weights)
 
 
 def frobenius_distances(states: np.ndarray, reference: np.ndarray) -> np.ndarray:

@@ -7,8 +7,9 @@ over every admissible partition shape.  The rates read each shape's
 spectrum from irrep blocks, one eigensolve per block
 (:func:`batch_rates`); the spectral-inclusion
 checks read the induced graphs themselves, through equivariant maps
-between their image tables when every orbit is a whole tabloid set
-(scaled by the diagonal ``permgroup.laplacian_rows`` gives).
+between their image tables and the sign vector when every orbit is a
+whole tabloid set (scaled by the diagonal ``permgroup.laplacian_rows``
+gives).
 Eigenvalues of directed topologies come in conjugate pairs, so
 everything sorts and compares by (real, imaginary) with explicit
 tolerances.
@@ -218,18 +219,6 @@ def multiset_contained(
     return True, worst, None
 
 
-def distinct_values(vals: np.ndarray, tol: float = INCLUSION_TOL) -> list[complex]:
-    """Collapse a spectrum to representatives separated by more than ``tol``
-    times its largest modulus."""
-    vals = np.asarray(vals, dtype=complex)
-    cut = tol * np.abs(vals).max(initial=0.0)
-    out: list[complex] = []
-    for v in sorted(vals, key=lambda z: (z.real, z.imag)):
-        if not any(abs(v - u) <= cut for u in out):
-            out.append(complex(v))
-    return out
-
-
 @dataclass(frozen=True)
 class PairCheck:
     inner: Partition
@@ -313,21 +302,47 @@ def _dominance_by_maps(pairs, orbits, w, tol) -> list[tuple[bool, float]]:
     return [chain(a, b) for a, b in pairs]
 
 
+def _sign_residual(orbit, w, alt: float, tol: float) -> tuple[bool, float]:
+    """(holds, largest entry) of L s - alt s on the finest shape's whole
+    orbit, s(sigma) = sgn sigma on its tabloids, within ``tol`` of L's largest
+    diagonal entry: the sign vector is the eigenvector of the mode alt."""
+    verts, img = orbit
+    s = np.array([parity(t) for t in verts], dtype=float)
+    cols, vals = laplacian_rows(img, w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = float(np.abs((vals * s[cols]).sum(axis=1) - alt * s).max())
+    return defect <= tol * vals[:, -1].max(), defect
+
+
+def _set_contained(inner, outer, tol: float, skip: complex):
+    """(contained, max defect, first value left over): each value of ``inner``
+    past the cut from ``skip`` must be within it of a value of ``outer``, the
+    cut being ``tol`` times the largest modulus of both."""
+    cut = tol * max(np.abs(inner).max(), np.abs(outer).max())
+    off = inner - skip
+    kept = inner[np.hypot(off.real, off.imag) > cut]
+    gap = kept[:, None] - outer
+    near = np.hypot(gap.real, gap.imag).min(axis=1)
+    left = kept[near > cut]
+    witness = complex(left[0]) if len(left) else None
+    return not len(left), float(near[near <= cut].max(initial=0.0)), witness
+
+
 def intertwining_check(
     gens: GeneratorSet, weights, d: int = 2, tol: float = INCLUSION_TOL
 ) -> IntertwiningReport:
     """Spectral inclusions along the dominance order.
 
     For every comparable pair the dominant shape's spectrum must embed
-    (as a multiset) in the less dominant one's.  When every shape's orbit
-    is its whole tabloid set, :func:`_dominance_by_maps` proves each
-    inclusion by the cover maps' identity, with no eigensolve; otherwise
-    the two dense spectra are matched within ``tol`` of their largest
-    modulus.  When both the finest shape (1,..,1) and (2,1,..,1)
-    are admissible, the finest spectrum minus its antisymmetric mode must
-    also re-embed upward as a set; that mode is the one eigenvalue living
-    outside the coarser graph, and this pair is always matched
-    spectrally.
+    (as a multiset) in the less dominant one's, and when (1,..,1) and
+    (2,1,..,1) are admissible the finest spectrum minus its mode alt
+    (:func:`alternating_mode_rate`) must re-embed upward as a set.  On
+    whole tabloid sets there is no eigensolve: :func:`_dominance_by_maps`
+    proves each inclusion, and by Young's rule every irrep but the sign
+    one is in the (2,1,..,1) module, so the alternating pair holds with
+    (2,1,..,1) -> (1,..,1) and :func:`_sign_residual`, at the larger
+    defect.  Otherwise the dense spectra are matched within ``tol`` of
+    their largest modulus.
     """
     # each orbit is capped as its shape is listed, every cap check comes
     # before any other work, and one dense Laplacian is held at a time
@@ -336,46 +351,30 @@ def intertwining_check(
     w = check_weights([weights], len(gens))[0]
     above = dominance(shapes) & ~np.eye(len(shapes), dtype=bool)
     pairs = [(shapes[i], shapes[j]) for i, j in zip(*np.nonzero(above))]
-    finest = (1,) * gens.n
-    coarser = (2,) + (1,) * (gens.n - 2)
+    finest, coarser = (1,) * gens.n, (2,) + (1,) * (gens.n - 2)
     whole = all(len(orbits[p][0]) == tabloid_count(p) for p in shapes)
-    if not whole:
-        dense = shapes
-    elif finest in orbits and coarser in orbits:
-        dense = [finest, coarser]
-    else:
-        dense = []
-    spectra = {
-        p: eigenvalues(induced_laplacian(p, gens, w, orbits[p]).laplacian) for p in dense
-    }
+    dense = [] if whole else shapes
+    spectra = {p: eigenvalues(induced_laplacian(p, gens, w, orbits[p]).laplacian)
+               for p in dense}
     if whole:
-        verdicts = [
-            (ok, defect, None) for ok, defect in _dominance_by_maps(pairs, orbits, w, tol)
-        ]
+        verdicts = [(*v, None) for v in _dominance_by_maps(pairs, orbits, w, tol)]
     else:
         verdicts = [multiset_contained(spectra[a], spectra[b], tol) for a, b in pairs]
-    checks = [
+    if finest in orbits and coarser in orbits:
+        alt = alternating_mode_rate(gens, w)
+        if whole:
+            ok, defect, _ = verdicts[pairs.index((coarser, finest))]
+            sign_ok, sign_defect = _sign_residual(orbits[finest], w, alt, tol)
+            verdicts.append((ok and sign_ok, max(defect, sign_defect), None))
+        else:
+            verdicts.append(_set_contained(spectra[finest], spectra[coarser], tol, alt))
+        pairs.append((finest, coarser))
+    # the finest shape is never the inner shape of a dominance pair
+    checks = tuple(
         PairCheck(
-            inner=a, outer=b, kind="dominance",
+            inner=a, outer=b, kind="alternating-removed" if a == finest else "dominance",
             included=ok, max_defect=defect, witness=witness,
         )
         for (a, b), (ok, defect, witness) in zip(pairs, verdicts)
-    ]
-    if finest in spectra and coarser in spectra:
-        alt = alternating_mode_rate(gens, w)
-        cut = tol * np.abs(spectra[finest]).max()
-        kept = [
-            v for v in distinct_values(spectra[finest], tol) if abs(v - alt) > cut
-        ]
-        ok, defect, witness = multiset_contained(
-            np.array(kept), spectra[coarser], tol
-        )
-        checks.append(
-            PairCheck(
-                inner=finest, outer=coarser, kind="alternating-removed",
-                included=ok, max_defect=defect, witness=witness,
-            )
-        )
-    return IntertwiningReport(
-        pairs=tuple(checks), ok=all(c.included for c in checks)
     )
+    return IntertwiningReport(pairs=checks, ok=all(c.included for c in checks))

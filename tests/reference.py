@@ -97,6 +97,20 @@ def scatter_laplacian(img, weights) -> np.ndarray:
     return L
 
 
+def kron_site_hamiltonian(d: int, n_sites: int) -> np.ndarray:
+    """Sum over sites of the last Gell-Mann matrix on that site and the
+    identity elsewhere, each term a chain of Kronecker products, added in
+    site order into a complex zero matrix."""
+    h_site = gellmann_basis(d)[-1]
+    out = np.zeros((d**n_sites, d**n_sites), dtype=complex)
+    for k in range(n_sites):
+        term = np.ones((1, 1), dtype=complex)
+        for j in range(n_sites):
+            term = np.kron(term, h_site if j == k else np.eye(d, dtype=complex))
+        out += term
+    return out
+
+
 def dense_lq(gens: GeneratorSet, weights, d: int = 2) -> np.ndarray:
     """Laplacian of the coefficient dynamics on all d^(2N) multi-indices:
     :func:`scatter_laplacian` over the pull rule of ``_pull_map`` at base

@@ -502,6 +502,20 @@ def test_spectrum_all_stops_at_the_orbit_cap_as_shapes_are_listed(tmp_path):
                         proc.stderr)
 
 
+def test_spectrum_all_on_seven_sites_at_d3_solves_no_graph(tmp_path):
+    # the (1^7) and (2,1^5) graphs have 5040 and 2520 vertices; the
+    # alternating pair is read from identities on their image tables
+    topo = tmp_path / "ring-swap-7.txt"
+    topo.write_text("name: ring-swap-7\nN: 7\ngenerator: (1 2 3 4 5 6 7) weight wring\n"
+                    "generator: (1 2) weight wswap\n")
+    proc = _run_limited(tmp_path, "spectrum", topo, "--weights", "0.3,0.7", "--d", "3",
+                        "--all", timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert ("  (1,1,1,1,1,1,1) into (2,1,1,1,1,1) [alternating-removed]: ok "
+            "(max defect 0.000e+00)\n") in proc.stdout
+    assert proc.stdout.endswith("verdict: all inclusions hold\n")
+
+
 def test_optimize_round_cap_before_the_first_round(tmp_path):
     # 20 three-cycles on 8 sites: a round of 20 * (20 * 19 + 2) rows over
     # blocks of 33,323 coefficients a generator would hold 2.5e8 entries

@@ -53,6 +53,7 @@ from qconsensus.quantum import (
 from qconsensus.spectra import eigenvalues, multiset_contained
 from reference import (
     dense_lq,
+    kron_site_hamiltonian,
     no_fill,
     permutation_unitary,
     reconstruct,
@@ -670,6 +671,16 @@ def test_uniform_site_hamiltonian_commutes_with_swaps():
     # a single-site term on one site only is not invariant
     lopsided = np.kron(np.diag([1.0, -1.0]), np.eye(4)).astype(complex)
     assert not commutes(lopsided)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_uniform_site_hamiltonian_is_the_kronecker_sum_bit_for_bit(d):
+    # the diagonal is summed site by site, as the Kronecker terms were added
+    for n in range(1, 6):
+        h = uniform_site_hamiltonian(d, n)
+        ref = kron_site_hamiltonian(d, n)
+        assert h.dtype == complex and h.shape == ref.shape
+        assert h.tobytes() == ref.tobytes()
 
 
 def test_check_density_rejects_bad_inputs():

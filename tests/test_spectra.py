@@ -30,7 +30,7 @@ from qconsensus.induced import (
 )
 from qconsensus.netgraph import generator_laplacian
 from qconsensus.optimize import BudgetConstraint, maximize_rate, pareto_scan
-from qconsensus.permgroup import GeneratorSet, generator_set
+from qconsensus.permgroup import GeneratorSet, generator_set, parity
 from qconsensus.quantum import build_lq, evolve, generic_state, lindblad_rhs
 from qconsensus.spectra import (
     NotALaplacianError,
@@ -38,7 +38,6 @@ from qconsensus.spectra import (
     alternating_mode_rate,
     batch_rates,
     convergence_rates,
-    distinct_values,
     eigenvalues,
     intertwining_check,
     lambda2_re_batch,
@@ -548,12 +547,6 @@ def test_multiset_contained_complex_tolerance():
     assert ok and defect < 1e-8
 
 
-def test_distinct_values_collapses_near_duplicates():
-    vals = np.array([0.0, 1e-12, 0.5, 0.5 + 1e-10, 0.9])
-    got = distinct_values(vals, tol=1e-7)
-    assert len(got) == 3
-
-
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e8, 1e200])
 def test_multiset_tolerance_is_relative_to_the_spectra(scale):
     # matching noise of a few ulps of the largest modulus, at every scale
@@ -561,8 +554,6 @@ def test_multiset_tolerance_is_relative_to_the_spectra(scale):
     outer = np.array([3.0, 2.0, 1.0 - 4e-16, 1.5 - 0.5j, 0.0]) * scale
     ok, defect, witness = multiset_contained(inner, outer)
     assert ok and witness is None and defect <= 1e-14 * scale
-    vals = np.array([0.0, 1e-12, 0.5, 0.5 + 1e-10, 0.9]) * scale
-    assert len(distinct_values(vals)) == 3
     # a gap of 1e-6 of the largest modulus is no match at any scale
     ok, _, witness = multiset_contained(inner + 3e-6 * scale, outer)
     assert not ok and witness == inner[0] + 3e-6 * scale
@@ -641,6 +632,103 @@ def test_whole_orbits_need_no_dense_solve_below_the_finest_shape(monkeypatch):
     assert intertwining_check(ring_swap(6), [0.3, 0.7]).ok
 
 
+PRESETS_D3 = [g13(), g23(), g33(), g14()] + [ring_swap(n) for n in (3, 4, 5, 6)]
+PRESET_D3_IDS = ["g1-3", "g2-3", "g3-3", "g1-4"] + [f"ring-swap-{n}" for n in (3, 4, 5, 6)]
+
+
+@pytest.mark.parametrize("gens", PRESETS_D3, ids=PRESET_D3_IDS)
+def test_the_alternating_pair_agrees_with_the_dense_spectra_at_d3(gens):
+    # the oracle solves both graphs: the finest spectrum but the values
+    # near alt lies in the (2,1,..,1) one
+    finest, coarser = (1,) * gens.n, (2,) + (1,) * (gens.n - 2)
+    rng = np.random.default_rng([20261020, gens.n, len(gens)])
+    for w in rng.uniform(0.01, 1.0, (3, len(gens))):
+        alt = intertwining_check(gens, w, d=3).pairs[-1]
+        assert (alt.inner, alt.outer, alt.kind) == (finest, coarser, "alternating-removed")
+        fine = eigenvalues(induced_laplacian(finest, gens, w).laplacian)
+        coarse = eigenvalues(induced_laplacian(coarser, gens, w).laplacian)
+        cut = 1e-7 * max(np.abs(fine).max(), np.abs(coarse).max())
+        kept = fine[np.abs(fine - alternating_mode_rate(gens, w)) > cut]
+        assert alt.included == all(np.abs(coarse - v).min() <= cut for v in kept)
+        assert alt.included and alt.witness is None and alt.max_defect <= 1e-14
+
+
+def _count_calls(monkeypatch, *names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(spectra, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(spectra, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("gens", PRESETS_D3 + [ring_swap(7)], ids=PRESET_D3_IDS + ["ring-swap-7"])
+def test_whole_orbits_need_no_dense_solve_at_d3(gens, monkeypatch):
+    # the alternating pair too is read from identities on the image tables
+    calls = _count_calls(monkeypatch, "eigenvalues", "induced_laplacian")
+    report = intertwining_check(gens, np.linspace(0.3, 0.7, len(gens)), d=3)
+    assert report.ok and report.pairs[-1].kind == "alternating-removed"
+    assert calls == {"eigenvalues": 0, "induced_laplacian": 0}
+
+
+def test_the_counter_sees_dense_solves_on_orbits_short_of_whole(monkeypatch):
+    calls = _count_calls(monkeypatch, "eigenvalues", "induced_laplacian")
+    intertwining_check(two_swaps(), [0.3, 0.7], d=3)
+    shapes = len(rate_shapes(4, 3))
+    assert calls == {"eigenvalues": shapes, "induced_laplacian": shapes}
+
+
+@pytest.mark.parametrize("gens", [g13(), g14(), ring_swap(5), ring_swap(6)],
+                         ids=["g1-3", "g1-4", "ring-swap-5", "ring-swap-6"])
+def test_a_wrong_parity_in_the_alternating_rate_fails_the_pair(gens, monkeypatch):
+    # planted fault: even generators counted as odd and odd as even
+    def flipped(g, w):
+        return float(2.0 * sum(x for p, x in zip(g.perms, w) if parity(p) > 0))
+
+    monkeypatch.setattr(spectra, "alternating_mode_rate", flipped)
+    report = intertwining_check(gens, np.linspace(0.3, 0.7, len(gens)), d=3)
+    *dominance_pairs, alt = report.pairs
+    assert all(p.included and p.max_defect == 0.0 for p in dominance_pairs)
+    assert alt.kind == "alternating-removed"
+    assert not alt.included and alt.max_defect > 0.1 and alt.witness is None
+    assert not report.ok
+
+
+@pytest.mark.parametrize("gens", [g13(), g14(), ring_swap(5), ring_swap(6)],
+                         ids=["g1-3", "g1-4", "ring-swap-5", "ring-swap-6"])
+def test_a_swapped_image_entry_of_the_finest_shape_fails_the_alternating_pair(
+        gens, monkeypatch):
+    # planted fault: the first and the last tabloid of (1,..,1) trade their
+    # images under the first generator.  The two keep their signs where the
+    # reversal of N sites is even (N = 4, 5), so there the cover
+    # (2,1,..,1) -> (1,..,1) fails the pair, and elsewhere the sign residual
+    finest, coarser = (1,) * gens.n, (2,) + (1,) * (gens.n - 2)
+    w = np.linspace(0.3, 0.7, len(gens))
+    real = spectra.tabloid_orbit
+
+    def planted(parts, g):
+        verts, img = real(parts, g)
+        if parts == finest:
+            img = img.copy()
+            img[[0, -1], 0] = img[[-1, 0], 0]
+        return verts, img
+
+    monkeypatch.setattr(spectra, "tabloid_orbit", planted)
+    report = intertwining_check(gens, w, d=3)
+    alt = report.pairs[-1]
+    assert alt.kind == "alternating-removed"
+    assert not alt.included and alt.max_defect > 0.1 and alt.witness is None
+    assert not report.ok
+    cover = next(p for p in report.pairs if (p.inner, p.outer) == (coarser, finest))
+    sign_ok, _ = spectra._sign_residual(planted(finest, gens), w,
+                                        alternating_mode_rate(gens, w), 1e-7)
+    assert not cover.included if gens.n in (4, 5) else not sign_ok
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e8])
 @pytest.mark.parametrize("end", [0, -1], ids=["most-dominant", "least-dominant"])
 @pytest.mark.parametrize("gens", [g14(), ring_swap(5), ring_swap(6)],
@@ -702,6 +790,17 @@ def test_orbits_short_of_the_tabloid_set_keep_the_spectral_reports():
     assert all(p.kind == "dominance" and p.included and p.witness is None
                for p in report.pairs)
     assert max(p.max_defect for p in report.pairs) < 1e-14
+    assert report.ok
+
+
+def test_orbits_short_of_whole_drop_the_alternating_mode_before_matching():
+    # (1 2) on three sites: the (1,1,1) orbit has spectrum {0, 2w}, where
+    # 2w is alt, and the (2,1) orbit is one tabloid, spectrum {0}
+    report = intertwining_check(generator_set(3, [[[1, 2]]]), [0.3])
+    assert [(p.inner, p.outer, p.kind, p.included, p.witness) for p in report.pairs] == [
+        ((2, 1), (1, 1, 1), "dominance", True, None),
+        ((1, 1, 1), (2, 1), "alternating-removed", True, None),
+    ]
     assert report.ok
 
 

@@ -10,9 +10,10 @@ values.  The list covers ``rates``, ``spectrum --all``, ``spectrum
 objectives, seeds 0 and 1, on g1-4 also 2 and 3) and ``pareto`` on the
 four presets and on ring+swap for N = 3..7 at d = 2 and 3, at fixed
 weights and seeds (on ring+swap, ``spectrum --all`` runs for N = 3..8 at
-d = 2, the largest orbit being N = 8's 2520 tabloids, and N = 3..5 at
-d = 3), and ``simulate`` to t = 2 (stdout and trajectory CSV)
-on g1-3, g1-4 and g3-3 at d = 2 and g1-3 at d = 3, seeds 0 and 3, plus
+d = 2, the largest orbit being N = 8's 2520 tabloids, and N = 3..7 at
+d = 3, where N = 6 and 7 check the ``alternating-removed`` pair on the
+(1^N) shape's 720 and 5040 tabloids), and ``simulate`` to t = 2 (stdout
+and trajectory CSV) on g1-3, g1-4 and g3-3 at d = 2 and g1-3 at d = 3, seeds 0 and 3, plus
 one g1-3 run each with ``--h0 zsum`` and ``--store-every 1``, ``simulate``
 on g1-3 from ``--rho0`` files (one valid 8x8 state, and a 4x4 state,
 eight rows of four, a ragged row, an empty file and trace 2, each exit 2
@@ -180,8 +181,7 @@ def commands(work):
             for d in (2, 3):
                 base = (path, "--weights", wa(w), "--d", str(d))
                 cmds.append(("rates",) + base)
-                if n <= (7 if d == 2 else 5):
-                    cmds.append(("spectrum",) + base + ("--all",))
+                cmds.append(("spectrum",) + base + ("--all",))
                 for p in partitions_of(n, d * d):
                     if len(enumerate_tabloids(p)) <= 120:
                         part = ",".join(map(str, p))
