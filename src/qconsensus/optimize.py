@@ -46,14 +46,27 @@ class BudgetConstraint:
 
 
 class _RateEvaluator:
-    """Batched (lambda_cons, lambda_synch) over the irrep blocks of one topology."""
+    """Batched (lambda_cons, lambda_synch) over the irrep blocks of one
+    topology, in batches of at most ``rows`` weight rows.  A batch's
+    Laplacian entries, ``rows`` times the blocks' summed ``irrep_dim``
+    squared, are capped at ``RATE_BLOCK_CAP`` as the shapes are listed,
+    so an oversized batch is refused before any block is built."""
 
-    def __init__(self, gens: GeneratorSet, d: int = 2, synch_only: bool = False):
-        shapes = iter_rate_shapes(gens.n, d)
-        self.structure = rate_structure(gens, itertools.islice(shapes, 1 if synch_only else None))
+    def __init__(self, gens: GeneratorSet, d: int = 2, synch_only: bool = False,
+                 rows: int = 1, what: str = "rate batch entries"):
+        shapes = itertools.islice(iter_rate_shapes(gens.n, d), 1 if synch_only else None)
 
-    def rates(self, w_batch: np.ndarray):
-        return batch_rates(self.structure, w_batch)[1:]
+        def capped():
+            size = 0
+            for p in shapes:
+                size += rows * irrep_dim(p) ** 2
+                check_cap(what, size, RATE_BLOCK_CAP)
+                yield p
+
+        self.structure = rate_structure(gens, capped())
+
+    def rates(self, w_batch: np.ndarray, floor=-np.inf):
+        return batch_rates(self.structure, w_batch, floor)[1:]
 
 
 def _compositions(total: int, parts: int) -> np.ndarray:
@@ -101,21 +114,24 @@ def pareto_scan(
     weights, lambda_cons, lambda_synch and the :func:`front_mask` of the
     P grid points, in lexicographic order of the grid compositions.
 
-    Rates are evaluated ``CHUNK`` points at a time, which bounds the
-    memory of one batch; P = C(resolution + m - 1, m - 1) is checked
-    against ``GRID_CAP`` before the grid is built.
+    Rates are evaluated ``CHUNK`` points at a time; P = C(resolution +
+    m - 1, m - 1) is checked against ``GRID_CAP``, then a chunk's
+    Laplacian entries, min(CHUNK, P) times the blocks' summed
+    ``irrep_dim`` squared, against ``RATE_BLOCK_CAP``, before the grid or
+    any block is built.
     """
     m = len(gens)
     if resolution is None:
         resolution = 200 if m <= 3 else 60
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
-    check_cap("grid points", math.comb(resolution + m - 1, m - 1), GRID_CAP)
+    points = math.comb(resolution + m - 1, m - 1)
+    check_cap("grid points", points, GRID_CAP)
+    ev = _RateEvaluator(gens, d, rows=min(CHUNK, points), what="pareto chunk entries")
     lengths = np.asarray(constraint.lengths, dtype=float)
     grid = _compositions(resolution, m)
     # every grid weight is at most D / length, so dividing first cannot overflow
     w_all = constraint.budget * (grid / (resolution * lengths[None, :]))
-    ev = _RateEvaluator(gens, d=d)
     pieces = [ev.rates(w_all[i:i + CHUNK]) for i in range(0, len(w_all), CHUNK)]
     cons, synch = (np.concatenate(x) for x in zip(*pieces))
     return w_all, cons, synch, front_mask(cons, synch, TIE_TOL * constraint.budget)
@@ -156,7 +172,15 @@ def maximize_rate(
     speeds up instead of crawling at a small step; an accepted pattern
     move keeps the step.  The Laplacian entries of the largest round,
     its rows times the blocks' summed ``irrep_dim`` squared, are capped at
-    ``RATE_BLOCK_CAP`` before the first round.
+    ``RATE_BLOCK_CAP`` before any block is built.
+
+    The consensus objective passes :func:`~qconsensus.spectra.batch_rates`
+    a floor per row: in a search round the start's value, as a move is
+    accepted only above it, and in a polish round the best value less
+    the tie tolerance, as a move is kept only at or above it.  A row
+    whose rate is proved strictly below its floor is solved no further
+    and reads -inf; it could be neither accepted nor kept, so the result
+    is bit for bit that of solving every row.
     """
     if objective not in ("consensus", "synchronization"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -164,18 +188,15 @@ def maximize_rate(
         raise ValueError("budget must be positive")
     m = len(gens)
     lengths = np.asarray(constraint.lengths, dtype=float)
-    ev = _RateEvaluator(gens, d=d, synch_only=(objective == "synchronization"))
-    # a round's Laplacian entries: every start's transfers and two pattern
-    # moves over each block's irrep_dim^2 coefficients
-    rows = N_STARTS * (m * (m - 1) + 2)
-    check_cap("optimizer round entries",
-              rows * sum(irrep_dim(b.partition) ** 2 for b in ev.structure.blocks),
-              RATE_BLOCK_CAP)
+    # a round's rows: every start's transfers and two pattern moves
+    ev = _RateEvaluator(gens, d, synch_only=(objective == "synchronization"),
+                        rows=N_STARTS * (m * (m - 1) + 2), what="optimizer round entries")
     pick = 0 if objective == "consensus" else 1
 
-    def f_batch(u_batch: np.ndarray) -> np.ndarray:
+    def f_batch(u_batch: np.ndarray, floor=-np.inf) -> np.ndarray:
         w = constraint.budget * u_batch / lengths[None, :]
-        return ev.rates(w)[pick]
+        # the floor bounds lambda_cons, so only that objective passes it
+        return ev.rates(w, floor if pick == 0 else -np.inf)[pick]
 
     rng = np.random.default_rng(seed)
     u = np.array([np.full(m, 1.0 / m)] + [rng.dirichlet(np.ones(m)) for _ in range(N_STARTS - 1)])
@@ -196,12 +217,14 @@ def maximize_rate(
             [u[live][:, give] >= step[live, None], np.all(pattern >= 0, axis=2)], axis=1)
         return cands, feasible
 
-    def values(cands: np.ndarray, feasible: np.ndarray) -> np.ndarray:
+    def values(cands: np.ndarray, feasible: np.ndarray, floor) -> np.ndarray:
         """The feasible rows' values in one batched rate call, none if no
-        row is feasible; an infeasible row reads -inf."""
+        row is feasible; an infeasible row reads -inf, and so may a row
+        whose value is proved to lie below its ``floor`` (a scalar, or one
+        per feasible row)."""
         vals = np.full(feasible.shape, -np.inf)
         if feasible.any():
-            vals[feasible] = f_batch(cands[feasible])
+            vals[feasible] = f_batch(cands[feasible], floor)
         return vals
 
     def advance(live, up, k, cands, vals) -> np.ndarray:
@@ -217,7 +240,8 @@ def maximize_rate(
     live = np.arange(N_STARTS)
     while len(live):
         cands, feasible = candidates(live)
-        vals = values(cands, feasible)
+        # a move is accepted only above its start's value
+        vals = values(cands, feasible, v[live][np.nonzero(feasible)[0]])
         k = vals.argmax(axis=1)
         live = advance(live, vals.max(axis=1) > v[live], k, cands, vals)
 
@@ -234,7 +258,7 @@ def maximize_rate(
         cand = np.sum((cands / lengths) ** 2, axis=2)
         # a move that does not shorten the norm is never kept, so it is
         # not evaluated and reads -inf
-        vals = values(cands, feasible & (cand < norm[live, None] - 1e-15))
+        vals = values(cands, feasible & (cand < norm[live, None] - 1e-15), best_v - tol)
         keep = vals >= best_v - tol
         k = np.where(keep, cand, np.inf).argmin(axis=1)
         up = keep.any(axis=1)

@@ -158,9 +158,9 @@ def check_weights(w_batch, m: int) -> np.ndarray:
     it refuses a batch.
     """
     w = np.asarray(w_batch, dtype=float)
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise ValueError("weights must be finite")
-    if np.any(w < 0):
+    if (w < 0).any():
         raise ValueError("weights must be nonnegative")
     if w.ndim != 2 or w.shape[1] != m:
         raise ValueError("one weight per generator required")

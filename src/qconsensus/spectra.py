@@ -54,6 +54,11 @@ class NotALaplacianError(ValueError):
     """Spectrum has no near-zero eigenvalue, so it cannot be a Laplacian's."""
 
 
+def _check_finite(m: np.ndarray) -> None:
+    if not np.isfinite(m).all():
+        raise NumericalFailureError("eigenvalue solve failed: matrix has nan/inf entries")
+
+
 def eigenvalues(m: np.ndarray) -> np.ndarray:
     """Full complex spectrum of each matrix of a (..., V, V) stack, sorted by
     (real, imaginary); a nan/inf entry or a failed solve raises
@@ -61,13 +66,14 @@ def eigenvalues(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError("square matrix required")
-    if not np.all(np.isfinite(m)):
-        raise NumericalFailureError("eigenvalue solve failed: matrix has nan/inf entries")
+    _check_finite(m)
     try:
         vals = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigenvalue solve failed: {exc}") from exc
-    return np.sort_complex(vals)
+    # np.sort_complex without its copy: complex values sort by (real, imaginary)
+    vals.sort()
+    return vals.astype(complex, copy=False)
 
 
 def lambda2_re_batch(spectra: np.ndarray) -> np.ndarray:
@@ -81,7 +87,7 @@ def lambda2_re_batch(spectra: np.ndarray) -> np.ndarray:
     mags = np.abs(vals)
     zero = mags <= ZERO_TOL * mags.max(axis=1, keepdims=True)
     count = zero.sum(axis=1)
-    if np.any(count == 0):
+    if (count == 0).any():
         raise NotALaplacianError(f"a spectrum has no eigenvalue within {ZERO_TOL} of 0")
     rates = np.where(zero, np.inf, vals.real).min(axis=1)
     rates[(count > 1) | (count == vals.shape[1])] = 0.0
@@ -94,14 +100,17 @@ class RateStructure:
     the weights, built by :func:`rate_structure`.
 
     ``blocks`` follow the shapes, one irrep each, as
-    :func:`~qconsensus.induced.irrep_block` builds them.  ``columns``
-    gives, per shape, the indices of the trivial zero (column 0) and of
-    the eigenvalues of every block dominating it in the spectrum that
-    :func:`batch_rates` concatenates, blocks in shape order.
+    :func:`~qconsensus.induced.irrep_block` builds them.  ``order`` lists
+    the blocks with rows in the order they are solved, ascending in rows
+    (stable, so equal sizes keep shape order).  ``columns`` gives, per
+    shape, the indices of the trivial zero (column 0) and of the
+    eigenvalues of every block dominating it in the spectrum that
+    :func:`batch_rates` concatenates, blocks in solve order.
     """
 
     blocks: tuple[IrrepBlock, ...]
     columns: tuple[np.ndarray, ...]
+    order: tuple[int, ...]
 
 
 def rate_structure(gens: GeneratorSet, shapes) -> RateStructure:
@@ -114,41 +123,72 @@ def rate_structure(gens: GeneratorSet, shapes) -> RateStructure:
         check_cap("rate block coefficients", size, RATE_BLOCK_CAP)
         listed.append(p)
     blocks = tuple(irrep_block(p, gens) for p in listed)
-    # spectrum column 0 is the trivial zero, then each block's eigenvalues
-    # in shape order; shape mu reads the blocks that dominate it
     sizes = [len(b.coeffs[0]) for b in blocks]
+    # a block the group fixes whole has no eigenvalue to add
+    order = sorted((i for i, k in enumerate(sizes) if k), key=sizes.__getitem__)
+    # spectrum column 0 is the trivial zero, then each block's eigenvalues
+    # in solve order; shape mu reads the blocks that dominate it
     holds = np.concatenate([np.ones((1, len(listed)), dtype=bool),
-                            np.repeat(dominance(listed), sizes, axis=0)])
-    return RateStructure(blocks, tuple(np.flatnonzero(c) for c in holds.T))
+                            np.repeat(dominance(listed)[order], [sizes[i] for i in order], axis=0)])
+    return RateStructure(blocks, tuple(np.flatnonzero(c) for c in holds.T), tuple(order))
 
 
-def batch_rates(rs: RateStructure, w) -> tuple[np.ndarray, ...]:
+def batch_rates(rs: RateStructure, w, floor=-np.inf) -> tuple[np.ndarray, ...]:
     """The one rate path: per-shape rates for each row of a (b, m) weight batch.
 
     The structure's shapes follow :func:`rate_shapes`, so the first is the
     site graph's (n-1, 1).  By Young's rule a shape's spectrum is that of
     every block whose irrep dominates it, plus the one trivial zero.  Each
-    block with rows makes one product and one eigensolve; the product
-    runs block by block, as one over all blocks would round some entries
-    differently.  Returns the (shapes, b) table, lambda_cons (its column
-    minima) and lambda_synch: the first row if the group fixes no vector
-    of the (n-1, 1) irrep (it is transitive on sites), else 0, as an
-    intransitive group never equalizes its orbits.  Bad weights raise
-    ValueError, a failed solve NumericalFailureError.
+    block with rows makes one product and one eigensolve, smallest block
+    first; the product runs block by block, as one over all blocks would
+    round some entries differently.  Returns the (shapes, b) table,
+    lambda_cons (its column minima) and lambda_synch: the first row if the
+    group fixes no vector of the (n-1, 1) irrep (it is transitive on
+    sites), else 0, as an intransitive group never equalizes its orbits.
+
+    ``floor`` (a scalar or one value per row) prunes: after each block
+    but the last, a row whose bound max(min Re E, 0) over that block's
+    eigenvalues E lies strictly below its floor is solved no further,
+    and reads -inf in the table, so in lambda_cons and, unless the group
+    is intransitive, in lambda_synch.  The bound is exact: the
+    block's own shape reads E and the zero, so its rate is at most min
+    Re E, or 0 if one of E counts as a zero; lambda_cons is at most that
+    rate.  Every other row reads, bit for bit, what it reads unfloored,
+    as each solve and each rate is one row's own.  The product runs on
+    every row, so an overflow in a pruned row still fails.  Bad weights
+    raise ValueError, a failed solve NumericalFailureError.
     """
     m = len(rs.blocks[0].coeffs)
     w = check_weights(w, m)
-    spectra = [np.zeros((len(w), 1))]
-    for block in rs.blocks:
-        k = len(block.coeffs[0])
-        if k:  # a block the group fixes whole has no eigenvalue to add
-            # + 0.0 turns the -0.0 of a zero weight into 0.0; weights that
-            # overflow leave inf for the eigensolve to reject
-            with np.errstate(over="ignore", invalid="ignore"):
-                lap = w @ block.coeffs.reshape(m, k * k) + 0.0
-            spectra.append(eigenvalues(lap.reshape(len(w), k, k)))
-    spectrum = np.concatenate(spectra, axis=1)
+    floor = np.asarray(floor)
+    spectra = []
+    live = None  # the rows still solved, once a row is pruned
+    for i in rs.order:
+        coeffs = rs.blocks[i].coeffs
+        k = coeffs.shape[1]
+        # + 0.0 turns the -0.0 of a zero weight into 0.0; weights that
+        # overflow leave inf for the eigensolve to reject
+        with np.errstate(over="ignore", invalid="ignore"):
+            lap = (w @ coeffs.reshape(m, k * k) + 0.0).reshape(len(w), k, k)
+        if live is not None:
+            _check_finite(lap)  # the pruned rows too
+            lap = lap[live]
+        spectra.append(eigenvalues(lap))
+        if i != rs.order[-1]:
+            # a nan bound compares false, so it never prunes
+            cut = np.maximum(spectra[-1].real.min(axis=1), 0.0) < floor
+            if cut.any():
+                keep = ~cut
+                spectra = [s[keep] for s in spectra]
+                live = np.flatnonzero(keep) if live is None else live[keep]
+                floor = floor[keep] if floor.ndim else floor
+    rows = len(w) if live is None else len(live)
+    spectrum = np.concatenate([np.zeros((rows, 1))] + spectra, axis=1)
     table = np.array([lambda2_re_batch(spectrum[:, c]) for c in rs.columns])
+    if live is not None:
+        full = np.full((len(table), len(w)), -np.inf)
+        full[:, live] = table
+        table = full
     synch = table[0] if rs.blocks[0].fixed == 0 else np.zeros(len(w))
     return table, table.min(axis=0), synch
 

@@ -530,6 +530,19 @@ def test_optimize_round_cap_before_the_first_round(tmp_path):
     assert re.fullmatch(r"error: optimizer round entries \d+ exceeds cap \d+\n", proc.stderr)
 
 
+def test_pareto_chunk_cap_before_any_block(tmp_path):
+    # ring+swap on ten sites at d = 2: a chunk of the 201 grid points over
+    # blocks of 2,190,687 coefficients a generator would hold 4.4e8 entries
+    topo = tmp_path / "ring-swap-10.txt"
+    topo.write_text("name: ring-swap-10\nN: 10\ngenerator: (1 2 3 4 5 6 7 8 9 10) weight wring\n"
+                    "generator: (1 2) weight wswap\n")
+    proc = _run_limited(tmp_path, "pareto", topo, "--out", "front.csv")
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == ""
+    assert re.fullmatch(r"error: pareto chunk entries \d+ exceeds cap \d+\n", proc.stderr)
+    assert not (tmp_path / "front.csv").exists()
+
+
 def test_pareto_grid_cap_before_any_rate(tmp_path, capsys, monkeypatch):
     # g1-3's default grid has C(201, 1) = 201 points; with the cap at 100
     # pareto must exit before its first batched rate call

@@ -386,9 +386,9 @@ def test_maximize_takes_few_batched_solves(monkeypatch):
     calls = []
     rates = _RateEvaluator.rates
 
-    def counted(self, w_batch):
+    def counted(self, w_batch, floor):
         calls.append(len(w_batch))
-        return rates(self, w_batch)
+        return rates(self, w_batch, floor)
 
     monkeypatch.setattr(_RateEvaluator, "rates", counted)
     gens = g14()
@@ -406,9 +406,9 @@ def test_polish_evaluates_only_moves_that_shorten_the_norm(monkeypatch, capsys):
     rows = []
     rates = _RateEvaluator.rates
 
-    def counted(self, w_batch):
+    def counted(self, w_batch, floor):
         rows.append(len(w_batch))
-        return rates(self, w_batch)
+        return rates(self, w_batch, floor)
 
     monkeypatch.setattr(_RateEvaluator, "rates", counted)
     assert main(["optimize", "g1-4", "--objective", "synchronization", "--seed", "0"]) == 0
@@ -418,6 +418,44 @@ def test_polish_evaluates_only_moves_that_shorten_the_norm(monkeypatch, capsys):
         "best value: 0.25",
         "weights: w1234=0.166666667103 w12=0.0833333334009 w34=0.0833333323937",
     ]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("objective", ["consensus", "synchronization"])
+@pytest.mark.parametrize("gens", [g13, g33, g14], ids=["g1-3", "g3-3", "g1-4"])
+def test_the_floor_moves_no_optimum(monkeypatch, gens, objective, seed):
+    # a pruned row could never be accepted or kept, so solving every row
+    # gives the same weights and value bit for bit
+    _same_optimum_without_floor(monkeypatch, gens(), objective, seed)
+
+
+@pytest.mark.parametrize("objective", ["consensus", "synchronization"])
+def test_the_floor_moves_no_optimum_on_five_generators(monkeypatch, objective):
+    _same_optimum_without_floor(monkeypatch, g5_4(), objective, 0)
+
+
+def _same_optimum_without_floor(monkeypatch, gens, objective, seed):
+    c = BudgetConstraint.for_generators(gens, 1.0)
+    floored = maximize_rate(gens, c, objective=objective, seed=seed)
+    rates = _RateEvaluator.rates
+    monkeypatch.setattr(_RateEvaluator, "rates", lambda self, w_batch, floor: rates(self, w_batch))
+    assert maximize_rate(gens, c, objective=objective, seed=seed) == floored
+
+
+def test_the_consensus_floor_skips_blocks(monkeypatch):
+    # solving every block of every row took 36,332 matrices here (blocks
+    # of 3, 2, 3 and 1 rows); smallest first with the floor, 24,216
+    solved = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        solved.append(int(np.prod(a.shape[:-2])))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    gens = g14()
+    maximize_rate(gens, BudgetConstraint.for_generators(gens, 1.0), seed=0)
+    assert sum(solved) < 25000
 
 
 def test_each_objective_builds_each_shape_once(monkeypatch):

@@ -430,8 +430,8 @@ def test_irrep_blocks_equal_the_fixed_space_oracle(name, d):
 
 
 @pytest.mark.parametrize("name, shapes", [
-    # g1-4's blocks in shape order, the two of three rows solved apart
-    ("g1-4", [(4, 3, 3), (4, 2, 2), (4, 3, 3), (4, 1, 1)]),
+    # g1-4's blocks smallest first, the two of three rows solved apart
+    ("g1-4", [(4, 1, 1), (4, 2, 2), (4, 3, 3), (4, 3, 3)]),
     # (1 3)(2 4) fixes the (2,2) and (1,1,1,1) irreps whole: no rows, no solve
     ("double-swap-4", [(4, 2, 2), (4, 2, 2)]),
 ], ids=["g1-4", "double-swap-4"])
@@ -459,6 +459,59 @@ def test_overflowing_weights_fail_the_eigensolve_without_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalFailureError, match="nan/inf"):
             batch_rates(rs, [[0.1, 0.2, 0.15], [1e308, 1e308, 1e308]])
+
+
+FLOOR_SETS = {
+    **TOPOLOGIES,
+    # blocks with fixed vectors, and blocks with no rows at all
+    "double-swap-4": STRUCTURE_SETS["double-swap-4"],
+    "swaps-5": lambda: generator_set(5, [[[1, 2]], [[3, 4]]]),
+}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("name", FLOOR_SETS)
+def test_a_floor_prunes_only_rows_below_it(name, d):
+    """Every row a floor keeps reads the unfloored table, lambda_cons and
+    lambda_synch bit for bit; every pruned row reads -inf in the table
+    (lambda_synch stays 0 for an intransitive group) and has an unfloored
+    lambda_cons strictly below its floor."""
+    gens = FLOOR_SETS[name]()
+    rs = rate_structure(gens, rate_shapes(gens.n, d))
+    rng = np.random.default_rng([gens.n, d, len(gens), 25])
+    w = 1.0 - rng.random((96, len(gens)))
+    w[:4, 0] = 0.0  # a generator that adds no entry
+    table, cons, synch = batch_rates(rs, w)
+    # floors around each row's rate, some equal to it (a tie never
+    # prunes), some past every bound and some at -inf
+    floor = cons * rng.uniform(0.5, 1.5, len(w))
+    floor[::7], floor[1::11], floor[2::13] = cons[::7], np.inf, -np.inf
+    for f in (floor, np.median(cons)):
+        table_f, cons_f, synch_f = batch_rates(rs, w, f)
+        pruned = np.isneginf(cons_f)
+        assert np.array_equal(table_f[:, ~pruned], table[:, ~pruned])
+        assert np.array_equal(cons_f[~pruned], cons[~pruned])
+        assert np.all(np.isneginf(table_f[:, pruned]))
+        assert np.array_equal(synch_f, table_f[0] if rs.blocks[0].fixed == 0 else synch)
+        assert np.all(cons[pruned] < np.broadcast_to(f, len(w))[pruned])
+    # a floor past every bound prunes every row after the first block
+    assert np.isneginf(batch_rates(rs, w, np.inf)[1]).all() == (len(rs.order) > 1)
+
+
+def test_a_pruned_row_still_fails_on_overflow():
+    # g1-4's first block, the 1x1 sign block, overflows at once; on g1-3 the
+    # even 3-cycle adds nothing to it, so the row is pruned there (bound 0)
+    # and overflows only in the (2,1) block
+    rs = rate_structure(g14(), rate_shapes(4, 2))
+    with pytest.raises(NumericalFailureError, match="nan/inf"):
+        batch_rates(rs, [[0.1, 0.2, 0.15], [1e308, 1e308, 1e308]], [-np.inf, np.inf])
+    rs = rate_structure(g13(), rate_shapes(3, 2))
+    assert [rs.blocks[i].partition for i in rs.order] == [(1, 1, 1), (2, 1)]
+    assert np.isneginf(batch_rates(rs, [[0.3, 0.1], [1e308, 0.0]], [-np.inf, 1.0])[1][1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailureError, match="nan/inf"):
+            batch_rates(rs, [[0.3, 0.1], [1.7e308, 0.0]], [-np.inf, 1.0])
 
 
 def test_rates_reject_nonfinite_weights():

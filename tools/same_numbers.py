@@ -46,7 +46,10 @@ path) and on g1-3 and g3-3 at d = 3 with ``--h0 zsum`` (complex orbit
 blocks).  ``rates`` runs on ring+swap N = 8 and 9 at d = 2 and 3, whose
 transposition proves the group S_N so no block takes the fixed-space
 decomposition, and on (1 2 3),(1 2 3 4), which generates S_4 without a
-transposition and takes it.  Inputs far past a cap are left out, as a dump of code without
+transposition and takes it.  ``optimize`` (consensus) runs at d = 3
+on g1-4 at seeds 0 and 1 and on ring+swap N = 5, whose six blocks of 1
+to 6 rows, two pairs of one size, are solved smallest first with rows
+pruned between them.  Inputs far past a cap are left out, as a dump of code without
 that cap would try to allocate them.
 
     python tools/same_numbers.py dump /path/to/old/src old.json
@@ -243,6 +246,14 @@ def commands(work):
     for name in ("g1-3", "g3-3"):
         cmds.append(("simulate", name, "--weights", wa(PRESETS[name][1][0]), "--d", "3",
                      "--h0", "zsum", "--t", "2", "--out", "@CSV"))
+
+    # the consensus optimizer at d = 3, which solves its blocks smallest
+    # first and prunes rows between them: g1-4 (blocks of 1, 2, 3 and 3
+    # rows) at seeds 0 and 1, and ring+swap on five sites (1, 4, 4, 5, 5
+    # and 6 rows)
+    for topo in (("g1-4", "--seed", "0"), ("g1-4", "--seed", "1"),
+                 (os.path.join(work, "ring-swap-5.txt"),)):
+        cmds.append(("optimize",) + topo + ("--objective", "consensus", "--d", "3"))
 
     # both sides of the fixed-space test: ring+swap on eight and nine sites
     # holds a transposition that proves S_N, (1 2 3),(1 2 3 4) generates S_4
