@@ -3,8 +3,9 @@
 The quantities of interest are real parts of second-smallest
 eigenvalues: ``lambda_synch`` from the site-label graph, which is the
 shape ``(n-1, 1)`` induced graph, and ``lambda_cons`` as the minimum
-over every admissible partition shape.  The rates read each shape's
-spectrum from irrep blocks, one eigensolve per block
+over every admissible partition shape.  The rates solve each irrep
+block once and reduce it to three numbers per weight row, which one
+masked reduction over the dominance table turns into every shape's rate
 (:func:`batch_rates`); the spectral-inclusion
 checks read the induced graphs themselves, through equivariant maps
 between their image tables and the sign vector when every orbit is a
@@ -77,7 +78,9 @@ def eigenvalues(m: np.ndarray) -> np.ndarray:
 
 
 def lambda2_re_batch(spectra: np.ndarray) -> np.ndarray:
-    """Per (k, V) row, the smallest real part once the one zero is dropped.
+    """Per (k, V) row, the smallest real part once the one zero is dropped:
+    the rate rule on one whole spectrum, the reference form of the
+    per-block reduction in :func:`batch_rates`.
 
     Zero means a modulus within ``ZERO_TOL`` times the row's largest, so
     rates scale exactly with the weights.  A row without a zero is not a
@@ -102,14 +105,13 @@ class RateStructure:
     ``blocks`` follow the shapes, one irrep each, as
     :func:`~qconsensus.induced.irrep_block` builds them.  ``order`` lists
     the blocks with rows in the order they are solved, ascending in rows
-    (stable, so equal sizes keep shape order).  ``columns`` gives, per
-    shape, the indices of the trivial zero (column 0) and of the
-    eigenvalues of every block dominating it in the spectrum that
-    :func:`batch_rates` concatenates, blocks in solve order.
+    (stable, so equal sizes keep shape order).  ``columns`` is the
+    shapes' :func:`~qconsensus.induced.dominance` table: entry (b, mu)
+    is True iff block b's eigenvalues are in shape mu's spectrum.
     """
 
     blocks: tuple[IrrepBlock, ...]
-    columns: tuple[np.ndarray, ...]
+    columns: np.ndarray
     order: tuple[int, ...]
 
 
@@ -126,11 +128,7 @@ def rate_structure(gens: GeneratorSet, shapes) -> RateStructure:
     sizes = [len(b.coeffs[0]) for b in blocks]
     # a block the group fixes whole has no eigenvalue to add
     order = sorted((i for i, k in enumerate(sizes) if k), key=sizes.__getitem__)
-    # spectrum column 0 is the trivial zero, then each block's eigenvalues
-    # in solve order; shape mu reads the blocks that dominate it
-    holds = np.concatenate([np.ones((1, len(listed)), dtype=bool),
-                            np.repeat(dominance(listed)[order], [sizes[i] for i in order], axis=0)])
-    return RateStructure(blocks, tuple(np.flatnonzero(c) for c in holds.T), tuple(order))
+    return RateStructure(blocks, dominance(listed), tuple(order))
 
 
 def batch_rates(rs: RateStructure, w, floor=-np.inf) -> tuple[np.ndarray, ...]:
@@ -141,10 +139,15 @@ def batch_rates(rs: RateStructure, w, floor=-np.inf) -> tuple[np.ndarray, ...]:
     every block whose irrep dominates it, plus the one trivial zero.  Each
     block with rows makes one product and one eigensolve, smallest block
     first; the product runs block by block, as one over all blocks would
-    round some entries differently.  Returns the (shapes, b) table,
-    lambda_cons (its column minima) and lambda_synch: the first row if the
-    group fixes no vector of the (n-1, 1) irrep (it is transitive on
-    sites), else 0, as an intransitive group never equalizes its orbits.
+    round some entries differently.  A solved block keeps, per row, its
+    largest and smallest modulus and least real part.  A shape's rate is
+    0 if a dominating block's smallest modulus is within ``ZERO_TOL`` of
+    their largest (a second zero), else their least real part: the rule
+    of :func:`lambda2_re_batch`, bit for bit, as max and min are exact.
+    Returns the (shapes, b) table, lambda_cons (its column minima) and
+    lambda_synch: the first row if the group fixes no vector of the
+    (n-1, 1) irrep (it is transitive on sites), else 0, as an
+    intransitive group never equalizes its orbits.
 
     ``floor`` (a scalar or one value per row) prunes: after each block
     but the last, a row whose bound max(min Re E, 0) over that block's
@@ -155,14 +158,16 @@ def batch_rates(rs: RateStructure, w, floor=-np.inf) -> tuple[np.ndarray, ...]:
     Re E, or 0 if one of E counts as a zero; lambda_cons is at most that
     rate.  Every other row reads, bit for bit, what it reads unfloored,
     as each solve and each rate is one row's own.  The product runs on
-    every row, so an overflow in a pruned row still fails.  Bad weights
-    raise ValueError, a failed solve NumericalFailureError.
+    every row, so an overflow in a pruned row still fails; once no row
+    is left, nothing more is solved.  Bad weights raise ValueError, a
+    failed solve NumericalFailureError.
     """
     m = len(rs.blocks[0].coeffs)
     w = check_weights(w, m)
-    floor = np.asarray(floor)
-    spectra = []
-    live = None  # the rows still solved, once a row is pruned
+    # per block and row: minus the largest modulus, the smallest modulus and
+    # the least real part, all reduced by minima; inf where a row is unsolved
+    summary = np.full((3, len(rs.blocks), len(w)), np.inf)
+    live = np.ones(len(w), dtype=bool)
     for i in rs.order:
         coeffs = rs.blocks[i].coeffs
         k = coeffs.shape[1]
@@ -170,25 +175,20 @@ def batch_rates(rs: RateStructure, w, floor=-np.inf) -> tuple[np.ndarray, ...]:
         # overflow leave inf for the eigensolve to reject
         with np.errstate(over="ignore", invalid="ignore"):
             lap = (w @ coeffs.reshape(m, k * k) + 0.0).reshape(len(w), k, k)
-        if live is not None:
+        if not live.all():
             _check_finite(lap)  # the pruned rows too
             lap = lap[live]
-        spectra.append(eigenvalues(lap))
+        if len(lap):
+            vals = eigenvalues(lap)  # least real part first
+            mags = np.abs(vals)
+            summary[:, i, live] = -mags.max(axis=1), mags.min(axis=1), vals[:, 0].real
         if i != rs.order[-1]:
             # a nan bound compares false, so it never prunes
-            cut = np.maximum(spectra[-1].real.min(axis=1), 0.0) < floor
-            if cut.any():
-                keep = ~cut
-                spectra = [s[keep] for s in spectra]
-                live = np.flatnonzero(keep) if live is None else live[keep]
-                floor = floor[keep] if floor.ndim else floor
-    rows = len(w) if live is None else len(live)
-    spectrum = np.concatenate([np.zeros((rows, 1))] + spectra, axis=1)
-    table = np.array([lambda2_re_batch(spectrum[:, c]) for c in rs.columns])
-    if live is not None:
-        full = np.full((len(table), len(w)), -np.inf)
-        full[:, live] = table
-        table = full
+            live &= ~(np.maximum(summary[2, i], 0.0) < floor)
+    # each shape reduces the blocks dominating it, the solved (n-1, 1) among them
+    neg_scale, low, least = np.where(rs.columns[:, :, None], summary[:, :, None], np.inf).min(axis=1)
+    table = np.where(low <= ZERO_TOL * -neg_scale, 0.0, least)
+    table[:, ~live] = -np.inf
     synch = table[0] if rs.blocks[0].fixed == 0 else np.zeros(len(w))
     return table, table.min(axis=0), synch
 

@@ -380,9 +380,11 @@ STRUCTURE_SETS = {
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("name", STRUCTURE_SETS)
 def test_structure_rates_equal_the_per_shape_concatenation(name, d):
-    """One product and one eigensolve per block and the precomputed
-    columns give the per-block path's table bit for bit, at batches of
-    one row (the product's gemv), six and 256."""
+    """One product and one eigensolve per block and the masked reduction
+    of their summaries over the dominance table give the per-shape
+    concatenation's table bit for bit, at batches of one row (the
+    product's gemv), nine and 256; the nine hold the zero rule's edges:
+    an all-zero row and draws scaled by 1e300 and by 1e-300."""
     gens = STRUCTURE_SETS[name]()
     shapes = rate_shapes(gens.n, d)
     rs = rate_structure(gens, shapes)
@@ -390,7 +392,8 @@ def test_structure_rates_equal_the_per_shape_concatenation(name, d):
     blocks = [irrep_block(p, gens) for p in shapes]
     transitive = rs.blocks[0].fixed == 0
     draws = 1.0 - np.random.default_rng([gens.n, d]).random((256, len(gens)))
-    for w in (draws[:1], np.vstack([draws[:5], np.eye(len(gens))[:1]]), draws):
+    edges = [np.zeros(len(gens)), 1e300 * draws[5], 1e-300 * draws[6]]
+    for w in (draws[:1], np.vstack([draws[:5], np.eye(len(gens))[:1], edges]), draws):
         table, cons, synch = batch_rates(rs, w)
         reference = per_shape_concatenation(blocks, w)
         assert np.array_equal(table, reference)
@@ -512,6 +515,27 @@ def test_a_pruned_row_still_fails_on_overflow():
         warnings.simplefilter("error")
         with pytest.raises(NumericalFailureError, match="nan/inf"):
             batch_rates(rs, [[0.3, 0.1], [1.7e308, 0.0]], [-np.inf, 1.0])
+
+
+def test_a_fully_pruned_batch_solves_no_further_block(monkeypatch):
+    """Once a floor has pruned every row, the blocks left make their
+    product and finite check but no eigensolve: a floor of inf on g1-4
+    stops after the 1x1 sign block, and the g1-3 consensus search never
+    solves an empty stack."""
+    solved = []
+    real = spectra.eigenvalues
+
+    def counted(m):
+        solved.append(m.shape)
+        return real(m)
+
+    monkeypatch.setattr(spectra, "eigenvalues", counted)
+    rs = rate_structure(g14(), rate_shapes(4, 2))
+    assert np.isneginf(batch_rates(rs, np.full((4, 3), 0.1), np.inf)[1]).all()
+    assert solved == [(4, 1, 1)]
+    solved.clear()
+    maximize_rate(g13(), BudgetConstraint.for_generators(g13(), 1.0), seed=1)
+    assert solved and all(shape[0] for shape in solved)
 
 
 def test_rates_reject_nonfinite_weights():

@@ -46,7 +46,10 @@ path) and on g1-3 and g3-3 at d = 3 with ``--h0 zsum`` (complex orbit
 blocks).  ``rates`` runs on ring+swap N = 8 and 9 at d = 2 and 3, whose
 transposition proves the group S_N so no block takes the fixed-space
 decomposition, and on (1 2 3),(1 2 3 4), which generates S_4 without a
-transposition and takes it.  ``optimize`` (consensus) runs at d = 3
+transposition and takes it.  ``rates`` runs at the zero rule's edges at
+d = 2 and 3: g1-4 at ``0,0,0`` and at ``1e300,2e300,1.5e300``, and g1-3
+at ``1e300,0``, where the even 3-cycle leaves a second zero in the sign
+block.  ``optimize`` (consensus) runs at d = 3
 on g1-4 at seeds 0 and 1 and on ring+swap N = 5, whose six blocks of 1
 to 6 rows, two pairs of one size, are solved smallest first with rows
 pruned between them.  Inputs far past a cap are left out, as a dump of code without
@@ -270,6 +273,12 @@ def commands(work):
                  "generator: (1 2 3 4) weight w1234\n")
     cmds += [("rates", path, "--weights", wa(w), "--d", d)
              for w in PRESETS["g3-3"][1] for d in ("2", "3")]
+
+    # the zero rule at its edges: all-zero weights, weights near the top
+    # of the float range, and g1-3's even 3-cycle alone, which leaves a
+    # second zero in the sign block so (1,1,1) prints 0
+    for name, w in (("g1-4", "0,0,0"), ("g1-4", "1e300,2e300,1.5e300"), ("g1-3", "1e300,0")):
+        cmds += [("rates", name, "--weights", w, "--d", d) for d in ("2", "3")]
     return cmds
 
 
