@@ -101,11 +101,17 @@ def dominance(shapes) -> np.ndarray:
     shapes = list(shapes)
     if len({sum(p) for p in shapes}) > 1:
         raise ValueError("partitions must partition the same integer")
-    sums = np.zeros((len(shapes), max(map(len, shapes), default=0)), dtype=np.int64)
-    for row, p in zip(sums, shapes):
-        row[:len(p)] = p
-    sums = np.cumsum(sums, axis=1)
+    sums = np.cumsum(_parts_table(shapes), axis=1)
     return np.all(sums[:, None] >= sums[None], axis=2)
+
+
+def _parts_table(shapes) -> np.ndarray:
+    """(S, rows) integer table of the shapes' parts, zero past each
+    shape's last row."""
+    table = np.zeros((len(shapes), max(map(len, shapes), default=0)), dtype=np.intp)
+    for row, p in zip(table, shapes):
+        row[:len(p)] = p
+    return table
 
 
 def dominates(a: Partition, b: Partition) -> bool:
@@ -228,28 +234,33 @@ def induced_laplacian(
     return InducedGraph(partition=tuple(parts), vertices=verts, laplacian=lap)
 
 
-def standard_tableaux(parts: Partition) -> list[Tabloid]:
-    """Standard Young tableaux of shape ``parts`` as row words (entry k sits
-    in row ``word[k-1]``, like a tabloid's ``row_of``), ascending
-    lexicographic."""
-    out: list[Tabloid] = []
-    word: list[int] = []
-    filled = [0] * len(parts)
+def standard_tableaux(shapes) -> tuple[np.ndarray, np.ndarray]:
+    """Standard Young tableaux of every shape in ``shapes`` as one (K, n)
+    array of row words (entry k sits in row ``word[k-1]``, like a
+    tabloid's ``row_of``), shape by shape in the order given, each shape's
+    ascending lexicographic, with the (K,) index of each word's shape.
 
-    def rec():
-        if len(word) == sum(parts):
-            out.append(tuple(word))
-            return
-        for r, size in enumerate(parts):
-            if filled[r] < size and (r == 0 or filled[r] < filled[r - 1]):
-                filled[r] += 1
-                word.append(r + 1)
-                rec()
-                word.pop()
-                filled[r] -= 1
-
-    rec()
-    return out
+    Words grow one entry at a time: each prefix is extended by every row
+    that may take the next entry (shorter than its part and than the row
+    above it), in ascending row order, so extending sorted prefixes keeps
+    them sorted.  ValueError unless the shapes partition the same n.
+    """
+    shapes = [tuple(p) for p in shapes]
+    n = sum(shapes[0]) if shapes else 0
+    for p in shapes:
+        check_partition(p, n)
+    parts = _parts_table(shapes)
+    shape_of = np.arange(len(shapes))
+    words = np.zeros((len(shapes), 0), dtype=np.intp)
+    # entries placed per row, after a column for a full row above the first
+    filled = np.zeros((len(shapes), parts.shape[1] + 1), dtype=np.intp)
+    filled[:, 0] = n
+    for _ in range(n):
+        at, row = np.nonzero((filled[:, 1:] < parts[shape_of]) & (filled[:, 1:] < filled[:, :-1]))
+        words = np.column_stack([words[at], row + 1])
+        shape_of, filled = shape_of[at], filled[at]
+        filled[np.arange(len(at)), row + 1] += 1
+    return words, shape_of
 
 
 def irrep_dim(parts: Partition) -> int:
@@ -274,47 +285,59 @@ def _bubble_word(p: Permutation) -> list[int]:
     return word
 
 
-def young_orthogonal(parts: Partition, perms) -> np.ndarray:
-    """(m, k, k) stack of rho(p), one per permutation of ``perms``, for the
-    irrep ``parts`` in Young's orthogonal form on :func:`standard_tableaux`.
+def young_orthogonal(shapes, perms) -> list[np.ndarray]:
+    """One (m, k, k) stack of rho(p), one per permutation of ``perms``, for
+    each irrep of ``shapes``, in Young's orthogonal form on
+    :func:`standard_tableaux`.
 
     rho(s_i) maps tableau T to T / r + sqrt(1 - 1/r^2) s_i T, where r is the
     axial distance c(i+1) - c(i) of the contents c = column - row; s_i T is
     standard iff |r| > 1.  Contents, axial distances and the partner s_i T
-    of every letter are arrays.  s_i T shares T's prefix P before entry i
-    and, from entry i + 2 on, the same completions in the same order, so
-    ``searchsorted`` finds it by integer keys (letter, rank of P, rows of
+    of every letter are computed for all the shapes at once.  s_i T has
+    T's shape, shares its prefix P before entry i and, from entry i + 2
+    on, the same completions in the same order, so ``searchsorted`` finds
+    it by integer keys (letter, shape, rank of P within the shape, rows of
     entries i and i + 1), sorted as the tableaux are and below
-    n k (rows + 1)^2, so no key wraps.  rho(p) is the product along
-    :func:`_bubble_word`, applied as row operations.
+    n S k (rows + 1)^2 for S shapes of at most k tableaux, so no key wraps.
+    rho(p) is the product along :func:`_bubble_word`, applied as row
+    operations shape by shape.
     """
-    tabs = np.array(standard_tableaux(parts)).reshape(-1, sum(parts))
-    (k, n), base = tabs.shape, len(parts) + 1
+    words, shape_of = standard_tableaux(shapes)
+    (total, n), base = words.shape, int(words.max()) + 1
+    size = np.bincount(shape_of, minlength=len(shapes))
+    start = np.cumsum(size) - size
     # an entry's column counts the earlier entries in its row; letter i
     # reads column i - 1 of r, its axial distance
-    in_row = tabs[:, :, None] == np.arange(1, base)
-    content = (np.cumsum(in_row, axis=1) * in_row).sum(axis=2) - tabs
+    in_row = words[:, :, None] == np.arange(1, base)
+    content = (np.cumsum(in_row, axis=1) * in_row).sum(axis=2) - words
     r = (content[:, 1:] - content[:, :-1]).T
-    # the rank of each tableau's prefix before letter i, then its key
-    # (letter, prefix rank, row of entry i, row of entry i + 1)
-    first = np.argmax(tabs[1:] != tabs[:-1], axis=1)
-    prefix = np.cumsum(np.vstack([np.zeros(n - 1, dtype=np.intp),
-                                  first[:, None] < np.arange(n - 1)]), axis=0)
-    lead = (prefix + k * np.arange(n - 1)) * base
-    keys = ((lead + tabs[:, :-1]) * base + tabs[:, 1:]).T.ravel()
-    swapped = ((lead + tabs[:, 1:]) * base + tabs[:, :-1]).T.ravel()
-    own = np.arange(k)
-    offset = (np.searchsorted(keys, swapped) - np.searchsorted(keys, keys)).reshape(n - 1, k)
-    letters = dict(enumerate(zip(1.0 / r[:, :, None], np.sqrt(1.0 - 1.0 / r**2)[:, :, None],
-                                 np.where(np.abs(r) > 1, own + offset, own)), start=1))
+    # the rank of each tableau's prefix before letter i, restarting at each
+    # shape, then its key (letter, shape, prefix rank, rows of entries i
+    # and i + 1)
+    first = np.argmax(words[1:] != words[:-1], axis=1)
+    seen = np.cumsum(np.vstack([np.zeros(n - 1, dtype=np.intp),
+                                first[:, None] < np.arange(n - 1)]), axis=0)
+    rank = seen - seen[start[shape_of]]
+    lead = ((np.arange(n - 1) * len(shapes) + shape_of[:, None]) * size.max() + rank) * base
+    keys = ((lead + words[:, :-1]) * base + words[:, 1:]).T.ravel()
+    swapped = ((lead + words[:, 1:]) * base + words[:, :-1]).T.ravel()
+    own = np.arange(total)
+    offset = (np.searchsorted(keys, swapped) - np.searchsorted(keys, keys)).reshape(n - 1, total)
+    diag, off = 1.0 / r[:, :, None], np.sqrt(1.0 - 1.0 / r**2)[:, :, None]
+    partner = np.where(np.abs(r) > 1, own + offset, own)
+    bubbles = [_bubble_word(p) for p in perms]
     out = []
-    for p in perms:
-        rho = np.eye(k)
-        for i in _bubble_word(p):
-            diag, off, partner = letters[i]
-            rho = diag * rho + off * rho[partner]
-        out.append(rho)
-    return np.array(out)
+    for lo, k in zip(start, size):
+        # letter i of this shape is row i - 1 of each, partners shape-local
+        keep, mix, swap = diag[:, lo:lo + k], off[:, lo:lo + k], partner[:, lo:lo + k] - lo
+        stack = []
+        for word in bubbles:
+            rho = np.eye(k)
+            for i in word:
+                rho = keep[i - 1] * rho + mix[i - 1] * rho[swap[i - 1]]
+            stack.append(rho)
+        out.append(np.array(stack))
+    return out
 
 
 @dataclass(frozen=True)
@@ -329,29 +352,36 @@ class IrrepBlock:
     fixed: int
 
 
-def irrep_block(parts: Partition, gens: GeneratorSet) -> IrrepBlock:
-    """The :class:`IrrepBlock` of one shape's irrep under ``gens``.
+def irrep_blocks(shapes, gens: GeneratorSet) -> tuple[IrrepBlock, ...]:
+    """The :class:`IrrepBlock` of each shape's irrep under ``gens``, all
+    built by one :func:`young_orthogonal` call.
 
-    When :func:`~qconsensus.permgroup.proves_full_symmetric` holds and the
-    irrep is not the trivial one (n), the group is S_N, which fixes no
-    vector of it: the block is I - rho(p) in the tableau basis, with no
-    decomposition.  Otherwise the group's fixed vectors are the null
-    space of the stacked I - rho(p): singular values within ``ZERO_TOL``
-    of 0, as rho is orthogonal and each I - rho(p) has norm at most 2 (a
-    block the group fixes whole has only rounding left, so a cut relative
-    to its largest singular value would keep it).  rho keeps their
-    orthocomplement invariant, so the block acts there in an orthonormal
-    basis; without fixed vectors it keeps the tableau basis.
+    When :func:`~qconsensus.permgroup.proves_full_symmetric` holds (asked
+    once) and an irrep is not the trivial one (n), the group is S_N, which
+    fixes no vector of it: the block is I - rho(p) in the tableau basis,
+    with no decomposition.  Otherwise the group's fixed vectors are the
+    null space of the stacked I - rho(p): singular values within
+    ``ZERO_TOL`` of 0, as rho is orthogonal and each I - rho(p) has norm at
+    most 2 (a block the group fixes whole has only rounding left, so a cut
+    relative to its largest singular value would keep it).  rho keeps
+    their orthocomplement invariant, so the block acts there in an
+    orthonormal basis; without fixed vectors it keeps the tableau basis.
     """
-    check_partition(parts, gens.n)
-    rho = young_orthogonal(parts, gens.perms)
-    eye = np.eye(rho.shape[1])
-    coeffs = eye - rho
-    if len(parts) > 1 and proves_full_symmetric(gens):
-        return IrrepBlock(tuple(parts), coeffs, 0)
-    _, sv, vt = np.linalg.svd(np.concatenate(coeffs), full_matrices=False)
-    rank = int(np.sum(sv > ZERO_TOL))
-    if rank < len(eye):
-        basis = vt[:rank].T
-        coeffs = basis.T @ coeffs @ basis
-    return IrrepBlock(tuple(parts), coeffs, len(eye) - rank)
+    shapes = [tuple(p) for p in shapes]
+    for p in shapes:
+        check_partition(p, gens.n)
+    full = proves_full_symmetric(gens)
+    blocks = []
+    for parts, rho in zip(shapes, young_orthogonal(shapes, gens.perms)):
+        eye = np.eye(rho.shape[1])
+        coeffs = eye - rho
+        if len(parts) > 1 and full:
+            blocks.append(IrrepBlock(parts, coeffs, 0))
+            continue
+        _, sv, vt = np.linalg.svd(np.concatenate(coeffs), full_matrices=False)
+        rank = int(np.sum(sv > ZERO_TOL))
+        if rank < len(eye):
+            basis = vt[:rank].T
+            coeffs = basis.T @ coeffs @ basis
+        blocks.append(IrrepBlock(parts, coeffs, len(eye) - rank))
+    return tuple(blocks)

@@ -30,7 +30,7 @@ from .induced import (
     dominance,
     dominance_covers,
     induced_laplacian,
-    irrep_block,
+    irrep_blocks,
     irrep_dim,
     iter_rate_shapes,
     tabloid_count,
@@ -102,9 +102,9 @@ class RateStructure:
     """Everything :func:`batch_rates` needs of one (generators, shapes) but
     the weights, built by :func:`rate_structure`.
 
-    ``blocks`` follow the shapes, one irrep each, as
-    :func:`~qconsensus.induced.irrep_block` builds them.  ``order`` lists
-    the blocks with rows in the order they are solved, ascending in rows
+    ``blocks`` follow the shapes, one irrep each, as one
+    :func:`~qconsensus.induced.irrep_blocks` call builds them.  ``order``
+    lists the blocks with rows in the order they are solved, ascending in rows
     (stable, so equal sizes keep shape order).  ``columns`` is the
     shapes' :func:`~qconsensus.induced.dominance` table: entry (b, mu)
     is True iff block b's eigenvalues are in shape mu's spectrum.
@@ -124,7 +124,7 @@ def rate_structure(gens: GeneratorSet, shapes) -> RateStructure:
         size += len(gens) * irrep_dim(p) ** 2
         check_cap("rate block coefficients", size, RATE_BLOCK_CAP)
         listed.append(p)
-    blocks = tuple(irrep_block(p, gens) for p in listed)
+    blocks = irrep_blocks(listed, gens)
     sizes = [len(b.coeffs[0]) for b in blocks]
     # a block the group fixes whole has no eigenvalue to add
     order = sorted((i for i, k in enumerate(sizes) if k), key=sizes.__getitem__)

@@ -3,13 +3,14 @@
 None of these runs in the package: the dynamics applies dense orbit
 blocks of one RK4 step operator (or its sparse form), ``build_lq``
 scatters the generator's rows, and the rates read the irrep blocks of
-``induced``, whose letters are arrays and which skip the fixed-space
-decomposition when a transposition proves the group S_N.
+``induced``, whose tableaux and letters are arrays built for every shape
+at once and which skip the fixed-space decomposition when a
+transposition proves the group S_N.
 """
 
 import numpy as np
 
-from qconsensus.induced import ZERO_TOL, _bubble_word, standard_tableaux
+from qconsensus.induced import ZERO_TOL, _bubble_word
 from qconsensus.permgroup import (
     GeneratorSet,
     Permutation,
@@ -233,11 +234,36 @@ def random_generator_sets(seed: int, count: int, max_n: int) -> list[GeneratorSe
     return out
 
 
+def standard_tableaux_loops(parts) -> list[tuple[int, ...]]:
+    """Standard Young tableaux of one shape as row words, ascending
+    lexicographic, by a depth-first recursion that places entry k in each
+    row that may take it, rows in ascending order."""
+    out: list[tuple[int, ...]] = []
+    word: list[int] = []
+    filled = [0] * len(parts)
+
+    def rec():
+        if len(word) == sum(parts):
+            out.append(tuple(word))
+            return
+        for r, size in enumerate(parts):
+            if filled[r] < size and (r == 0 or filled[r] < filled[r - 1]):
+                filled[r] += 1
+                word.append(r + 1)
+                rec()
+                word.pop()
+                filled[r] -= 1
+
+    rec()
+    return out
+
+
 def young_orthogonal_loops(parts, perms) -> np.ndarray:
-    """Young's orthogonal form with its letters built by tuple loops over
-    the tableaux: contents by counting, each s_i T looked up in a dict,
-    then the package's row-operation products in the same order."""
-    tabs = standard_tableaux(parts)
+    """Young's orthogonal form of one shape with its letters built by tuple
+    loops over :func:`standard_tableaux_loops`: contents by counting, each
+    s_i T looked up in a dict, then the package's row-operation products
+    in the same order."""
+    tabs = standard_tableaux_loops(parts)
     index = {t: j for j, t in enumerate(tabs)}
     col = np.array([[t[:k].count(t[k]) for k in range(len(t))] for t in tabs])
     content = col - np.array(tabs)

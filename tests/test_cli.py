@@ -336,13 +336,13 @@ def test_rates_check_the_block_cap_before_any_block(tmp_path, monkeypatch, capsy
     # before building the first block
     monkeypatch.setattr(spectra, "RATE_BLOCK_CAP", 100)
     built = []
-    real = spectra.irrep_block
+    real = spectra.irrep_blocks
 
-    def counted(parts, gens):
-        built.append(parts)
-        return real(parts, gens)
+    def counted(shapes, gens):
+        built.append(list(shapes))
+        return real(shapes, gens)
 
-    monkeypatch.setattr(spectra, "irrep_block", counted)
+    monkeypatch.setattr(spectra, "irrep_blocks", counted)
     topo = tmp_path / "ring5.topo"
     topo.write_text(
         "name: ring5\nN: 5\n"

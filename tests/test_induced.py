@@ -21,7 +21,7 @@ from qconsensus.induced import (
     dominates,
     enumerate_tabloids,
     induced_laplacian,
-    irrep_block,
+    irrep_blocks,
     irrep_dim,
     partitions_of,
     rate_shapes,
@@ -40,11 +40,16 @@ from qconsensus.permgroup import (
     identity,
     parity,
 )
-from qconsensus import spectra
+from qconsensus import induced, spectra
 from qconsensus.cli import load_topology
 from qconsensus.quantum import build_lq
 from qconsensus.spectra import eigenvalues, multiset_contained, rate_structure
-from reference import cayley_laplacian, scatter_laplacian, young_orthogonal_loops
+from reference import (
+    cayley_laplacian,
+    scatter_laplacian,
+    standard_tableaux_loops,
+    young_orthogonal_loops,
+)
 
 
 def multinomial(parts):
@@ -181,7 +186,7 @@ def test_one_partition_rule():
         with pytest.raises(ValueError):
             tabloid_orbit(bad, gens)
         with pytest.raises(ValueError):
-            irrep_block(bad, gens)
+            irrep_blocks([bad], gens)
         with pytest.raises(ValueError):
             irrep_dim(bad)
         with pytest.raises(ValueError):
@@ -373,16 +378,38 @@ def test_induced_laplacian_is_the_orbit_laplacian(gens, data):
 
 def test_standard_tableaux_count_is_the_irrep_dimension():
     # hook length formula on the g1-4 shapes: blocks of 3, 2, 3 and 1
-    dims = {parts: len(standard_tableaux(parts)) for parts in partitions_of(4, 4)}
+    shapes = partitions_of(4, 4)
+    dims = dict(zip(shapes, np.bincount(standard_tableaux(shapes)[1]).tolist()))
     assert dims == {(3, 1): 3, (2, 2): 2, (2, 1, 1): 3, (1, 1, 1, 1): 1}
-    assert standard_tableaux((2, 1)) == [(1, 1, 2), (1, 2, 1)]
-    assert len(standard_tableaux((4, 3, 2, 1))) == 768
+    words, shape_of = standard_tableaux([(2, 1)])
+    assert words.tolist() == [[1, 1, 2], [1, 2, 1]] and shape_of.tolist() == [0, 0]
+    assert len(standard_tableaux([(4, 3, 2, 1)])[0]) == 768
 
 
 def test_irrep_dim_counts_standard_tableaux():
     for n in range(2, 9):
-        for parts in partitions_of(n, n) + [(n,)]:
-            assert irrep_dim(parts) == len(standard_tableaux(parts)), parts
+        shapes = partitions_of(n, n) + [(n,)]
+        counts = np.bincount(standard_tableaux(shapes)[1], minlength=len(shapes))
+        assert [irrep_dim(p) for p in shapes] == counts.tolist(), n
+
+
+def test_standard_tableaux_equal_the_recursion():
+    # the same words in the same order as the depth-first recursion, one
+    # shape at a time and every partition of n in one call, and for the
+    # 17-site column
+    for n in range(1, 10):
+        shapes = partitions_of(n, n) + [(n,)]
+        want = [standard_tableaux_loops(p) for p in shapes]
+        for parts, words in zip(shapes, want):
+            assert standard_tableaux([parts])[0].tolist() == [list(w) for w in words], parts
+        words, shape_of = standard_tableaux(shapes)
+        assert words.tolist() == [list(w) for ws in want for w in ws], n
+        assert shape_of.tolist() == [i for i, ws in enumerate(want) for _ in ws], n
+    words = standard_tableaux([(1,) * 17])[0]
+    assert words.tolist() == [list(w) for w in standard_tableaux_loops((1,) * 17)]
+    assert words.tolist() == [list(range(1, 18))]
+    with pytest.raises(ValueError, match="does not partition"):
+        standard_tableaux([(2, 1), (2, 2)])
 
 
 class _Built(Exception):
@@ -391,19 +418,19 @@ class _Built(Exception):
 
 def test_block_cap_admits_eleven_sites_and_refuses_twelve(monkeypatch):
     # sized by hook lengths alone: nothing of N = 12's 2.8 GB is allocated;
-    # the stub records each block asked for and stops at the first
+    # the stub records the shapes the one builder call asks for and stops
     built = []
 
-    def stub(parts, gens):
-        built.append(parts)
+    def stub(shapes, gens):
+        built.append(list(shapes))
         raise _Built
 
-    monkeypatch.setattr(spectra, "irrep_block", stub)
+    monkeypatch.setattr(spectra, "irrep_blocks", stub)
     for n, d in ((10, 2), (10, 3), (11, 2), (11, 3)):
         built.clear()
         with pytest.raises(_Built):
             rate_structure(ring_swap(n), rate_shapes(n, d))
-        assert built == [(n - 1, 1)]
+        assert built == [rate_shapes(n, d)]
     built.clear()
     with pytest.raises(CapExceededError, match=r"^rate block coefficients \d+ exceeds cap 134217728$"):
         rate_structure(ring_swap(12), rate_shapes(12, 2))
@@ -411,7 +438,7 @@ def test_block_cap_admits_eleven_sites_and_refuses_twelve(monkeypatch):
     # synchronization builds only the (n-1, 1) block
     with pytest.raises(_Built):
         rate_structure(ring_swap(12), rate_shapes(12, 2)[:1])
-    assert built == [(11, 1)]
+    assert built == [[(11, 1)]]
 
 
 @pytest.mark.parametrize("parts", [(2, 1), (3, 1, 1), (2, 2, 1), (3, 2), (2, 1, 1, 1)])
@@ -420,7 +447,7 @@ def test_young_orthogonal_is_an_orthogonal_representation(parts):
     n = sum(parts)
     for _ in range(10):
         p, q = (tuple(int(x) + 1 for x in rng.permutation(n)) for _ in range(2))
-        a, b, ab = young_orthogonal(parts, [p, q, compose(p, q)])
+        a, b, ab = young_orthogonal([parts], [p, q, compose(p, q)])[0]
         assert_allclose(a @ b, ab, atol=1e-13)
         assert_allclose(a @ a.T, np.eye(len(a)), atol=1e-13)
 
@@ -433,50 +460,83 @@ def test_young_orthogonal_equals_the_tuple_loop_letters():
     for parts in shapes:
         n = sum(parts)
         perms = [tuple(int(x) + 1 for x in rng.permutation(n)) for _ in range(3)]
-        got, want = young_orthogonal(parts, perms), young_orthogonal_loops(parts, perms)
+        (got,), want = young_orthogonal([parts], perms), young_orthogonal_loops(parts, perms)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), parts
 
 
+def _perms_of_distinct_lengths(rng, n):
+    """Three random permutations whose bubble words differ in length."""
+    while True:
+        perms = [tuple(int(x) + 1 for x in rng.permutation(n)) for _ in range(3)]
+        lengths = {sum(a > b for i, a in enumerate(p) for b in p[i + 1:]) for p in perms}
+        if len(lengths) == 3:
+            return perms
+
+
+def test_young_orthogonal_builds_many_shapes_in_one_call():
+    # one call per shape list, each stack equal bit for bit to the tuple
+    # loops on its shape alone: every rate shape list of 3 to 8 sites, and
+    # all partitions of 8, where adjacent shapes share word prefixes
+    rng = np.random.default_rng(1996)
+    lists = [rate_shapes(n, d) for n in range(3, 9) for d in (2, 3)]
+    lists.append(partitions_of(8, 8) + [(8,)])
+    for shapes in lists:
+        perms = _perms_of_distinct_lengths(rng, sum(shapes[0]))
+        got = young_orthogonal(shapes, perms)
+        assert len(got) == len(shapes)
+        for parts, rho in zip(shapes, got):
+            want = young_orthogonal_loops(parts, perms)
+            assert rho.shape == want.shape and rho.tobytes() == want.tobytes(), parts
+
+
 def test_irrep_block_skips_the_decomposition_when_a_transposition_proves_s_n(monkeypatch):
-    calls = []
+    calls, proofs = [], []
     svd = np.linalg.svd
+    prove = induced.proves_full_symmetric
 
     def counted(a, *args, **kwargs):
         calls.append(a.shape)
         return svd(a, *args, **kwargs)
 
+    def counted_proof(gens):
+        proofs.append(gens.n)
+        return prove(gens)
+
     monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(induced, "proves_full_symmetric", counted_proof)
     for n in (4, 6):
         rate_structure(ring_swap(n), rate_shapes(n, 2))
     assert calls == []
+    # one proof per structure, not one per block
+    assert proofs == [4, 6]
     # S_4 without a transposition, and the trivial irrep, take it
     rate_structure(generator_set(4, [[[1, 2, 3]], [[1, 2, 3, 4]]]), rate_shapes(4, 2))
     assert calls == [(6, 3), (4, 2), (6, 3), (2, 1)]
     calls.clear()
-    assert irrep_block((4,), ring_swap(4)).fixed == 1 and len(calls) == 1
+    assert irrep_blocks([(4,)], ring_swap(4))[0].fixed == 1 and len(calls) == 1
 
 
 def test_young_orthogonal_one_row_and_one_column():
     p = from_cycles(4, [[1, 2, 3]])
     q = from_cycles(4, [[1, 4]])
-    assert_allclose(young_orthogonal((4,), [p, q]), [[[1.0]], [[1.0]]])
-    assert_allclose(young_orthogonal((1, 1, 1, 1), [p, q]),
-                    [[[parity(p)]], [[parity(q)]]])
+    row, column = young_orthogonal([(4,), (1, 1, 1, 1)], [p, q])
+    assert_allclose(row, [[[1.0]], [[1.0]]])
+    assert_allclose(column, [[[parity(p)]], [[parity(q)]]])
 
 
 def test_irrep_block_fixed_vectors_count_extra_site_orbits():
     # S_N fixes nothing; (1 2)(3 4) splits four sites into two orbits
     ring = generator_set(4, [[[1, 2, 3, 4]], [[1, 2]], [[3, 4]]])
-    assert irrep_block((3, 1), ring).fixed == 0
+    assert irrep_blocks([(3, 1)], ring)[0].fixed == 0
     split = generator_set(4, [[[1, 2]], [[3, 4]]])
-    block = irrep_block((3, 1), split)
+    (block,) = irrep_blocks([(3, 1)], split)
     assert block.fixed == 1
     assert block.coeffs.shape == (2, 2, 2)
     # (1 2 3) is even, so it fixes the whole sign irrep
-    assert irrep_block((1, 1, 1), generator_set(3, [[[1, 2, 3]]])).fixed == 1
+    assert irrep_blocks([(1, 1, 1)], generator_set(3, [[[1, 2, 3]]]))[0].fixed == 1
     # (1 3)(2 4) acts on the (2,2) irrep as the identity, up to rounding
     # of the orthogonal form's square roots
-    block = irrep_block((2, 2), generator_set(4, [[[1, 3], [2, 4]]]))
+    (block,) = irrep_blocks([(2, 2)], generator_set(4, [[[1, 3], [2, 4]]]))
     assert block.fixed == 2 and block.coeffs.shape == (1, 0, 0)
 
 
@@ -484,13 +544,13 @@ def test_irrep_block_rejects_bad_weights_and_shapes():
     # blocks take no weights; the weight faults are tested once for every
     # reader of weights in test_spectra
     with pytest.raises(ValueError, match="does not partition"):
-        irrep_block((2, 2), g13())
+        irrep_blocks([(2, 1), (2, 2)], g13())
 
 
 def test_irrep_blocks_reach_eight_sites_past_the_orbit_cap():
     # the (1^8) orbit is past the cap; its irrep is the sign, and the
     # 8-cycle and the swap are both odd, so each adds 2 w
-    block = irrep_block((1,) * 8, ring_swap(8))
+    (block,) = irrep_blocks([(1,) * 8], ring_swap(8))
     assert_allclose(np.tensordot([0.3, 0.7], block.coeffs, axes=1) + 0.0, [[2.0]])
 
 

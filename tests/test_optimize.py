@@ -462,21 +462,21 @@ def test_each_objective_builds_each_shape_once(monkeypatch):
     import qconsensus.spectra as spectra
 
     built = []
-    real = spectra.irrep_block
+    real = spectra.irrep_blocks
 
-    def counted(parts, gens):
-        built.append(parts)
-        return real(parts, gens)
+    def counted(shapes, gens):
+        built.append(list(shapes))
+        return real(shapes, gens)
 
-    monkeypatch.setattr(spectra, "irrep_block", counted)
+    monkeypatch.setattr(spectra, "irrep_blocks", counted)
     gens = g13()
     c = BudgetConstraint.for_generators(gens, 1.0)
     maximize_rate(gens, c, objective="synchronization")
-    assert built == [(2, 1)]
+    assert built == [[(2, 1)]]
     built.clear()
     maximize_rate(gens, c, objective="consensus")
-    # blocks are built in shape order, (n-1, 1) first
-    assert built == [(2, 1), (1, 1, 1)]
+    # one builder call, shapes in order, (n-1, 1) first
+    assert built == [[(2, 1), (1, 1, 1)]]
 
 
 def test_maximize_rejects_unknown_objective():

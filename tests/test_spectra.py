@@ -24,7 +24,7 @@ from qconsensus.induced import (
     dominance_covers,
     dominates,
     induced_laplacian,
-    irrep_block,
+    irrep_blocks,
     rate_shapes,
     tabloid_orbit,
 )
@@ -389,7 +389,7 @@ def test_structure_rates_equal_the_per_shape_concatenation(name, d):
     shapes = rate_shapes(gens.n, d)
     rs = rate_structure(gens, shapes)
     assert [b.partition for b in rs.blocks] == shapes
-    blocks = [irrep_block(p, gens) for p in shapes]
+    blocks = [b for p in shapes for b in irrep_blocks([p], gens)]
     transitive = rs.blocks[0].fixed == 0
     draws = 1.0 - np.random.default_rng([gens.n, d]).random((256, len(gens)))
     edges = [np.zeros(len(gens)), 1e300 * draws[5], 1e-300 * draws[6]]
@@ -420,12 +420,13 @@ BLOCK_SETS = {
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("name", BLOCK_SETS)
 def test_irrep_blocks_equal_the_fixed_space_oracle(name, d):
-    """Every block equals, bit for bit, the singular value decomposition
-    of its fixed space on the letters built by tuple loops, whether the
-    transposition proof skips that decomposition or not."""
+    """Every block of one builder call equals, bit for bit, the singular
+    value decomposition of its fixed space on the letters built by tuple
+    loops, whether the transposition proof skips that decomposition or
+    not."""
     gens = BLOCK_SETS[name]()
-    for p in rate_shapes(gens.n, d):
-        block = irrep_block(p, gens)
+    shapes = rate_shapes(gens.n, d)
+    for p, block in zip(shapes, irrep_blocks(shapes, gens), strict=True):
         coeffs, fixed = fixed_space_block(p, gens)
         assert block.fixed == fixed, p
         assert block.coeffs.shape == coeffs.shape, p
@@ -900,6 +901,39 @@ def test_aldous_holds_for_undirected_pair():
         assert rates_coincide(per.values())
         vals = list(per.values())
         assert max(vals) - min(vals) < 1e-7
+
+
+def _transposition_graphs(rng, n, count):
+    """``count`` random connected transposition sets on n sites: a random
+    spanning tree, each of its edges (a b) one generator, plus up to n
+    further edges, each at a random positive weight."""
+    out = []
+    for _ in range(count):
+        order = rng.permutation(n) + 1
+        edges = {tuple(sorted((int(order[k]), int(order[rng.integers(k)]))))
+                 for k in range(1, n)}
+        for _ in range(int(rng.integers(n + 1))):
+            edges.add(tuple(sorted(int(x) for x in rng.choice(n, 2, replace=False) + 1)))
+        gens = generator_set(n, [[list(e)] for e in sorted(edges)])
+        out.append((gens, rng.uniform(0.05, 1.0, len(edges))))
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", range(3, 8))
+def test_aldous_theorem_on_random_transposition_graphs(n, d):
+    """On a connected transposition graph at positive weights, every
+    induced graph decays no slower than the site graph (Caputo, Liggett,
+    Richthammer, J. Amer. Math. Soc. 23, 2010): lambda_cons equals
+    lambda_synch equals the second eigenvalue of the site Laplacian,
+    which reads no Young letter."""
+    rng = np.random.default_rng([2010, n, d])
+    for gens, w in _transposition_graphs(rng, n, 12):
+        gap = np.linalg.eigvalsh(generator_laplacian(gens, w))[1]
+        rates = convergence_rates(gens, w, d)
+        tol = 1e-13 * w.max()
+        assert abs(rates.lambda_synch - gap) <= tol, (gens.perms, w)
+        assert abs(rates.lambda_cons - gap) <= tol, (gens.perms, w)
 
 
 def test_rates_coincide_tolerance_is_relative():
