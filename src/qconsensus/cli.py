@@ -288,6 +288,18 @@ def _symbolic_only(spec: TopologySpec) -> None:
         raise TopologyError(f"fixed weights ({fixed}); the search needs symbolic ones")
 
 
+def _write_csv(path: str, header: str, cols) -> None:
+    """Write ``header`` and a row per entry of the equal-length arrays
+    ``cols``, each value as the ``repr`` of its Python number; each block
+    of 2**16 rows is formatted a column at a time and written at once."""
+    block = 1 << 16
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for lo in range(0, len(cols[0]), block):
+            rows = zip(*(map(repr, col[lo:lo + block].tolist()) for col in cols))
+            fh.write("\n".join(map(",".join, rows)) + "\n")
+
+
 def cmd_pareto(args, spec: TopologySpec, d: int) -> int:
     _symbolic_only(spec)
     constraint = BudgetConstraint.for_generators(spec.gens, spec.budget)
@@ -296,10 +308,8 @@ def cmd_pareto(args, spec: TopologySpec, d: int) -> int:
     )
     out = args.out or f"{spec.name}-pareto.csv"
     labels = spec.gens.labels
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(",".join(labels) + ",lambda_cons,lambda_synch,on_front\n")
-        for row, flag in zip(np.column_stack([weights, cons, synch]).tolist(), on_front):
-            fh.write(",".join(map(repr, row)) + (",1\n" if flag else ",0\n"))
+    _write_csv(out, ",".join(labels) + ",lambda_cons,lambda_synch,on_front",
+               [*weights.T, cons, synch, on_front.astype(int)])
     print(f"topology: {spec.name}  points: {len(cons)}  front: {int(on_front.sum())}")
     for title, arr in (("lambda_cons", cons), ("lambda_synch", synch)):
         # the first grid point tied with the maximum, as the front ties them
@@ -365,10 +375,7 @@ def cmd_simulate(args, spec: TopologySpec, d: int) -> int:
         dist.append(frobenius_distances(states, target))
     times, sync, dist = map(np.concatenate, (times, sync, dist))
     out = args.out or f"{spec.name}-trajectory.csv"
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("t,sync_distance,distance_to_consensus\n")
-        for t, s, c in zip(times, sync, dist):
-            fh.write(f"{repr(float(t))},{repr(float(s))},{repr(float(c))}\n")
+    _write_csv(out, "t,sync_distance,distance_to_consensus", [times, sync, dist])
     _echo_config(spec, w, _topology_lines(spec, d))
     rates = convergence_rates(spec.gens, w, d=d)
     for label, series, ref in (

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .permgroup import (
     DEFAULT_GROUP_CAP,
     GeneratorSet,
     Permutation,
+    check_cap,
     check_d,
     check_weights,
     laplacian_matrix,
@@ -120,8 +120,9 @@ def dominates(a: Partition, b: Partition) -> bool:
 
 
 def enumerate_tabloids(parts: Partition) -> list[Tabloid]:
-    """All row_of vectors of the given shape, ascending lexicographic."""
-    return sorted(set(permutations(canonical_tabloid(parts))))
+    """All row_of vectors of the given shape, ascending lexicographic
+    (:func:`tabloid_sets` of the one shape, as tuples)."""
+    return list(map(tuple, tabloid_sets([parts], ())[0][0].tolist()))
 
 
 def check_partition(parts: Partition, n: int) -> None:
@@ -148,10 +149,16 @@ def tabloid_orbit(
     parts: Partition, gens: GeneratorSet
 ) -> tuple[tuple[Tabloid, ...], np.ndarray]:
     """One shape's sorted :func:`~qconsensus.permgroup.orbit` of its canonical
-    tabloid (every tabloid under S_N) with its (V, m) image table, raising
-    :class:`CapExceededError` past ``DEFAULT_GROUP_CAP`` tabloids."""
+    tabloid with its (V, m) image table, raising :class:`CapExceededError`
+    past ``DEFAULT_GROUP_CAP`` tabloids.  When ``proves_full_symmetric``
+    holds, the orbit is every tabloid, listed by :func:`tabloid_sets`."""
     check_partition(parts, gens.n)
-    return orbit(canonical_tabloid(parts), gens, DEFAULT_GROUP_CAP)
+    start = canonical_tabloid(parts)
+    if not proves_full_symmetric(gens):
+        return orbit(start, gens, DEFAULT_GROUP_CAP)
+    check_cap(f"orbit of {start} size", tabloid_count(parts), DEFAULT_GROUP_CAP)
+    words, img = tabloid_sets([parts], gens.perms)[0]
+    return tuple(map(tuple, words.tolist())), img
 
 
 def tabloid_count(parts: Partition) -> int:
@@ -186,28 +193,33 @@ def dominance_covers(parts: Partition) -> list[tuple[Partition, int, int]]:
 
 
 def cover_map(
-    inner_verts: tuple[Tabloid, ...], outer_verts: tuple[Tabloid, ...], i: int, j: int
+    inner_verts, outer_verts, i: int, j: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The 0/1 map Phi from the tabloids of a shape to those of the shape it
     covers by moving a box from row i to row j (0-based, as
     :func:`dominance_covers` gives them), as the (rows, cols) of its ones:
     Phi[s, t] = 1 iff s is t with one entry moved from row i to row j.
 
-    Both vertex lists are whole sorted tabloid sets, so each tabloid is a
-    number in base ``rows`` (the covered shape's row count) and every s is
-    found by one search.  Phi commutes with the action of S_N, and it is
-    of full column rank (Gottlieb, Proc. AMS 17, 1966; Kantor, Math. Z.
-    124, 1972): with the other rows fixed it is the inclusion matrix of
-    b-subsets in (b+1)-subsets of a+b points, b < a.
+    Both vertex lists are whole sorted tabloid sets, so every s is found
+    by one search on :func:`word_keys`.  Phi commutes with the action of
+    S_N, and it is of full column rank (Gottlieb, Proc. AMS 17, 1966;
+    Kantor, Math. Z. 124, 1972): with the other rows fixed it is the
+    inclusion matrix of b-subsets in (b+1)-subsets of a+b points, b < a.
     """
-    inner = np.asarray(inner_verts, dtype=np.int64)
-    outer = np.asarray(outer_verts, dtype=np.int64)
-    rows = int(outer.max())
-    place = rows ** np.arange(inner.shape[1] - 1, -1, -1, dtype=np.int64)
+    inner = np.asarray(inner_verts, dtype=np.uint8)
     cols, at = np.nonzero(inner == i + 1)
-    moved = (inner - 1) @ place
-    moved = moved[cols] + (j - i) * place[at]
-    return np.searchsorted((outer - 1) @ place, moved), cols
+    moved = inner[cols]
+    moved[np.arange(len(cols)), at] = j + 1
+    return np.searchsorted(word_keys(outer_verts), word_keys(moved)), cols
+
+
+def word_keys(words) -> np.ndarray:
+    """Each row word of a (V, n) array of tabloids as one n-byte string,
+    which sorts as the words do: bytes compare unsigned and in order, and
+    no entry is 0, so no key is cut short.  No key wraps, whatever n; a
+    row label fits a byte, as a shape of 256 rows has 256! tabloids."""
+    words = np.ascontiguousarray(words, dtype=np.uint8)
+    return words.view(f"S{words.shape[1]}")[:, 0]
 
 
 @dataclass(frozen=True)
@@ -261,6 +273,46 @@ def standard_tableaux(shapes) -> tuple[np.ndarray, np.ndarray]:
         shape_of, filled = shape_of[at], filled[at]
         filled[np.arange(len(at)), row + 1] += 1
     return words, shape_of
+
+
+def tabloid_sets(shapes, perms) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One (words, table) pair per shape of ``shapes``, in the order given:
+    its tabloids as a (V, n) uint8 array of row words, ascending
+    lexicographic, and their (V, m) image table under ``perms``.  For
+    generators of S_N that is the sorted :func:`~qconsensus.permgroup.orbit`
+    of the canonical tabloid, bit for bit.
+
+    All shapes are built in one array pass.  Words grow one entry at a
+    time, as in :func:`standard_tableaux`, each prefix extended by every
+    row with room left in ascending order, so they stay sorted.  A
+    generator's images are one column gather, found by one search on
+    :func:`word_keys` per shape.  ValueError unless the shapes partition
+    the same n.
+    """
+    shapes = [tuple(p) for p in shapes]
+    if not shapes:
+        return []
+    n = sum(shapes[0])
+    for p in shapes:
+        check_partition(p, n)
+    room = _parts_table(shapes).astype(np.min_scalar_type(n))
+    shape_of = np.arange(len(shapes))
+    words = np.zeros((len(shapes), 0), dtype=np.uint8)
+    for _ in range(n):
+        at, row = np.nonzero(room)
+        words = np.column_stack([words[at], (row + 1).astype(np.uint8)])
+        shape_of, room = shape_of[at], room[at]
+        room[np.arange(len(at)), row] -= 1
+    keys = word_keys(words)
+    moved = [word_keys(words[:, np.subtract(p, 1)]) for p in perms]
+    size = np.bincount(shape_of, minlength=len(shapes))
+    out = []
+    for lo, k in zip(np.cumsum(size) - size, size):
+        img = np.empty((k, len(perms)), dtype=np.intp)
+        for g, images in enumerate(moved):
+            img[:, g] = np.searchsorted(keys[lo:lo + k], images[lo:lo + k])
+        out.append((words[lo:lo + k], img))
+    return out
 
 
 def irrep_dim(parts: Partition) -> int:

@@ -35,8 +35,16 @@ from .induced import (
     iter_rate_shapes,
     tabloid_count,
     tabloid_orbit,
+    tabloid_sets,
 )
-from .permgroup import GeneratorSet, check_cap, check_weights, laplacian_rows, parity
+from .permgroup import (
+    GeneratorSet,
+    check_cap,
+    check_weights,
+    laplacian_rows,
+    parity,
+    proves_full_symmetric,
+)
 
 INCLUSION_TOL = 1e-7
 
@@ -45,6 +53,14 @@ INCLUSION_TOL = 1e-7
 # at d = 2 and 3 and refuses N = 12, whose d = 2 blocks would hold 2.8 GB;
 # it caps one optimizer round's Laplacian entries, rows * sum k^2, too
 RATE_BLOCK_CAP = 2**27
+
+# whole tabloid sets `spectrum --all` may list at once, as points times
+# n m: the bytes of their words' images under the m generators, which
+# also bound the keys of a cover residual (at most n ones a column, two
+# keys an entry and generator).  Under a 2 GB address-space limit the
+# largest sets 2**27 admits peak at 0.67 GB (ring+swap, N = 10, d = 3)
+# to 1.14 GB (30 generators, N = 11, d = 2), so twice it would not fit
+TABLOID_SET_CAP = 2**27
 
 
 class NumericalFailureError(RuntimeError):
@@ -293,12 +309,12 @@ def _cover_residual(phi, inner_img: np.ndarray, outer_img: np.ndarray, w) -> flo
     minus = outer_inv[s] * v_in + t[:, None]
     keys, where = np.unique(np.stack([plus, minus]), return_inverse=True)
     where = where.reshape(2, len(s), m)
-    counts = np.array([
-        np.bincount(where[0, :, g], minlength=len(keys))
-        - np.bincount(where[1, :, g], minlength=len(keys))
-        for g in range(m)
-    ])
-    return float(np.abs(w @ counts).max(initial=0.0))
+    # one generator's counts at a time, so memory grows as m, not m^2
+    residual = np.zeros(len(keys))
+    for g in range(m):
+        residual += w[g] * (np.bincount(where[0, :, g], minlength=len(keys))
+                            - np.bincount(where[1, :, g], minlength=len(keys)))
+    return float(np.abs(residual).max(initial=0.0))
 
 
 def _dominance_by_maps(pairs, orbits, w, tol) -> list[tuple[bool, float]]:
@@ -316,7 +332,6 @@ def _dominance_by_maps(pairs, orbits, w, tol) -> list[tuple[bool, float]]:
     the shapes, so a cover dominates b iff it is b or forms a pair with it.
     """
     strict = set(pairs)
-    verts = {p: np.asarray(orbit[0]) for p, orbit in orbits.items()}
     # each L_mu's largest diagonal entry; an overflow fails as an eigensolve would
     scale = {p: laplacian_rows(orbit[1], w)[1][:, -1].max() for p, orbit in orbits.items()}
     if not np.all(np.isfinite(list(scale.values()))):
@@ -325,7 +340,7 @@ def _dominance_by_maps(pairs, orbits, w, tol) -> list[tuple[bool, float]]:
     memo: dict = {}
 
     def cover(lam, mu, i, j):
-        phi = cover_map(verts[lam], verts[mu], i, j)
+        phi = cover_map(orbits[lam][0], orbits[mu][0], i, j)
         defect = _cover_residual(phi, orbits[lam][1], orbits[mu][1], w)
         return defect <= tol * scale[mu], defect
 
@@ -347,11 +362,18 @@ def _sign_residual(orbit, w, alt: float, tol: float) -> tuple[bool, float]:
     orbit, s(sigma) = sgn sigma on its tabloids, within ``tol`` of L's largest
     diagonal entry: the sign vector is the eigenvector of the mode alt."""
     verts, img = orbit
-    s = np.array([parity(t) for t in verts], dtype=float)
+    s = _inversion_sign(np.asarray(verts))
     cols, vals = laplacian_rows(img, w)
     with np.errstate(over="ignore", invalid="ignore"):
         defect = float(np.abs((vals * s[cols]).sum(axis=1) - alt * s).max())
     return defect <= tol * vals[:, -1].max(), defect
+
+
+def _inversion_sign(words: np.ndarray) -> np.ndarray:
+    """sgn of each permutation word of a (V, n) array, as floats: -1 to the
+    number of its inversions, the pairs j < k with word[j] > word[k]."""
+    above = np.triu(words[:, :, None] > words[:, None, :])
+    return 1.0 - 2.0 * (above.sum(axis=(1, 2)) % 2)
 
 
 def _set_contained(inner, outer, tol: float, skip: complex):
@@ -382,12 +404,22 @@ def intertwining_check(
     one is in the (2,1,..,1) module, so the alternating pair holds with
     (2,1,..,1) -> (1,..,1) and :func:`_sign_residual`, at the larger
     defect.  Otherwise the dense spectra are matched within ``tol`` of
-    their largest modulus.
+    their largest modulus.  When ``proves_full_symmetric`` holds, every
+    orbit is its whole tabloid set and one :func:`tabloid_sets` call lists
+    them all; other orbits are searched one shape at a time.
     """
-    # each orbit is capped as its shape is listed, every cap check comes
-    # before any other work, and one dense Laplacian is held at a time
-    orbits = {p: tabloid_orbit(p, gens) for p in iter_rate_shapes(gens.n, d)}
-    shapes = list(orbits)
+    # every cap check comes as the shapes are listed, before any other
+    # work, and one dense Laplacian is held at a time
+    if proves_full_symmetric(gens):
+        shapes, size = [], 0
+        for p in iter_rate_shapes(gens.n, d):
+            size += tabloid_count(p) * gens.n * len(gens)
+            check_cap("tabloid image bytes", size, TABLOID_SET_CAP)
+            shapes.append(p)
+        orbits = dict(zip(shapes, tabloid_sets(shapes, gens.perms)))
+    else:
+        orbits = {p: tabloid_orbit(p, gens) for p in iter_rate_shapes(gens.n, d)}
+        shapes = list(orbits)
     w = check_weights([weights], len(gens))[0]
     above = dominance(shapes) & ~np.eye(len(shapes), dtype=bool)
     pairs = [(shapes[i], shapes[j]) for i, j in zip(*np.nonzero(above))]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qconsensus import induced, optimize, spectra
+from qconsensus import optimize, spectra
 from qconsensus.cli import (
     PRESETS,
     TopologyError,
@@ -291,9 +291,10 @@ def test_group_cap_exit_code(tmp_path, capsys):
 
 
 def test_spectrum_all_checks_every_orbit_cap_before_any_solve(monkeypatch, capsys):
-    # with the cap at 10 the g1-4 orbits of 4 and 6 tabloids fit, but
-    # (2,1,1) has 12: spectrum --all must exit before its first dense solve
-    monkeypatch.setattr(induced, "DEFAULT_GROUP_CAP", 10)
+    # g1-4's whole sets count 4 * 3 image bytes a tabloid: with the cap at 200
+    # the 4 and 6 tabloids of (3,1) and (2,2) fit, but (2,1,1)'s 12 pass
+    # it, so spectrum --all must exit before its first dense solve
+    monkeypatch.setattr(spectra, "TABLOID_SET_CAP", 200)
     solves = []
     solve = spectra.eigenvalues
 
@@ -493,13 +494,12 @@ def test_spectrum_partition_checks_one_shape_at_a_hundred_sites(tmp_path):
 
 
 def test_spectrum_all_stops_at_the_orbit_cap_as_shapes_are_listed(tmp_path):
-    # (97,3), the fourth shape of 100 sites, has 161,700 tabloids
+    # (97,1,1,1), the sixth shape of 100 sites, has 970,200 tabloids
     proc = _run_limited(tmp_path, "spectrum", _ring_swap_100(tmp_path), "--weights", "0.3,0.7",
                         "--d", "3", "--all")
     assert proc.returncode == 4, proc.stderr
     assert proc.stdout == ""
-    assert re.fullmatch(r"error: orbit of \(.*\) size at least \d+ exceeds cap \d+\n",
-                        proc.stderr)
+    assert re.fullmatch(r"error: tabloid image bytes \d+ exceeds cap \d+\n", proc.stderr)
 
 
 def test_spectrum_all_on_seven_sites_at_d3_solves_no_graph(tmp_path):
@@ -514,6 +514,34 @@ def test_spectrum_all_on_seven_sites_at_d3_solves_no_graph(tmp_path):
     assert ("  (1,1,1,1,1,1,1) into (2,1,1,1,1,1) [alternating-removed]: ok "
             "(max defect 0.000e+00)\n") in proc.stdout
     assert proc.stdout.endswith("verdict: all inclusions hold\n")
+
+
+def test_spectrum_all_on_eight_sites_at_d3_lists_whole_sets(tmp_path):
+    # the (1^8) and (2,1^6) sets of 40,320 and 20,160 tabloids are past
+    # the search's cap; S_8 is proved, so they are listed as arrays
+    topo = tmp_path / "ring-swap-8.txt"
+    topo.write_text("name: ring-swap-8\nN: 8\ngenerator: (1 2 3 4 5 6 7 8) weight wring\n"
+                    "generator: (1 2) weight wswap\n")
+    proc = _run_limited(tmp_path, "spectrum", topo, "--weights", "0.3,0.7", "--d", "3",
+                        "--all", timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert ("  (1,1,1,1,1,1,1,1) into (2,1,1,1,1,1,1) [alternating-removed]: ok "
+            "(max defect 0.000e+00)\n") in proc.stdout
+    assert proc.stdout.endswith("verdict: all inclusions hold\n")
+
+
+def test_spectrum_all_past_the_tabloid_set_cap_exits_before_listing(tmp_path):
+    # ring+swap on 11 sites at d = 3: the images of its whole sets would
+    # take 22 bytes for each of 38,454,350 tabloids, refused as the shapes
+    # are listed, before any is built
+    topo = tmp_path / "ring-swap-11.txt"
+    topo.write_text(f"name: ring-swap-11\nN: 11\ngenerator: ({' '.join(map(str, range(1, 12)))})"
+                    " weight wring\ngenerator: (1 2) weight wswap\n")
+    proc = _run_limited(tmp_path, "spectrum", topo, "--weights", "0.3,0.7", "--d", "3",
+                        "--all", timeout=10)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == ""
+    assert re.fullmatch(r"error: tabloid image bytes \d+ exceeds cap 134217728\n", proc.stderr)
 
 
 def test_optimize_round_cap_before_the_first_round(tmp_path):
@@ -955,16 +983,16 @@ def test_spectrum_all_overflow_on_whole_orbits(tmp_path, capsys):
 
 
 def test_spectrum_all_names_no_eigenvalue_for_a_failed_cover_map(capsys, monkeypatch):
-    real = spectra.tabloid_orbit
+    real = spectra.tabloid_sets
 
-    def planted(parts, gens):
-        verts, img = real(parts, gens)
-        if parts == (3, 1):
-            img = img.copy()
-            img[[0, -1], 0] = img[[-1, 0], 0]
-        return verts, img
+    def planted(shapes, perms):
+        orbits = real(shapes, perms)
+        for parts, (_, img) in zip(shapes, orbits):
+            if parts == (3, 1):
+                img[[0, -1], 0] = img[[-1, 0], 0]
+        return orbits
 
-    monkeypatch.setattr(spectra, "tabloid_orbit", planted)
+    monkeypatch.setattr(spectra, "tabloid_sets", planted)
     code, out, _ = run(capsys, "spectrum", "g1-4", "--weights", "0.1,0.2,0.15", "--all")
     assert code == 0
     lines = out.splitlines()

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from qconsensus.induced import (
@@ -28,6 +28,8 @@ from qconsensus.induced import (
     standard_tableaux,
     tabloid_count,
     tabloid_orbit,
+    tabloid_sets,
+    word_keys,
     young_orthogonal,
 )
 from qconsensus.netgraph import generator_laplacian
@@ -38,7 +40,9 @@ from qconsensus.permgroup import (
     from_cycles,
     generator_set,
     identity,
+    orbit,
     parity,
+    proves_full_symmetric,
 )
 from qconsensus import induced, spectra
 from qconsensus.cli import load_topology
@@ -329,6 +333,86 @@ def test_orbit_past_cap_raises():
     assert len(verts) == 10080 and img.shape == (10080, 2)
     with pytest.raises(CapExceededError, match="cap"):
         tabloid_orbit((2, 1, 1, 1, 1, 1, 1), ring_swap(8))
+
+
+# --- whole tabloid sets ---
+
+
+def assert_whole_sets_are_the_searched_orbits(shapes, gens):
+    # the search, uncapped, is the reference of each whole set: points and
+    # image tables bit for bit
+    for parts, (words, img) in zip(shapes, tabloid_sets(shapes, gens.perms), strict=True):
+        points, searched = orbit(canonical_tabloid(parts), gens, cap=tabloid_count(parts))
+        assert words.dtype == np.uint8 and img.dtype == searched.dtype
+        assert np.array_equal(words, points), parts
+        assert np.array_equal(img, searched), parts
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_whole_sets_are_the_searched_orbits_on_ring_swap(n, d):
+    assert_whole_sets_are_the_searched_orbits(rate_shapes(n, d), ring_swap(n))
+
+
+@st.composite
+def s_n_proving_sets(draw):
+    # one to three permutations with a transposition among them, kept
+    # when the transpositions they conjugate to connect every site
+    n = draw(st.integers(min_value=2, max_value=5))
+    ident = tuple(range(1, n + 1))
+    perm = st.permutations(ident).map(tuple).filter(lambda p: p != ident)
+    perms = draw(st.lists(perm, max_size=2))
+    a, b = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+    perms.insert(draw(st.integers(0, len(perms))), from_cycles(n, [[a, b]]))
+    gens = GeneratorSet(n=n, perms=tuple(perms))
+    assume(proves_full_symmetric(gens))
+    return gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(s_n_proving_sets())
+def test_whole_sets_are_the_searched_orbits_on_drawn_generators(gens):
+    assert_whole_sets_are_the_searched_orbits(partitions_of(gens.n, gens.n), gens)
+
+
+def test_whole_sets_list_shapes_in_the_order_given():
+    shapes = [(2, 2, 1), (4, 1), (2, 2, 1), (1, 1, 1, 1, 1)]
+    listed = tabloid_sets(shapes, ())
+    for parts, (words, img) in zip(shapes, listed, strict=True):
+        assert words.tolist() == [list(t) for t in enumerate_tabloids(parts)]
+        assert img.shape == (tabloid_count(parts), 0)
+    with pytest.raises(ValueError, match="does not partition"):
+        tabloid_sets([(2, 1), (2, 2)], ())
+
+
+def test_word_keys_sort_as_the_words_at_a_hundred_sites():
+    # one byte a site: no integer key of a 100-site word fits int64
+    gens = ring_swap(100)
+    words, img = tabloid_sets([(98, 2)], gens.perms)[0]
+    keys = word_keys(words)
+    assert len(keys) == 4950 and keys.dtype == np.dtype("S100")
+    assert np.all(keys[:-1] < keys[1:])
+    index = {t: i for i, t in enumerate(map(tuple, words.tolist()))}
+    assert img.tolist() == [[index[compose(t, p)] for p in gens.perms] for t in index]
+
+
+def test_tabloid_orbit_lists_whole_sets_only_when_s_n_is_proved(monkeypatch):
+    searched = []
+    real = induced.orbit
+
+    def counted(x, gens, cap):
+        searched.append(x)
+        return real(x, gens, cap)
+
+    monkeypatch.setattr(induced, "orbit", counted)
+    verts, img = tabloid_orbit((2, 1, 1), ring_swap(4))
+    assert searched == [] and verts == tuple(enumerate_tabloids((2, 1, 1)))
+    # (1 2)(3 4) and (1 3)(2 4) generate the Klein four-group: (2,2)'s
+    # orbit is two of its six tabloids, found by the search
+    klein = generator_set(4, [[[1, 2], [3, 4]], [[1, 3], [2, 4]]])
+    verts, img = tabloid_orbit((2, 2), klein)
+    assert searched == [(1, 1, 2, 2)] and verts == ((1, 1, 2, 2), (2, 2, 1, 1))
+    assert img.tolist() == [[0, 1], [1, 0]]
 
 
 @st.composite

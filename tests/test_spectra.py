@@ -11,6 +11,7 @@ c where present), the nontrivial vertex eigenvalues are A +- sqrt(B)/2:
 and the slowest tabloid mode adds the candidate 2 b.
 """
 
+import itertools
 import warnings
 
 import numpy as np
@@ -18,8 +19,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from qconsensus import spectra
+from qconsensus import induced, spectra
 from qconsensus.induced import (
+    canonical_tabloid,
     cover_map,
     dominance_covers,
     dominates,
@@ -786,23 +788,23 @@ def test_a_swapped_image_entry_of_the_finest_shape_fails_the_alternating_pair(
     # (2,1,..,1) -> (1,..,1) fails the pair, and elsewhere the sign residual
     finest, coarser = (1,) * gens.n, (2,) + (1,) * (gens.n - 2)
     w = np.linspace(0.3, 0.7, len(gens))
-    real = spectra.tabloid_orbit
+    real = spectra.tabloid_sets
 
-    def planted(parts, g):
-        verts, img = real(parts, g)
-        if parts == finest:
-            img = img.copy()
-            img[[0, -1], 0] = img[[-1, 0], 0]
-        return verts, img
+    def planted(shapes, perms):
+        orbits = real(shapes, perms)
+        for parts, (_, img) in zip(shapes, orbits):
+            if parts == finest:
+                img[[0, -1], 0] = img[[-1, 0], 0]
+        return orbits
 
-    monkeypatch.setattr(spectra, "tabloid_orbit", planted)
+    monkeypatch.setattr(spectra, "tabloid_sets", planted)
     report = intertwining_check(gens, w, d=3)
     alt = report.pairs[-1]
     assert alt.kind == "alternating-removed"
     assert not alt.included and alt.max_defect > 0.1 and alt.witness is None
     assert not report.ok
     cover = next(p for p in report.pairs if (p.inner, p.outer) == (coarser, finest))
-    sign_ok, _ = spectra._sign_residual(planted(finest, gens), w,
+    sign_ok, _ = spectra._sign_residual(planted([finest], gens.perms)[0], w,
                                         alternating_mode_rate(gens, w), 1e-7)
     assert not cover.included if gens.n in (4, 5) else not sign_ok
 
@@ -816,16 +818,16 @@ def test_a_swapped_image_entry_fails_the_pairs_it_touches(gens, end, scale, monk
     # under the first generator in one shape's image table, so that table
     # is no longer the action
     bad = rate_shapes(gens.n, 2)[end]
-    real = spectra.tabloid_orbit
+    real = spectra.tabloid_sets
 
-    def planted(parts, g):
-        verts, img = real(parts, g)
-        if parts == bad:
-            img = img.copy()
-            img[[0, -1], 0] = img[[-1, 0], 0]
-        return verts, img
+    def planted(shapes, perms):
+        orbits = real(shapes, perms)
+        for parts, (_, img) in zip(shapes, orbits):
+            if parts == bad:
+                img[[0, -1], 0] = img[[-1, 0], 0]
+        return orbits
 
-    monkeypatch.setattr(spectra, "tabloid_orbit", planted)
+    monkeypatch.setattr(spectra, "tabloid_sets", planted)
     w = scale * np.random.default_rng(5).uniform(0.1, 1.0, len(gens))
     report = intertwining_check(gens, w)
     assert not report.ok
@@ -836,6 +838,40 @@ def test_a_swapped_image_entry_fails_the_pairs_it_touches(gens, end, scale, monk
             touched = bad in (p.inner, p.outer)
             assert p.included == (not touched)
             assert (p.max_defect > 0) == touched
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_the_inversion_sign_is_the_parity(n):
+    perms = list(itertools.permutations(range(1, n + 1)))
+    signs = spectra._inversion_sign(np.array(perms, dtype=np.uint8))
+    assert signs.tolist() == [parity(p) for p in perms]
+
+
+def test_a_subgroup_takes_the_search_and_the_dense_pair(monkeypatch):
+    # (1 2)(3 4) and (1 3)(2 4) generate the Klein four-group: no
+    # transposition proves S_4, so each orbit is searched, (2,2)'s falls
+    # short of whole and every pair reads dense spectra
+    gens = generator_set(4, [[[1, 2], [3, 4]], [[1, 3], [2, 4]]])
+
+    def refuse(*_):
+        raise AssertionError("whole tabloid sets listed")
+
+    monkeypatch.setattr(spectra, "tabloid_sets", refuse)
+    monkeypatch.setattr(induced, "tabloid_sets", refuse)
+    searched = []
+    real = induced.orbit
+
+    def counted(x, g, cap):
+        searched.append(x)
+        return real(x, g, cap)
+
+    monkeypatch.setattr(induced, "orbit", counted)
+    calls = _count_calls(monkeypatch, "eigenvalues", "induced_laplacian")
+    report = intertwining_check(gens, [0.3, 0.7], d=2)
+    shapes = rate_shapes(4, 2)
+    assert searched == [canonical_tabloid(p) for p in shapes]
+    assert calls == {"eigenvalues": len(shapes), "induced_laplacian": len(shapes)}
+    assert report.pairs[-1].kind == "alternating-removed"
 
 
 def test_orbits_short_of_the_tabloid_set_keep_the_spectral_reports():

@@ -27,8 +27,10 @@ Rates read irrep blocks, so ring+swap N = 7 at d = 3 (a 5040-vertex
 orbit graph) is in the list too.  ``rates`` and ``spectrum --partition
 2,1`` run on g1-3 with the weight labels ``weight1`` and ``heavyweight``,
 and ``spectrum --all`` and ``spectrum --partition 2,1,1,1,1,1,1`` on
-ring+swap N = 8 at d = 3, whose orbits pass the cap (exit 4, nothing
-printed).  Three sets short of S_N, (1 2),(3 4) and the lone 5-cycle on
+ring+swap N = 8 at d = 3: ``--all`` lists the whole tabloid sets, and the
+20160-vertex graph passes the orbit cap (exit 4, nothing printed);
+``spectrum --all`` also runs on ring+swap N = 9 at d = 3 and N = 10 at
+d = 2.  Three sets short of S_N, (1 2),(3 4) and the lone 5-cycle on
 five sites and the lone 3-cycle, run ``rates``, ``spectrum --all`` and
 ``spectrum --partition`` at d = 2 and 3 (the dense intertwining path and
 the irrep blocks' fixed vectors), and g1-4 at the zero weight
@@ -166,9 +168,10 @@ def commands(work):
     base = (path, "--weights", wa(PRESETS["g1-3"][1][0]))
     cmds += [("rates",) + base, ("spectrum",) + base + ("--partition", "2,1")]
 
-    # 8-site ring+swap at d = 3: the (2,1,1,1,1,1,1) orbit of 20160
-    # tabloids is past the orbit cap (exit 4, nothing printed); at d = 2
-    # every orbit fits
+    # 8-site ring+swap at d = 3: --all lists the whole tabloid sets, the
+    # (1^8) one of 40320 tabloids among them; the (2,1,1,1,1,1,1) graph of
+    # 20160 vertices is past the orbit cap of --partition (exit 4, nothing
+    # printed)
     draws = 1.0 - np.random.default_rng(20261018).random((3, 2))
     path = os.path.join(work, "ring-swap-8.txt")
     with open(path, "w") as fh:
@@ -268,6 +271,14 @@ def commands(work):
                  "generator: (1 2) weight wswap\n")
     for path in (os.path.join(work, "ring-swap-8.txt"), path):
         cmds += [("rates", path, "--weights", wa(w), "--d", d) for w in draws for d in ("2", "3")]
+    # spectrum --all on the ladder's largest whole sets: nine sites at d = 3
+    # (871,029 tabloids) and ten at d = 2 (109,957)
+    cmds.append(("spectrum", path, "--weights", "0.3,0.7", "--d", "3", "--all"))
+    path = os.path.join(work, "ring-swap-10.txt")
+    with open(path, "w") as fh:
+        fh.write("name: ring-swap-10\nN: 10\ngenerator: (1 2 3 4 5 6 7 8 9 10) weight wring\n"
+                 "generator: (1 2) weight wswap\n")
+    cmds.append(("spectrum", path, "--weights", "0.3,0.7", "--d", "2", "--all"))
     path = os.path.join(work, "no-swap-4.txt")
     with open(path, "w") as fh:
         fh.write("name: no-swap-4\nN: 4\ngenerator: (1 2 3) weight w123\n"
