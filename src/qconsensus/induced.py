@@ -214,10 +214,14 @@ def cover_map(
 
 
 def word_keys(words) -> np.ndarray:
-    """Each row word of a (V, n) array of tabloids as one n-byte string,
-    which sorts as the words do: bytes compare unsigned and in order, and
-    no entry is 0, so no key is cut short.  No key wraps, whatever n; a
-    row label fits a byte, as a shape of 256 rows has 256! tabloids."""
+    """Each row word of a (V, n) array as one n-byte string, which sorts as
+    the words do: bytes compare unsigned and in order, and no entry is 0,
+    so no key is cut short.  The one key of a row word; ValueError for a
+    label outside 1..255, which a byte would wrap (a shape of 256 rows has
+    256! tabloids, but one of 259 rows has 259 standard tableaux)."""
+    words = np.asarray(words)
+    if words.min(initial=1) < 1 or words.max(initial=1) > 255:
+        raise ValueError("row labels must lie in 1..255")
     words = np.ascontiguousarray(words, dtype=np.uint8)
     return words.view(f"S{words.shape[1]}")[:, 0]
 
@@ -343,40 +347,32 @@ def young_orthogonal(shapes, perms) -> list[np.ndarray]:
     :func:`standard_tableaux`.
 
     rho(s_i) maps tableau T to T / r + sqrt(1 - 1/r^2) s_i T, where r is the
-    axial distance c(i+1) - c(i) of the contents c = column - row; s_i T is
-    standard iff |r| > 1.  Contents, axial distances and the partner s_i T
-    of every letter are computed for all the shapes at once.  s_i T has
-    T's shape, shares its prefix P before entry i and, from entry i + 2
-    on, the same completions in the same order, so ``searchsorted`` finds
-    it by integer keys (letter, shape, rank of P within the shape, rows of
-    entries i and i + 1), sorted as the tableaux are and below
-    n S k (rows + 1)^2 for S shapes of at most k tableaux, so no key wraps.
-    rho(p) is the product along :func:`_bubble_word`, applied as row
-    operations shape by shape.
+    axial distance c(i+1) - c(i) of the contents c = column - row; s_i T,
+    T's row word with entries i and i + 1 swapped, is standard iff
+    |r| > 1.  Contents, axial distances and the partner s_i T of every
+    letter are computed for all the shapes at once: words of different
+    shapes never coincide, so one search on the sorted :func:`word_keys`
+    of every tableau finds them all.  rho(p) is the product along
+    :func:`_bubble_word`, applied as row operations shape by shape.
     """
     words, shape_of = standard_tableaux(shapes)
-    (total, n), base = words.shape, int(words.max()) + 1
+    total, n = words.shape
+    keys = word_keys(words)
     size = np.bincount(shape_of, minlength=len(shapes))
     start = np.cumsum(size) - size
     # an entry's column counts the earlier entries in its row; letter i
     # reads column i - 1 of r, its axial distance
-    in_row = words[:, :, None] == np.arange(1, base)
+    in_row = words[:, :, None] == np.arange(1, words.max() + 1)
     content = (np.cumsum(in_row, axis=1) * in_row).sum(axis=2) - words
     r = (content[:, 1:] - content[:, :-1]).T
-    # the rank of each tableau's prefix before letter i, restarting at each
-    # shape, then its key (letter, shape, prefix rank, rows of entries i
-    # and i + 1)
-    first = np.argmax(words[1:] != words[:-1], axis=1)
-    seen = np.cumsum(np.vstack([np.zeros(n - 1, dtype=np.intp),
-                                first[:, None] < np.arange(n - 1)]), axis=0)
-    rank = seen - seen[start[shape_of]]
-    lead = ((np.arange(n - 1) * len(shapes) + shape_of[:, None]) * size.max() + rank) * base
-    keys = ((lead + words[:, :-1]) * base + words[:, 1:]).T.ravel()
-    swapped = ((lead + words[:, 1:]) * base + words[:, :-1]).T.ravel()
-    own = np.arange(total)
-    offset = (np.searchsorted(keys, swapped) - np.searchsorted(keys, keys)).reshape(n - 1, total)
+    # row i - 1 of swaps reads a word with entries i and i + 1 exchanged;
+    # a swap that is not standard is in no shape and keeps its own row
+    swaps = np.arange(n) + np.eye(n - 1, n, dtype=np.intp) - np.eye(n - 1, n, 1, dtype=np.intp)
+    swapped = word_keys(words.astype(np.uint8)[:, swaps].swapaxes(0, 1).reshape(-1, n))
+    order = np.argsort(keys)
+    found = order.take(np.searchsorted(keys, swapped, sorter=order), mode="clip")
+    partner = np.where(np.abs(r) > 1, found.reshape(n - 1, total), np.arange(total))
     diag, off = 1.0 / r[:, :, None], np.sqrt(1.0 - 1.0 / r**2)[:, :, None]
-    partner = np.where(np.abs(r) > 1, own + offset, own)
     bubbles = [_bubble_word(p) for p in perms]
     out = []
     for lo, k in zip(start, size):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .induced import irrep_dim, iter_rate_shapes
-from .permgroup import GeneratorSet, check_cap
+from .permgroup import GeneratorSet, capped, check_cap
 from .spectra import RATE_BLOCK_CAP, batch_rates, rate_structure
 
 CHUNK = 256
@@ -55,15 +55,8 @@ class _RateEvaluator:
     def __init__(self, gens: GeneratorSet, d: int = 2, synch_only: bool = False,
                  rows: int = 1, what: str = "rate batch entries"):
         shapes = itertools.islice(iter_rate_shapes(gens.n, d), 1 if synch_only else None)
-
-        def capped():
-            size = 0
-            for p in shapes:
-                size += rows * irrep_dim(p) ** 2
-                check_cap(what, size, RATE_BLOCK_CAP)
-                yield p
-
-        self.structure = rate_structure(gens, capped())
+        self.structure = rate_structure(
+            gens, capped(shapes, what, RATE_BLOCK_CAP, lambda p: rows * irrep_dim(p) ** 2))
 
     def rates(self, w_batch: np.ndarray, floor=-np.inf):
         return batch_rates(self.structure, w_batch, floor)[1:]

@@ -37,6 +37,17 @@ def check_cap(what: str, size, cap: int) -> None:
         raise CapExceededError(f"{what} {shown} exceeds cap {cap}")
 
 
+def capped(items, what: str, cap: int, size):
+    """Each item of ``items`` in turn, handed on only once the running
+    total of ``size(item)`` passes :func:`check_cap`: a stream past its
+    cap stops before that item is handed on or a later one is read."""
+    total = 0
+    for item in items:
+        total += size(item)
+        check_cap(what, total, cap)
+        yield item
+
+
 def identity(n: int) -> Permutation:
     return tuple(range(1, n + 1))
 

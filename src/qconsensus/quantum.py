@@ -16,8 +16,8 @@ States are plain dense numpy arrays and every U_p acts on them as an
 index gather (:func:`_pull_map`).  :func:`_generator_rows` gives the
 rows of the equation's generator S on row-major vec(rho), as
 ``permgroup.laplacian_rows`` of the pair image table
-(:func:`_pair_images`).  :func:`evolve` turns them into dense RK4 step
-blocks, one per orbit of S's pattern (:func:`_orbit_step`), or, where
+(:func:`_pair_images`).  :func:`evolve_chunks` turns them into dense RK4
+step blocks, one per orbit of S's pattern (:func:`_orbit_step`), or, where
 powers of the step would fill, into the sparse step of
 :func:`_generator`, the one importer of ``scipy.sparse``;
 :func:`build_lq` scatters them densely at the :func:`_interleave` map

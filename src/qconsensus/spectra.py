@@ -39,7 +39,7 @@ from .induced import (
 )
 from .permgroup import (
     GeneratorSet,
-    check_cap,
+    capped,
     check_weights,
     laplacian_rows,
     parity,
@@ -135,11 +135,8 @@ def rate_structure(gens: GeneratorSet, shapes) -> RateStructure:
     """The :class:`RateStructure` of ``shapes`` under ``gens``; the blocks'
     m * sum k^2 coefficients, by ``irrep_dim``, are capped as the shapes
     are read, so a long shape stream stops at the cap, before any block."""
-    listed, size = [], 0
-    for p in shapes:
-        size += len(gens) * irrep_dim(p) ** 2
-        check_cap("rate block coefficients", size, RATE_BLOCK_CAP)
-        listed.append(p)
+    listed = list(capped(shapes, "rate block coefficients", RATE_BLOCK_CAP,
+                         lambda p: len(gens) * irrep_dim(p) ** 2))
     blocks = irrep_blocks(listed, gens)
     sizes = [len(b.coeffs[0]) for b in blocks]
     # a block the group fixes whole has no eigenvalue to add
@@ -411,11 +408,8 @@ def intertwining_check(
     # every cap check comes as the shapes are listed, before any other
     # work, and one dense Laplacian is held at a time
     if proves_full_symmetric(gens):
-        shapes, size = [], 0
-        for p in iter_rate_shapes(gens.n, d):
-            size += tabloid_count(p) * gens.n * len(gens)
-            check_cap("tabloid image bytes", size, TABLOID_SET_CAP)
-            shapes.append(p)
+        shapes = list(capped(iter_rate_shapes(gens.n, d), "tabloid image bytes",
+                             TABLOID_SET_CAP, lambda p: tabloid_count(p) * gens.n * len(gens)))
         orbits = dict(zip(shapes, tabloid_sets(shapes, gens.perms)))
     else:
         orbits = {p: tabloid_orbit(p, gens) for p in iter_rate_shapes(gens.n, d)}

@@ -564,6 +564,11 @@ def test_young_orthogonal_builds_many_shapes_in_one_call():
     rng = np.random.default_rng(1996)
     lists = [rate_shapes(n, d) for n in range(3, 9) for d in (2, 3)]
     lists.append(partitions_of(8, 8) + [(8,)])
+    # the partners come from one search over every shape's words, which
+    # must not lean on the order the shapes are given in
+    shuffle = np.random.default_rng(30)
+    lists += ([shapes[::-1] for shapes in lists]
+              + [[shapes[i] for i in shuffle.permutation(len(shapes))] for shapes in lists])
     for shapes in lists:
         perms = _perms_of_distinct_lengths(rng, sum(shapes[0]))
         got = young_orthogonal(shapes, perms)
@@ -571,6 +576,21 @@ def test_young_orthogonal_builds_many_shapes_in_one_call():
         for parts, rho in zip(shapes, got):
             want = young_orthogonal_loops(parts, perms)
             assert rho.shape == want.shape and rho.tobytes() == want.tobytes(), parts
+
+
+def test_a_row_label_past_a_byte_is_refused_not_wrapped():
+    # (2,1^258) has 259 rows: row 256 as a byte would read 0, row 259 as 3
+    perms = [from_cycles(260, [list(range(1, 261))]), from_cycles(260, [[1, 260]])]
+    with pytest.raises(ValueError, match="row labels must lie in 1..255"):
+        young_orthogonal([(2,) + (1,) * 258], perms)
+    for label in (0, 256):
+        with pytest.raises(ValueError, match="row labels must lie in 1..255"):
+            word_keys(np.array([[1, label, 2]]))
+    # 255 rows still fit a byte
+    parts = (2,) + (1,) * 254
+    perms = [from_cycles(256, [list(range(1, 257))]), from_cycles(256, [[1, 256]])]
+    (got,), want = young_orthogonal([parts], perms), young_orthogonal_loops(parts, perms)
+    assert got.shape == want.shape == (2, 255, 255) and got.tobytes() == want.tobytes()
 
 
 def test_irrep_block_skips_the_decomposition_when_a_transposition_proves_s_n(monkeypatch):

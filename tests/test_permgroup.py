@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from qconsensus.permgroup import (
     CapExceededError,
     GeneratorSet,
+    capped,
     compose,
     effective_cycle_length,
     from_cycles,
@@ -256,6 +257,27 @@ def test_every_cap_site_raises_the_one_message_form(site):
     # each cap goes through permgroup.check_cap: "<what> <size> exceeds cap <cap>"
     with pytest.raises(CapExceededError, match=r"^\S.* \d+ exceeds cap \d+$"):
         CAP_SITES[site]()
+
+
+def test_capped_hands_on_a_stream_whose_total_meets_the_cap():
+    assert list(capped(iter([3, 4, 5]), "points", 24, lambda x: 2 * x)) == [3, 4, 5]
+    assert list(capped(iter([]), "points", 0, lambda x: x)) == []
+
+
+def test_capped_stops_before_the_item_past_the_cap():
+    pulled = []
+
+    def source():
+        for x in (3, 4, 5, 6):
+            pulled.append(x)
+            yield x
+
+    handed = []
+    with pytest.raises(CapExceededError, match=r"^points 24 exceeds cap 23$"):
+        for x in capped(source(), "points", 23, lambda x: 2 * x):
+            handed.append(x)
+    # 5 brings the total past the cap: it is not handed on, and 6 not read
+    assert handed == [3, 4] and pulled == [3, 4, 5]
 
 
 def test_laplacian_rows_of_an_image_table():

@@ -3,12 +3,13 @@
 import contextlib
 import io
 import re
+import shlex
 import textwrap
 from pathlib import Path
 
 from numpy.testing import assert_allclose
 
-from qconsensus.cli import TOPOLOGY_GRAMMAR
+from qconsensus.cli import TOPOLOGY_GRAMMAR, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -54,3 +55,19 @@ def test_readme_quick_start_prints_its_commented_values():
                         [float(tok) for tok in comment], rtol=1e-12)
         checked += 1
     assert checked == 1
+
+
+def test_readme_quick_start_commands_run(tmp_path, monkeypatch):
+    # each qcl line of the quick start, in process, in an empty directory
+    (block,) = [b for b in fenced_blocks("sh") if b.startswith("qcl ")]
+    lines = block.splitlines()
+    assert len(lines) == 5 and all(line.startswith("qcl ") for line in lines)
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(shlex.split(line, comments=True)[1:]) == 0, line
+        assert out.getvalue(), line
+    # pareto writes its --out, simulate its default <name>-trajectory.csv
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == ["cloud.csv", "g1-3-trajectory.csv"]
+    assert all((tmp_path / name).stat().st_size for name in written)
