@@ -34,7 +34,6 @@ from .permgroup import (
     DEFAULT_GROUP_CAP,
     GeneratorSet,
     Permutation,
-    check_cap,
     check_d,
     check_weights,
     laplacian_matrix,
@@ -150,15 +149,9 @@ def tabloid_orbit(
 ) -> tuple[tuple[Tabloid, ...], np.ndarray]:
     """One shape's sorted :func:`~qconsensus.permgroup.orbit` of its canonical
     tabloid with its (V, m) image table, raising :class:`CapExceededError`
-    past ``DEFAULT_GROUP_CAP`` tabloids.  When ``proves_full_symmetric``
-    holds, the orbit is every tabloid, listed by :func:`tabloid_sets`."""
+    past ``DEFAULT_GROUP_CAP`` tabloids."""
     check_partition(parts, gens.n)
-    start = canonical_tabloid(parts)
-    if not proves_full_symmetric(gens):
-        return orbit(start, gens, DEFAULT_GROUP_CAP)
-    check_cap(f"orbit of {start} size", tabloid_count(parts), DEFAULT_GROUP_CAP)
-    words, img = tabloid_sets([parts], gens.perms)[0]
-    return tuple(map(tuple, words.tolist())), img
+    return orbit(canonical_tabloid(parts), gens, DEFAULT_GROUP_CAP)
 
 
 def tabloid_count(parts: Partition) -> int:
@@ -250,16 +243,18 @@ def induced_laplacian(
     return InducedGraph(partition=tuple(parts), vertices=verts, laplacian=lap)
 
 
-def standard_tableaux(shapes) -> tuple[np.ndarray, np.ndarray]:
+def standard_tableaux(shapes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Standard Young tableaux of every shape in ``shapes`` as one (K, n)
     array of row words (entry k sits in row ``word[k-1]``, like a
     tabloid's ``row_of``), shape by shape in the order given, each shape's
-    ascending lexicographic, with the (K,) index of each word's shape.
+    ascending lexicographic, with the (K,) index of each word's shape and
+    the (K, n) 0-based column of each entry.
 
     Words grow one entry at a time: each prefix is extended by every row
     that may take the next entry (shorter than its part and than the row
     above it), in ascending row order, so extending sorted prefixes keeps
-    them sorted.  ValueError unless the shapes partition the same n.
+    them sorted.  The entry's column is the count its row held before it.
+    ValueError unless the shapes partition the same n.
     """
     shapes = [tuple(p) for p in shapes]
     n = sum(shapes[0]) if shapes else 0
@@ -267,16 +262,17 @@ def standard_tableaux(shapes) -> tuple[np.ndarray, np.ndarray]:
         check_partition(p, n)
     parts = _parts_table(shapes)
     shape_of = np.arange(len(shapes))
-    words = np.zeros((len(shapes), 0), dtype=np.intp)
+    words = cols = np.zeros((len(shapes), 0), dtype=np.intp)
     # entries placed per row, after a column for a full row above the first
     filled = np.zeros((len(shapes), parts.shape[1] + 1), dtype=np.intp)
     filled[:, 0] = n
     for _ in range(n):
         at, row = np.nonzero((filled[:, 1:] < parts[shape_of]) & (filled[:, 1:] < filled[:, :-1]))
-        words = np.column_stack([words[at], row + 1])
         shape_of, filled = shape_of[at], filled[at]
+        col = filled[np.arange(len(at)), row + 1]
+        words, cols = np.column_stack([words[at], row + 1]), np.column_stack([cols[at], col])
         filled[np.arange(len(at)), row + 1] += 1
-    return words, shape_of
+    return words, shape_of, cols
 
 
 def tabloid_sets(shapes, perms) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -353,22 +349,23 @@ def young_orthogonal(shapes, perms) -> list[np.ndarray]:
     letter are computed for all the shapes at once: words of different
     shapes never coincide, so one search on the sorted :func:`word_keys`
     of every tableau finds them all.  rho(p) is the product along
-    :func:`_bubble_word`, applied as row operations shape by shape.
+    :func:`_bubble_word`, applied as row operations shape by shape in
+    place, each in its row of one preallocated (m, k, k) stack.
     """
-    words, shape_of = standard_tableaux(shapes)
+    words, shape_of, cols = standard_tableaux(shapes)
     total, n = words.shape
     keys = word_keys(words)
     size = np.bincount(shape_of, minlength=len(shapes))
     start = np.cumsum(size) - size
-    # an entry's column counts the earlier entries in its row; letter i
-    # reads column i - 1 of r, its axial distance
-    in_row = words[:, :, None] == np.arange(1, words.max() + 1)
-    content = (np.cumsum(in_row, axis=1) * in_row).sum(axis=2) - words
+    # letter i reads column i - 1 of r, its axial distance
+    content = cols + 1 - words
     r = (content[:, 1:] - content[:, :-1]).T
-    # row i - 1 of swaps reads a word with entries i and i + 1 exchanged;
-    # a swap that is not standard is in no shape and keeps its own row
+    # row i - 1 of swaps reads a word with entries i and i + 1 exchanged,
+    # gathered straight into (letter, tableau, entry) order; a swap that
+    # is not standard is in no shape and keeps its own row
     swaps = np.arange(n) + np.eye(n - 1, n, dtype=np.intp) - np.eye(n - 1, n, 1, dtype=np.intp)
-    swapped = word_keys(words.astype(np.uint8)[:, swaps].swapaxes(0, 1).reshape(-1, n))
+    gathered = words.astype(np.uint8)[np.arange(total)[:, None], swaps[:, None]]
+    swapped = word_keys(gathered.reshape(-1, n))
     order = np.argsort(keys)
     found = order.take(np.searchsorted(keys, swapped, sorter=order), mode="clip")
     partner = np.where(np.abs(r) > 1, found.reshape(n - 1, total), np.arange(total))
@@ -378,13 +375,12 @@ def young_orthogonal(shapes, perms) -> list[np.ndarray]:
     for lo, k in zip(start, size):
         # letter i of this shape is row i - 1 of each, partners shape-local
         keep, mix, swap = diag[:, lo:lo + k], off[:, lo:lo + k], partner[:, lo:lo + k] - lo
-        stack = []
-        for word in bubbles:
-            rho = np.eye(k)
+        stack = np.zeros((len(bubbles), k, k))
+        stack[:, np.arange(k), np.arange(k)] = 1.0
+        for rho, word in zip(stack, bubbles):
             for i in word:
-                rho = keep[i - 1] * rho + mix[i - 1] * rho[swap[i - 1]]
-            stack.append(rho)
-        out.append(np.array(stack))
+                np.add(keep[i - 1] * rho, mix[i - 1] * rho[swap[i - 1]], out=rho)
+        out.append(stack)
     return out
 
 
@@ -422,7 +418,7 @@ def irrep_blocks(shapes, gens: GeneratorSet) -> tuple[IrrepBlock, ...]:
     blocks = []
     for parts, rho in zip(shapes, young_orthogonal(shapes, gens.perms)):
         eye = np.eye(rho.shape[1])
-        coeffs = eye - rho
+        coeffs = np.subtract(eye, rho, out=rho)
         if len(parts) > 1 and full:
             blocks.append(IrrepBlock(parts, coeffs, 0))
             continue

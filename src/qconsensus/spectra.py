@@ -51,7 +51,9 @@ INCLUSION_TOL = 1e-7
 # float64 coefficients one set of rate blocks may hold, m * sum k^2 over
 # blocks of k rows: 2**27 (1 GiB) keeps ring+swap (m = 2) through N = 11
 # at d = 2 and 3 and refuses N = 12, whose d = 2 blocks would hold 2.8 GB;
-# it caps one optimizer round's Laplacian entries, rows * sum k^2, too
+# it caps one optimizer round's Laplacian entries, rows * sum k^2, too.
+# Each block is held once, so under a 2 GB address-space limit `rates` on
+# (1 2 .. 11),(1 2),(1 3) at d = 3, 94% of the cap, peaks at 1.05 GB
 RATE_BLOCK_CAP = 2**27
 
 # whole tabloid sets `spectrum --all` may list at once, as points times

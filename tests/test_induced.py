@@ -7,6 +7,10 @@ generators do not produce the whole symmetric group.
 """
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -396,7 +400,9 @@ def test_word_keys_sort_as_the_words_at_a_hundred_sites():
     assert img.tolist() == [[index[compose(t, p)] for p in gens.perms] for t in index]
 
 
-def test_tabloid_orbit_lists_whole_sets_only_when_s_n_is_proved(monkeypatch):
+def test_tabloid_orbit_searches_on_every_set(monkeypatch):
+    # whole tabloid sets are listed only by intertwining_check, so the
+    # orbit of a proved S_N is searched too, and is every tabloid
     searched = []
     real = induced.orbit
 
@@ -406,7 +412,9 @@ def test_tabloid_orbit_lists_whole_sets_only_when_s_n_is_proved(monkeypatch):
 
     monkeypatch.setattr(induced, "orbit", counted)
     verts, img = tabloid_orbit((2, 1, 1), ring_swap(4))
-    assert searched == [] and verts == tuple(enumerate_tabloids((2, 1, 1)))
+    assert searched == [(1, 1, 2, 3)] and verts == tuple(enumerate_tabloids((2, 1, 1)))
+    assert np.array_equal(img, tabloid_sets([(2, 1, 1)], ring_swap(4).perms)[0][1])
+    searched.clear()
     # (1 2)(3 4) and (1 3)(2 4) generate the Klein four-group: (2,2)'s
     # orbit is two of its six tabloids, found by the search
     klein = generator_set(4, [[[1, 2], [3, 4]], [[1, 3], [2, 4]]])
@@ -465,8 +473,9 @@ def test_standard_tableaux_count_is_the_irrep_dimension():
     shapes = partitions_of(4, 4)
     dims = dict(zip(shapes, np.bincount(standard_tableaux(shapes)[1]).tolist()))
     assert dims == {(3, 1): 3, (2, 2): 2, (2, 1, 1): 3, (1, 1, 1, 1): 1}
-    words, shape_of = standard_tableaux([(2, 1)])
+    words, shape_of, cols = standard_tableaux([(2, 1)])
     assert words.tolist() == [[1, 1, 2], [1, 2, 1]] and shape_of.tolist() == [0, 0]
+    assert cols.tolist() == [[0, 1, 0], [0, 0, 1]]
     assert len(standard_tableaux([(4, 3, 2, 1)])[0]) == 768
 
 
@@ -477,21 +486,29 @@ def test_irrep_dim_counts_standard_tableaux():
         assert [irrep_dim(p) for p in shapes] == counts.tolist(), n
 
 
+def _columns(words):
+    """Column k of a row word t, 0-based: the entries before k in its row."""
+    return [[t[:k].count(t[k]) for k in range(len(t))] for t in words]
+
+
 def test_standard_tableaux_equal_the_recursion():
     # the same words in the same order as the depth-first recursion, one
     # shape at a time and every partition of n in one call, and for the
-    # 17-site column
+    # 17-site column, each entry's column counted from its word
     for n in range(1, 10):
         shapes = partitions_of(n, n) + [(n,)]
         want = [standard_tableaux_loops(p) for p in shapes]
         for parts, words in zip(shapes, want):
-            assert standard_tableaux([parts])[0].tolist() == [list(w) for w in words], parts
-        words, shape_of = standard_tableaux(shapes)
+            got, _, cols = standard_tableaux([parts])
+            assert got.tolist() == [list(w) for w in words], parts
+            assert cols.tolist() == _columns(words), parts
+        words, shape_of, cols = standard_tableaux(shapes)
         assert words.tolist() == [list(w) for ws in want for w in ws], n
         assert shape_of.tolist() == [i for i, ws in enumerate(want) for _ in ws], n
-    words = standard_tableaux([(1,) * 17])[0]
+        assert cols.tolist() == [c for ws in want for c in _columns(ws)], n
+    words, _, cols = standard_tableaux([(1,) * 17])
     assert words.tolist() == [list(w) for w in standard_tableaux_loops((1,) * 17)]
-    assert words.tolist() == [list(range(1, 18))]
+    assert words.tolist() == [list(range(1, 18))] and cols.tolist() == [[0] * 17]
     with pytest.raises(ValueError, match="does not partition"):
         standard_tableaux([(2, 1), (2, 2)])
 
@@ -523,6 +540,37 @@ def test_block_cap_admits_eleven_sites_and_refuses_twelve(monkeypatch):
     with pytest.raises(_Built):
         rate_structure(ring_swap(12), rate_shapes(12, 2)[:1])
     assert built == [[(11, 1)]]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM (Linux)")
+def test_rate_blocks_are_held_once(tmp_path):
+    # rates on ring+swap N = 10 at d = 3 hold m * sum k^2 = 7.3 million
+    # coefficients (58 MB).  The child's peak RSS past its imports may add
+    # the largest block's 768-row Laplacian, LAPACK's workspace and the
+    # tableau tables, 0.75 of the blocks in all (it reads about 1.3 of
+    # them); a second copy of every block or rho stack reads over 2.  The
+    # peak is VmHWM, in KiB: Linux carries ru_maxrss over exec, so a child
+    # of a large test process would read its parent's peak there
+    topo = tmp_path / "ring-swap-10.txt"
+    topo.write_text("name: ring-swap-10\nN: 10\ngenerator: (1 2 3 4 5 6 7 8 9 10) weight wring\n"
+                    "generator: (1 2) weight wswap\n")
+    child = (
+        "import contextlib, io, re\n"
+        "from qconsensus.cli import main\n"
+        "def peak():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return int(re.search(r'VmHWM:\\s*(\\d+) kB', fh.read()).group(1))\n"
+        "before = peak()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main(['rates', {str(topo)!r}, '--weights', '0.3,0.7', '--d', '3'])\n"
+        "print(code, before, peak())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    code, before, after = map(int, proc.stdout.split())
+    blocks = 2 * sum(irrep_dim(p) ** 2 for p in rate_shapes(10, 3)) * 8
+    assert code == 0 and (after - before) * 1024 <= 1.75 * blocks, (after - before) * 1024 / blocks
 
 
 @pytest.mark.parametrize("parts", [(2, 1), (3, 1, 1), (2, 2, 1), (3, 2), (2, 1, 1, 1)])
@@ -586,11 +634,20 @@ def test_a_row_label_past_a_byte_is_refused_not_wrapped():
     for label in (0, 256):
         with pytest.raises(ValueError, match="row labels must lie in 1..255"):
             word_keys(np.array([[1, label, 2]]))
-    # 255 rows still fit a byte
+    # 255 rows still fit a byte; the contents are one (255, 256) table from
+    # the tableaux' columns, where a (tableaux, n, rows) count would peak
+    # past 260 MB
     parts = (2,) + (1,) * 254
     perms = [from_cycles(256, [list(range(1, 257))]), from_cycles(256, [[1, 256]])]
-    (got,), want = young_orthogonal([parts], perms), young_orthogonal_loops(parts, perms)
+    tracemalloc.start()
+    try:
+        (got,) = young_orthogonal([parts], perms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = young_orthogonal_loops(parts, perms)
     assert got.shape == want.shape == (2, 255, 255) and got.tobytes() == want.tobytes()
+    assert peak <= 64 * 2**20, peak
 
 
 def test_irrep_block_skips_the_decomposition_when_a_transposition_proves_s_n(monkeypatch):

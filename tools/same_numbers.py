@@ -30,8 +30,10 @@ and ``spectrum --all`` and ``spectrum --partition 2,1,1,1,1,1,1`` on
 ring+swap N = 8 at d = 3: ``--all`` lists the whole tabloid sets, and the
 20160-vertex graph passes the orbit cap (exit 4, nothing printed);
 ``spectrum --all`` also runs on ring+swap N = 9 at d = 3 and N = 10 at
-d = 2, and ``rates`` on N = 10 at d = 2, whose blocks of up to 768 rows
-hold the most Young letters a shape of the list reaches (about 2 s).  Three sets short of S_N, (1 2),(3 4) and the lone 5-cycle on
+d = 2, and ``rates`` on N = 10 at d = 2 and 3, whose blocks of up to 768
+rows hold the most Young letters a shape of the list reaches; at d = 3
+they are the largest block set of the list, so the stacks built and
+turned into I - rho in place are checked at size (about 2 s each).  Three sets short of S_N, (1 2),(3 4) and the lone 5-cycle on
 five sites and the lone 3-cycle, run ``rates``, ``spectrum --all`` and
 ``spectrum --partition`` at d = 2 and 3 (the dense intertwining path and
 the irrep blocks' fixed vectors), and g1-4 at the zero weight
@@ -280,9 +282,10 @@ def commands(work):
         fh.write("name: ring-swap-10\nN: 10\ngenerator: (1 2 3 4 5 6 7 8 9 10) weight wring\n"
                  "generator: (1 2) weight wswap\n")
     cmds.append(("spectrum", path, "--weights", "0.3,0.7", "--d", "2", "--all"))
-    # rates on ten sites at d = 2: blocks of up to 768 rows, the most
-    # Young letters a shape of this list has
-    cmds.append(("rates", path, "--weights", "0.3,0.7", "--d", "2"))
+    # rates on ten sites at d = 2 and 3: blocks of up to 768 rows, the most
+    # Young letters a shape of this list has, and at d = 3 the largest
+    # block set, each stack turned into I - rho in place
+    cmds += [("rates", path, "--weights", "0.3,0.7", "--d", d) for d in ("2", "3")]
     path = os.path.join(work, "no-swap-4.txt")
     with open(path, "w") as fh:
         fh.write("name: no-swap-4\nN: 4\ngenerator: (1 2 3) weight w123\n"
