@@ -6,11 +6,11 @@ shape ``(n-1, 1)`` induced graph, and ``lambda_cons`` as the minimum
 over every admissible partition shape.  The rates solve each irrep
 block once and reduce it to three numbers per weight row, which one
 masked reduction over the dominance table turns into every shape's rate
-(:func:`batch_rates`); the spectral-inclusion
-checks read the induced graphs themselves, through equivariant maps
-between their image tables and the sign vector when every orbit is a
-whole tabloid set (scaled by the diagonal ``permgroup.laplacian_rows``
-gives).
+(:func:`batch_rates`).  The spectral-inclusion checks read the induced
+graphs themselves: when every orbit is a whole tabloid set, through
+cover maps checked against the image tables, and the sign vector, each
+tolerance scaled by the largest diagonal entry ``permgroup.laplacian_rows``
+gives.
 Eigenvalues of directed topologies come in conjugate pairs, so
 everything sorts and compares by (real, imaginary) with explicit
 tolerances.
@@ -57,11 +57,9 @@ INCLUSION_TOL = 1e-7
 RATE_BLOCK_CAP = 2**27
 
 # whole tabloid sets `spectrum --all` may list at once, as points times
-# n m: the bytes of their words' images under the m generators, which
-# also bound the keys of a cover residual (at most n ones a column, two
-# keys an entry and generator).  Under a 2 GB address-space limit the
-# largest sets 2**27 admits peak at 0.67 GB (ring+swap, N = 10, d = 3)
-# to 1.14 GB (30 generators, N = 11, d = 2), so twice it would not fit
+# n m: the bytes of their words' images under the m generators.  Under a
+# 2 GB address-space limit the largest sets 2**27 admits peak at 0.27 GB
+# (30 generators, N = 11, d = 2) to 0.44 GB (ring+swap, N = 10, d = 3)
 TABLOID_SET_CAP = 2**27
 
 
@@ -290,57 +288,51 @@ class IntertwiningReport:
     ok: bool
 
 
-def _cover_residual(phi, inner_img: np.ndarray, outer_img: np.ndarray, w) -> float:
-    """Largest entry of L_mu Phi - Phi L_lambda = sum_g w_g (Phi P_g - P_g Phi)
-    for a :func:`cover_map` ``phi`` between the two orbits' image tables.
-
-    Generator g moves Phi's one at (s, t) to (s, img_lambda[t, g]) in Phi P_g
-    and to (img_mu^-1[s, g], t) in P_g Phi.  The entries of each generator's
-    difference are integer counts, so on an equivariant Phi the residual is
-    exactly 0.
-    """
-    s, t = phi
-    m, v_in = len(w), len(inner_img)
-    outer_inv = np.empty_like(outer_img)
-    outer_inv[outer_img, np.arange(m)] = np.arange(len(outer_img))[:, None]
-    # each entry (s, t) as the key s * V_lambda + t, one column per generator
-    plus = s[:, None] * v_in + inner_img[t]
-    minus = outer_inv[s] * v_in + t[:, None]
-    keys, where = np.unique(np.stack([plus, minus]), return_inverse=True)
-    where = where.reshape(2, len(s), m)
-    # one generator's counts at a time, so memory grows as m, not m^2
-    residual = np.zeros(len(keys))
-    for g in range(m):
-        residual += w[g] * (np.bincount(where[0, :, g], minlength=len(keys))
-                            - np.bincount(where[1, :, g], minlength=len(keys)))
-    return float(np.abs(residual).max(initial=0.0))
-
-
-def _dominance_by_maps(pairs, orbits, w, tol) -> list[tuple[bool, float]]:
+def _dominance_by_maps(pairs, orbits, perms, w, tol) -> list[tuple[bool, float]]:
     """(included, max defect) of each dominance pair (a, b) of ``pairs``,
     whose shapes' orbits are whole tabloid sets, through the cover maps.
 
     For a cover lambda > mu, :func:`cover_map` Phi is S_N-equivariant, so
     L_mu Phi = Phi L_lambda, and injective, so the characteristic
     polynomial of L_lambda divides that of L_mu, defective spectra
-    included.  A cover holds when that identity's residual is within
-    ``tol`` of the largest diagonal entry of L_mu.  A pair a > b takes the
-    verdict and largest residual of one chain of covers from a to b, each
-    step the first cover (:func:`dominance_covers` order) still dominating
-    b, as inclusion is transitive.  ``pairs`` holds every strict pair of
-    the shapes, so a cover dominates b iff it is b or forms a pair with it.
+    included.  Two checks prove that identity on the tables at hand.  Once
+    per shape, each generator's image column is its action on the words.
+    Once per cover, each one (s, t) of Phi has s a tabloid, t with one
+    entry moved from row i to row j, and the ones, one per entry of t in
+    row i, run in strictly increasing (t, -s) order, so they are t's
+    distinct moves (an entry moved further left makes a larger word).
+    Then Phi P_g = P_g Phi for every g and the defect is exactly 0; else
+    it is the summed weight of the generators whose table fails on
+    either shape, of every generator if Phi fails.  The cover holds when
+    the defect is within ``tol`` of the largest diagonal entry of L_mu.
+    A pair a > b takes the verdict and largest defect of one chain of
+    covers from a to b, each step the first cover (:func:`dominance_covers`
+    order) still dominating b, as inclusion is transitive.  ``pairs``
+    holds every strict pair of the shapes, so a cover dominates b iff it
+    is b or forms a pair with it.
     """
     strict = set(pairs)
     # each L_mu's largest diagonal entry; an overflow fails as an eigensolve would
     scale = {p: laplacian_rows(orbit[1], w)[1][:, -1].max() for p, orbit in orbits.items()}
     if not np.all(np.isfinite(list(scale.values()))):
         raise NumericalFailureError("induced Laplacian has nan/inf entries")
+    words = {p: np.asarray(orbit[0]) for p, orbit in orbits.items()}
+    acts = {p: np.array([np.array_equal(words[p][img[:, g]], words[p][:, np.subtract(q, 1)])
+                         for g, q in enumerate(perms)], dtype=bool)
+            for p, (_, img) in orbits.items()}
     below = {p: dominance_covers(p) for p in orbits}
     memo: dict = {}
 
     def cover(lam, mu, i, j):
-        phi = cover_map(orbits[lam][0], orbits[mu][0], i, j)
-        defect = _cover_residual(phi, orbits[lam][1], orbits[mu][1], w)
+        s, t = cover_map(words[lam], words[mu], i, j)
+        fits = (s < len(words[mu])).all()
+        if fits:
+            inner, outer = words[lam][t], words[mu][s]
+            moved = inner != outer
+            fits = ((moved.sum(axis=1) == 1).all() and (inner[moved] == i + 1).all()
+                    and (outer[moved] == j + 1).all()
+                    and ((np.diff(t) > 0) | (np.diff(t) == 0) & (np.diff(s) < 0)).all())
+        defect = float(w[~(acts[lam] & acts[mu] & fits)].sum())
         return defect <= tol * scale[mu], defect
 
     def chain(a, b):
@@ -425,7 +417,7 @@ def intertwining_check(
     spectra = {p: eigenvalues(induced_laplacian(p, gens, w, orbits[p]).laplacian)
                for p in dense}
     if whole:
-        verdicts = [(*v, None) for v in _dominance_by_maps(pairs, orbits, w, tol)]
+        verdicts = [(*v, None) for v in _dominance_by_maps(pairs, orbits, gens.perms, w, tol)]
     else:
         verdicts = [multiset_contained(spectra[a], spectra[b], tol) for a, b in pairs]
     if finest in orbits and coarser in orbits:

@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +26,15 @@ def test_same_numbers_covers_every_subcommand(tmp_path):
     tool = load_script("tools/same_numbers.py")
     used = {argv[0] for argv in tool.commands(str(tmp_path))}
     assert used == {"rates", "spectrum", "optimize", "pareto", "simulate"}
+
+
+def test_same_numbers_compare_shows_a_moved_stderr_line(tmp_path, capsys):
+    tool = load_script("tools/same_numbers.py")
+    rec = {"code": 3, "out": "", "err": "numerical failure: nan/inf\n"}
+    (tmp_path / "a.json").write_text(json.dumps({"rates g1-3": rec}))
+    (tmp_path / "b.json").write_text(json.dumps({"rates g1-3": dict(rec, err="")}))
+    assert tool.compare(tmp_path / "a.json", tmp_path / "b.json") == 1
+    assert "   stderr - numerical failure: nan/inf" in capsys.readouterr().out.splitlines()
 
 
 def test_traced_names_resolve():

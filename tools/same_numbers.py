@@ -2,11 +2,12 @@
 
 ``dump`` runs a fixed list of ``qcl`` commands in process against the
 ``qconsensus`` package under SRC and writes each command's exit code,
-stdout and CSV output to a JSON file.  ``compare`` reports every command
-whose record differs between two dumps: its differing stdout lines and,
-for a CSV of unchanged shape, the largest absolute difference of its
-values.  The list covers ``rates``, ``spectrum --all``, ``spectrum
---partition`` (graphs of up to 120 vertices), ``optimize`` (both
+stdout, stderr and CSV output to a JSON file, the work directory written
+``<work>``.  ``compare`` reports every command whose record differs
+between two dumps: its differing stdout and stderr lines and, for a CSV
+of unchanged shape, the largest absolute difference of its values.  The
+list covers ``rates``, ``spectrum --all``, ``spectrum --partition``
+(graphs of up to 120 vertices), ``optimize`` (both
 objectives, seeds 0 and 1, on g1-4 also 2 and 3) and ``pareto`` on the
 four presets and on ring+swap for N = 3..7 at d = 2 and 3, at fixed
 weights and seeds (on ring+swap, ``spectrum --all`` runs for N = 3..8 at
@@ -30,7 +31,8 @@ and ``spectrum --all`` and ``spectrum --partition 2,1,1,1,1,1,1`` on
 ring+swap N = 8 at d = 3: ``--all`` lists the whole tabloid sets, and the
 20160-vertex graph passes the orbit cap (exit 4, nothing printed);
 ``spectrum --all`` also runs on ring+swap N = 9 at d = 3 and N = 10 at
-d = 2, and ``rates`` on N = 10 at d = 2 and 3, whose blocks of up to 768
+d = 2 and 3 (the whole sets nearest ``TABLOID_SET_CAP``, about 6 s), and
+``rates`` on N = 10 at d = 2 and 3, whose blocks of up to 768
 rows hold the most Young letters a shape of the list reaches; at d = 3
 they are the largest block set of the list, so the stacks built and
 turned into I - rho in place are checked at size (about 2 s each).  Three sets short of S_N, (1 2),(3 4) and the lone 5-cycle on
@@ -275,13 +277,13 @@ def commands(work):
     for path in (os.path.join(work, "ring-swap-8.txt"), path):
         cmds += [("rates", path, "--weights", wa(w), "--d", d) for w in draws for d in ("2", "3")]
     # spectrum --all on the ladder's largest whole sets: nine sites at d = 3
-    # (871,029 tabloids) and ten at d = 2 (109,957)
+    # (871,029 tabloids) and ten at d = 2 (109,957) and 3 (5,250,757)
     cmds.append(("spectrum", path, "--weights", "0.3,0.7", "--d", "3", "--all"))
     path = os.path.join(work, "ring-swap-10.txt")
     with open(path, "w") as fh:
         fh.write("name: ring-swap-10\nN: 10\ngenerator: (1 2 3 4 5 6 7 8 9 10) weight wring\n"
                  "generator: (1 2) weight wswap\n")
-    cmds.append(("spectrum", path, "--weights", "0.3,0.7", "--d", "2", "--all"))
+    cmds += [("spectrum", path, "--weights", "0.3,0.7", "--d", d, "--all") for d in ("2", "3")]
     # rates on ten sites at d = 2 and 3: blocks of up to 768 rows, the most
     # Young letters a shape of this list has, and at d = 3 the largest
     # block set, each stack turned into I - rho in place
@@ -320,7 +322,8 @@ def dump(src, out_json):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
-            rec = {"code": code, "out": out.getvalue().replace(work, "<work>")}
+            rec = {"code": code, "out": out.getvalue().replace(work, "<work>"),
+                   "err": err.getvalue().replace(work, "<work>")}
             if os.path.exists(csv_path):
                 with open(csv_path) as fh:
                     rec["csv"] = fh.read()
@@ -357,13 +360,14 @@ def compare(a_json, b_json):
     bad = [k for k in a if a[k] != b[k]]
     for k in bad:
         print("DIFF:", k)
-        for x, y in itertools.zip_longest(a[k]["out"].splitlines(),
-                                          b[k]["out"].splitlines()):
-            if x != y:
-                if x is not None:
-                    print("   -", x)
-                if y is not None:
-                    print("   +", y)
+        for stream, mark in (("out", ""), ("err", "stderr ")):
+            for x, y in itertools.zip_longest(a[k][stream].splitlines(),
+                                              b[k][stream].splitlines()):
+                if x != y:
+                    if x is not None:
+                        print(f"   {mark}-", x)
+                    if y is not None:
+                        print(f"   {mark}+", y)
         if a[k].get("csv") != b[k].get("csv"):
             print("   csv differs" + _csv_gap(a[k].get("csv"), b[k].get("csv")))
         if a[k]["code"] != b[k]["code"]:
