@@ -4,11 +4,10 @@ set induces on them.
 A tabloid of shape ``parts`` is stored as a ``row_of`` tuple: position k
 (1-based) sits in row ``row_of[k-1]``.  A permutation p acts by pulling
 row labels along positions, ``(t . p)[k] = t[p(k)]``, which is
-``permgroup.compose(t, p)``; the induced Laplacian and the site-label
-Laplacian in :mod:`qconsensus.netgraph` are both the rows of
-``permgroup.laplacian_rows`` over an image table, so the shape
-``(n-1, 1)`` graph is that Laplacian up to relabeling vertices by their
-singleton position.
+``permgroup.compose(t, p)``; the induced Laplacian is the rows of
+``permgroup.laplacian_rows`` over an image table, and the shape
+``(n-1, 1)`` graph is the site-label Laplacian sum_p w_p (I - P_p) up
+to relabeling vertices by their singleton position.
 
 Partitions compare in the dominance order (prefix sums); enumeration
 orders are fixed (descending lexicographic for partitions, ascending

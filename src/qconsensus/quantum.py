@@ -21,10 +21,13 @@ step blocks, one per orbit of S's pattern (:func:`_orbit_step`), or, where
 powers of the step would fill, into the sparse step of
 :func:`_generator`, the one importer of ``scipy.sparse``;
 :func:`build_lq` scatters them densely at the :func:`_interleave` map
-that :func:`decompose` reads too, and :func:`symmetric_state` averages
-over the :func:`_components` of the image table.  :func:`lindblad_rhs`
-applies the gathers without S.  Sites are 1-based and d, the per-site
-dimension, passes ``permgroup.check_d``.
+from Gell-Mann multi-indices to vec(rho) entries, and
+:func:`symmetric_state` averages over the :func:`_components` of the
+image table.  :func:`lindblad_rhs` applies the gathers without S.  The
+basis matrices and the coefficient vector itself are test references
+(``tests/reference.py``); the package builds only the basis's last
+diagonal, in :func:`uniform_site_hamiltonian`.  Sites are 1-based and
+d, the per-site dimension, passes ``permgroup.check_d``.
 """
 
 from __future__ import annotations
@@ -76,62 +79,6 @@ def check_state(rho, n: int, d: int) -> None:
         raise ValueError(f"state size {np.shape(rho)[-1]} is not d^N = {d}^{n}")
     if np.ndim(rho) != 2:
         raise ValueError(f"one state required, got shape {np.shape(rho)}")
-
-
-def gellmann_basis(d: int) -> np.ndarray:
-    """The d*d Hermitian basis matrices, identity first.
-
-    Families come in a fixed order: identity, then the symmetric
-    pair matrices (j < k lexicographic), the antisymmetric ones, and the
-    diagonal ladder.  Everything is scaled so tr(b_a b_b) = d*delta_ab,
-    which for d = 2 gives exactly the identity plus the three Pauli
-    matrices.
-    """
-    check_d(d)
-    mats = [np.eye(d, dtype=complex)]
-    s = math.sqrt(d / 2.0)
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = m[k, j] = s
-            mats.append(m)
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = -1j * s
-            m[k, j] = 1j * s
-            mats.append(m)
-    for l in range(1, d):
-        m = np.zeros((d, d), dtype=complex)
-        for j in range(l):
-            m[j, j] = 1.0
-        m[l, l] = -l
-        mats.append(m * (s * math.sqrt(2.0 / (l * (l + 1)))))
-    return np.stack(mats)
-
-
-def decompose(rho: np.ndarray, d: int = 2) -> np.ndarray:
-    """Real coefficient vector of rho over the tensor Gell-Mann basis.
-
-    Entry (mu_1,..,mu_N), flattened row-major, is tr(rho * b_{mu_1} x
-    ... x b_{mu_N}).  The (0,..,0) entry equals the trace.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    n = state_sites(rho, d)
-    check_state(rho, n, d)
-    basis = gellmann_basis(d)
-    # contraction matrix M[a, i*d+j] = b_a[j, i] so that the trace pairing
-    # tr(rho b) = sum_ij rho[i,j] b[j,i] is a flat dot product per site
-    m = np.transpose(basis, (0, 2, 1)).reshape(d * d, d * d)
-    t = rho.reshape(-1)[_interleave(n, d)].reshape((d * d,) * n)
-    for _ in range(n):
-        t = np.tensordot(t, m, axes=([0], [1]))
-    flat = t.reshape(-1)
-    worst = float(np.abs(flat.imag).max())
-    if worst > 1e-6:
-        raise ValueError(f"coefficients are not real (max imag {worst:.2e}); "
-                         "input is far from Hermitian")
-    return flat.real.copy()
 
 
 @functools.lru_cache(maxsize=256)
@@ -570,12 +517,17 @@ def sync_distance(rho: np.ndarray, d: int = 2):
 
 
 def uniform_site_hamiltonian(d: int, n_sites: int) -> np.ndarray:
-    """Sum over sites of one diagonal single-site term (sigma_z for d=2).
+    """Sum over sites of one diagonal single-site term (sigma_z for d=2),
+    the last matrix of the Gell-Mann basis.
 
     Commutes with every permutation unitary, so it is a valid
     Hamiltonian for the invariant-Hamiltonian convergence statements.
     """
-    h_site = np.diagonal(gellmann_basis(d)[-1])
+    check_d(d)
+    # diag(1, .., 1, -(d-1)) scaled so that tr(h_site^2) = d
+    h_site = np.ones(d, dtype=complex)
+    h_site[-1] = 1 - d
+    h_site *= math.sqrt(d / 2.0) * math.sqrt(2.0 / ((d - 1) * d))
     # site k is digit k of the basis index, site 0 the slowest; the terms
     # add in site order
     diag = np.zeros((d,) * n_sites, dtype=complex)
@@ -646,6 +598,9 @@ def generic_state(
     topology along; the draw reads neither, and ``gens`` only has its
     site count checked against ``n_sites``.
     """
+    check_d(d)
+    if n_sites < 1:
+        raise ValueError(f"at least one site required, got {n_sites}")
     if gens is not None and gens.n != n_sites:
         raise ValueError("site count must match generator degree")
     rng = np.random.default_rng(seed)

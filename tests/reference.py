@@ -5,8 +5,14 @@ blocks of one RK4 step operator (or its sparse form), ``build_lq``
 scatters the generator's rows, and the rates read the irrep blocks of
 ``induced``, whose tableaux and letters are arrays built for every shape
 at once and which skip the fixed-space decomposition when a
-transposition proves the group S_N.
+transposition proves the group S_N.  The Gell-Mann basis and the
+coefficient vector of a state over it (:func:`decompose`) live here
+too: the package reads only the basis's last diagonal.  The site graph
+(:func:`generator_laplacian`) is :func:`scatter_laplacian` over the
+site table, sharing no code with ``permgroup.laplacian_rows``.
 """
+
+import math
 
 import numpy as np
 
@@ -14,6 +20,7 @@ from qconsensus.induced import ZERO_TOL, _bubble_word
 from qconsensus.permgroup import (
     GeneratorSet,
     Permutation,
+    check_d,
     check_weights,
     compose,
     generate_group,
@@ -22,12 +29,69 @@ from qconsensus.quantum import (
     StepSizeError,
     Trajectory,
     _generator,
+    _interleave,
     _pull_map,
     check_state,
     check_steps,
-    gellmann_basis,
     lindblad_rhs,
+    state_sites,
 )
+
+
+def gellmann_basis(d: int) -> np.ndarray:
+    """The d*d Hermitian basis matrices, identity first.
+
+    Families come in a fixed order: identity, then the symmetric
+    pair matrices (j < k lexicographic), the antisymmetric ones, and the
+    diagonal ladder.  Everything is scaled so tr(b_a b_b) = d*delta_ab,
+    which for d = 2 gives exactly the identity plus the three Pauli
+    matrices.
+    """
+    check_d(d)
+    mats = [np.eye(d, dtype=complex)]
+    s = math.sqrt(d / 2.0)
+    for j in range(d):
+        for k in range(j + 1, d):
+            m = np.zeros((d, d), dtype=complex)
+            m[j, k] = m[k, j] = s
+            mats.append(m)
+    for j in range(d):
+        for k in range(j + 1, d):
+            m = np.zeros((d, d), dtype=complex)
+            m[j, k] = -1j * s
+            m[k, j] = 1j * s
+            mats.append(m)
+    for l in range(1, d):
+        m = np.zeros((d, d), dtype=complex)
+        for j in range(l):
+            m[j, j] = 1.0
+        m[l, l] = -l
+        mats.append(m * (s * math.sqrt(2.0 / (l * (l + 1)))))
+    return np.stack(mats)
+
+
+def decompose(rho: np.ndarray, d: int = 2) -> np.ndarray:
+    """Real coefficient vector of rho over the tensor Gell-Mann basis.
+
+    Entry (mu_1,..,mu_N), flattened row-major, is tr(rho * b_{mu_1} x
+    ... x b_{mu_N}).  The (0,..,0) entry equals the trace.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    n = state_sites(rho, d)
+    check_state(rho, n, d)
+    basis = gellmann_basis(d)
+    # contraction matrix M[a, i*d+j] = b_a[j, i] so that the trace pairing
+    # tr(rho b) = sum_ij rho[i,j] b[j,i] is a flat dot product per site
+    m = np.transpose(basis, (0, 2, 1)).reshape(d * d, d * d)
+    t = rho.reshape(-1)[_interleave(n, d)].reshape((d * d,) * n)
+    for _ in range(n):
+        t = np.tensordot(t, m, axes=([0], [1]))
+    flat = t.reshape(-1)
+    worst = float(np.abs(flat.imag).max())
+    if worst > 1e-6:
+        raise ValueError(f"coefficients are not real (max imag {worst:.2e}); "
+                         "input is far from Hermitian")
+    return flat.real.copy()
 
 
 def reconstruct(coeffs: np.ndarray, d: int = 2) -> np.ndarray:
@@ -96,6 +160,17 @@ def scatter_laplacian(img, weights) -> np.ndarray:
             L[rows, target[moved]] -= w
             L[rows, rows] += w
     return L
+
+
+def generator_laplacian(gens: GeneratorSet, weights) -> np.ndarray:
+    """The site graph L = sum_p w_p (I - P_p) on site labels:
+    :func:`scatter_laplacian` over the site table v -> p^{-1}(v), so
+    vertex v is attracted toward the state at u = p^{-1}(v) with strength
+    w_p.  The shape ``(n-1, 1)`` induced graph is this Laplacian with each
+    tabloid relabeled by its singleton position."""
+    # p^-1(v) is where p takes the value v
+    sites = np.argsort(np.array(gens.perms), axis=1).T
+    return scatter_laplacian(sites, check_weights([weights], len(gens))[0])
 
 
 def kron_site_hamiltonian(d: int, n_sites: int) -> np.ndarray:

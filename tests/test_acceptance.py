@@ -13,12 +13,10 @@ import numpy as np
 from scipy.linalg import expm
 
 from qconsensus.induced import enumerate_tabloids, induced_laplacian, partitions_of
-from qconsensus.netgraph import generator_laplacian
 from qconsensus.optimize import BudgetConstraint, maximize_rate, pareto_scan
 from qconsensus.permgroup import generate_group, generator_set
 from qconsensus.quantum import (
     build_lq,
-    decompose,
     evolve,
     fit_decay_rate,
     frobenius_distances,
@@ -29,6 +27,7 @@ from qconsensus.quantum import (
     uniform_site_hamiltonian,
 )
 from qconsensus.spectra import convergence_rates, eigenvalues, intertwining_check
+from reference import decompose, generator_laplacian
 
 
 def g13():

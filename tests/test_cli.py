@@ -133,6 +133,20 @@ def test_parse_topology_errors_carry_line_numbers():
         parse_topology("name: t\nN: 3\ngenerator: (1 2) w\n")
     with pytest.raises(TopologyError, match="'N'"):
         parse_topology("name: t\ngenerator: (1 2) weight w\n")
+    with pytest.raises(TopologyError, match=r"^bad\.topo:2: expected 'key: value'$"):
+        parse_topology("name: t\nN 3\n", source="bad.topo")
+    with pytest.raises(TopologyError, match="at least one generator required"):
+        parse_topology("name: t\nN: 3\n")
+    with pytest.raises(TopologyError, match="d must be >= 2"):
+        parse_topology("name: t\nN: 3\nd: 1\ngenerator: (1 2) weight w\n")
+    with pytest.raises(TopologyError, match=r":3: generator must be cycles like \(1 2 3\)"):
+        parse_topology("name: t\nN: 3\ngenerator: 1 2 weight w\n")
+    with pytest.raises(TopologyError, match=":3: empty weight"):
+        parse_topology("name: t\nN: 3\ngenerator: (1 2) weight\n")
+    with pytest.raises(TopologyError, match="identity is not allowed as a generator"):
+        parse_topology("name: t\nN: 3\ngenerator: (1) weight w\n")
+    with pytest.raises(TopologyError, match="weight labels must be unique"):
+        parse_topology("name: t\nN: 3\ngenerator: (1 2) weight w\ngenerator: (2 3) weight w\n")
 
 
 def test_negative_weights_rejected_at_resolve_time():
@@ -998,6 +1012,21 @@ def test_spectrum_all_names_no_eigenvalue_for_a_failed_cover_map(capsys, monkeyp
     lines = out.splitlines()
     assert "  (3,1) into (2,2) [dominance]: VIOLATED (max defect 1.000e-01)" in lines
     assert "  (2,2) into (2,1,1) [dominance]: ok (max defect 0.000e+00)" in lines
+    assert lines[-1] == "verdict: violations found"
+
+
+def test_spectrum_all_names_the_witness_on_the_dense_path(tmp_path, capsys):
+    # (1 2),(3 4) generates a group short of S_5, so --all takes the dense
+    # intertwining path, which names an eigenvalue that fails to embed
+    topo = tmp_path / "swaps5.topo"
+    topo.write_text("name: swaps5\nN: 5\ngenerator: (1 2) weight w1\n"
+                    "generator: (3 4) weight w2\n")
+    code, out, _ = run(capsys, "spectrum", str(topo), "--weights", "0.3,0.7", "--d", "3", "--all")
+    assert code == 0
+    lines = out.splitlines()
+    pattern = (r"  \(1,1,1,1,1\) into \(2,1,1,1\) \[alternating-removed\]: "
+               r"VIOLATED at 0\.6 \(max defect \d\.\d{3}e[+-]\d{2}\)")
+    assert any(re.fullmatch(pattern, line) for line in lines)
     assert lines[-1] == "verdict: violations found"
 
 

@@ -4,10 +4,9 @@ Cayley-graph reference the all-singleton tabloid graph is checked against."""
 import numpy as np
 from numpy.testing import assert_allclose
 
-from qconsensus.netgraph import generator_laplacian
 from qconsensus.permgroup import generate_group, generator_set
 from qconsensus.spectra import lambda2_re_batch
-from reference import cayley_laplacian
+from reference import cayley_laplacian, generator_laplacian
 
 
 def ring_gens(n):

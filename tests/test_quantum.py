@@ -30,12 +30,10 @@ from qconsensus.quantum import (
     StepSizeError,
     build_lq,
     check_density,
-    decompose,
     evolve,
     evolve_chunks,
     fit_decay_rate,
     frobenius_distances,
-    gellmann_basis,
     generic_state,
     lindblad_rhs,
     reduced_state,
@@ -52,7 +50,9 @@ from qconsensus.quantum import (
 )
 from qconsensus.spectra import eigenvalues, multiset_contained
 from reference import (
+    decompose,
     dense_lq,
+    gellmann_basis,
     kron_site_hamiltonian,
     no_fill,
     permutation_unitary,
@@ -857,6 +857,17 @@ def test_generic_state_is_reproducible_density():
 def test_generic_state_rejects_mismatched_site_count():
     with pytest.raises(ValueError, match="site count"):
         generic_state(2, 4, gens=g13(), weights=[0.3, 0.2])
+
+
+@pytest.mark.parametrize("d, n_sites, match", [
+    (0, 3, "d must be >= 2"),
+    (1, 3, "d must be >= 2"),
+    (2.0, 3, "d must be an integer"),
+    (2, 0, "at least one site"),
+])
+def test_generic_state_rejects_bad_d_and_site_count(d, n_sites, match):
+    with pytest.raises(ValueError, match=match):
+        generic_state(d, n_sites)
 
 
 def test_generic_state_solves_no_eigenproblem(monkeypatch):

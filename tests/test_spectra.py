@@ -30,7 +30,6 @@ from qconsensus.induced import (
     rate_shapes,
     tabloid_orbit,
 )
-from qconsensus.netgraph import generator_laplacian
 from qconsensus.optimize import BudgetConstraint, maximize_rate, pareto_scan
 from qconsensus.permgroup import GeneratorSet, generator_set, parity
 from qconsensus.quantum import build_lq, evolve, generic_state, lindblad_rhs
@@ -47,7 +46,12 @@ from qconsensus.spectra import (
     rate_structure,
     rates_coincide,
 )
-from reference import fixed_space_block, random_generator_sets, sparse_lambda_cons
+from reference import (
+    fixed_space_block,
+    generator_laplacian,
+    random_generator_sets,
+    sparse_lambda_cons,
+)
 
 
 def g13():

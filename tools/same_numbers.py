@@ -49,7 +49,8 @@ overflow.  ``simulate`` on g1-3 at ``--store-every 1000000`` runs at
 each side of the step cap: ``--t 10000`` takes its 10^7 steps, and
 ``--t 10000.002`` is refused (exit 4, nothing printed).  ``simulate``
 also runs on ring+swap N = 5 at d = 2 to t = 0.5 (the sparse stepping
-path) and on g1-3 and g3-3 at d = 3 with ``--h0 zsum`` (complex orbit
+path), once without H0 and once with ``--h0 zsum`` (a complex sparse
+step), and on g1-3 and g3-3 at d = 3 with ``--h0 zsum`` (complex orbit
 blocks).  ``rates`` runs on ring+swap N = 8 and 9 at d = 2 and 3, whose
 transposition proves the group S_N so no block takes the fixed-space
 decomposition, and on (1 2 3),(1 2 3 4) and (1 2 3 4 5 6 7),(1 2 3),
@@ -251,10 +252,11 @@ def commands(work):
     cmds += [base + ("--t", t, "--out", "@CSV") for t in ("10000", "10000.002")]
 
     # both integrator paths: ring+swap on five sites steps the sparse T1
-    # (its powers would fill), and zsum puts complex orbit blocks on g1-3
-    # and g3-3 at d = 3
-    cmds.append(("simulate", os.path.join(work, "ring-swap-5.txt"), "--weights", wa(draws[0]),
-                 "--t", "0.5", "--out", "@CSV"))
+    # (its powers would fill), real and with zsum complex, and zsum puts
+    # complex orbit blocks on g1-3 and g3-3 at d = 3
+    base = ("simulate", os.path.join(work, "ring-swap-5.txt"), "--weights", wa(draws[0]),
+            "--t", "0.5", "--out", "@CSV")
+    cmds += [base, base + ("--h0", "zsum")]
     for name in ("g1-3", "g3-3"):
         cmds.append(("simulate", name, "--weights", wa(PRESETS[name][1][0]), "--d", "3",
                      "--h0", "zsum", "--t", "2", "--out", "@CSV"))
