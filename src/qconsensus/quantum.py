@@ -157,8 +157,9 @@ def evolve(
     :func:`check_state`, both checked before the step operator.  A step
     operator with nan/inf entries raises :class:`StepSizeError` before
     any step; each stored state is re-Hermitized and trace-renormalized,
-    and its drift beyond 1e-6, or NaN, raises :class:`StepSizeError`.
-    The states are those of :func:`evolve_chunks`, stacked.
+    and its drift beyond 1e-6, or NaN, raises :class:`StepSizeError`
+    (:func:`_condition`, exact on float views).  The states are those of
+    :func:`evolve_chunks`, stacked.
     """
     if frame != "lab":
         raise ValueError(f"unknown frame {frame!r}")
@@ -183,11 +184,15 @@ def evolve_chunks(
     caller that reduces every state to a few numbers, as ``qcl simulate``
     does, never holds the whole trajectory.  On the block path the
     stacked powers [A; A^2; ..; A^c] of A = T1^k take the same 1 MB, which
-    sets c; a group of up to c stored states is one product per block
-    size, its states are drift-checked, re-Hermitized and renormalized
-    as arrays, and the next group starts from its last state.  The
-    sparse stepping path advances one stored state at a time.  Inputs
-    are checked when the first chunk is asked for.
+    sets c, and the :func:`_placement` index of c states, built once per
+    k, takes at most as much.  A group of up to c stored states is one
+    product per block size, scattered by that index (:func:`_block_states`);
+    :func:`_condition` drift-checks, re-Hermitizes and renormalizes its
+    states as arrays (moduli only where a cheaper bound on the drift
+    fails, and the trace's reciprocal as a factor, both exact), and the
+    next group starts from its last state.  The sparse
+    stepping path advances one stored state at a time.  Inputs are
+    checked when the first chunk is asked for.
     """
     steps = check_steps(t_final, dt, store_every)
     weights = check_weights([weights], len(gens))[0]
@@ -224,7 +229,8 @@ def evolve_chunks(
                 if blocks:
                     c = min(group, int(np.count_nonzero(lengths == k)))
                     powers = [_powers(_matrix_power(t, k), c) for t in entries]
-                    advance[k] = functools.partial(_block_states, blocks[0], powers)
+                    advance[k] = functools.partial(
+                        _block_states, _placement(blocks[0], c, dim), powers)
                 else:
                     advance[k] = functools.partial(_step_states, one_step, k)
     for start in range(0, len(idx), per_chunk):
@@ -243,19 +249,7 @@ def evolve_chunks(
                 run = lengths[pos - 1:pos - 1 + min(group, len(chunk) - i)] == k
                 out = chunk[i:i + int(np.argmin(np.append(run, False)))]
                 advance[k](rho, out)
-                flip = out.conj().transpose(0, 2, 1)
-                drift = (np.abs(np.trace(out, axis1=1, axis2=2) - 1.0)
-                         + np.abs(out - flip).max(axis=(1, 2)))
-                bad = ~(drift <= 1e-6)
-                if bad.any():
-                    j = int(np.argmax(bad))
-                    raise StepSizeError(
-                        f"invariant drift {drift[j]:.2e} at t={times[pos + j]:.6g}; "
-                        "reduce dt"
-                    )
-                out += flip
-                out *= 0.5
-                out /= np.trace(out, axis1=1, axis2=2).real[:, None, None]
+                _condition(out, times[pos:pos + len(out)])
                 rho = out[-1].copy()
                 i += len(out)
         yield times[start:start + len(chunk)], chunk
@@ -411,21 +405,69 @@ def _powers(a: np.ndarray, c: int) -> np.ndarray:
     return p
 
 
-def _block_states(rows, powers, rho: np.ndarray, out: np.ndarray) -> None:
+def _placement(rows, c: int, dim: int) -> list[np.ndarray]:
+    """Per block size, the (count, c, k) flat indices dest[b, j, i] =
+    j*dim*dim + rows[b, i] into a (c, dim, dim) group of states: entry i of
+    block b in its state j.  ``rows`` holds the (count, k) vec(rho) indices
+    of :func:`_orbit_step`'s blocks, so dest[:, 0] is ``rows`` itself.  It
+    takes c*dim*dim*8 bytes, at most the stacked powers' own."""
+    return [r[:, None, :] + dim * dim * np.arange(c)[:, None] for r in rows]
+
+
+def _block_states(dest, powers, rho: np.ndarray, out: np.ndarray) -> None:
     """Fill the (c, dim, dim) ``out`` with the states A^j vec(rho), j = 1..c:
-    per block size, ``rows`` holds the (count, k) vec(rho) indices of the
-    blocks and ``powers`` their stacked powers (:func:`_powers`); a real
-    stack acts on the (re, im) pairs of rho."""
+    per block size, ``dest`` holds the :func:`_placement` index of at least
+    c states and ``powers`` the stacked powers (:func:`_powers`) of as many.
+    Each block reads rho at dest[:, 0], and its product, ordered (block,
+    state, row) as dest is, lands by one flat scatter; a real stack acts on
+    the (re, im) pairs of rho."""
     c = len(out)
     flat = rho.reshape(-1)
-    for r, p in zip(rows, powers):
-        count, k = r.shape
-        x = flat[r]
+    for at, p in zip(dest, powers):
+        count, _, k = at.shape
+        x = flat[at[:, 0]]
         if np.iscomplexobj(p):
             y = p[:, :c * k] @ x[..., None]
         else:
             y = (p[:, :c * k] @ x.view(np.float64).reshape(count, k, 2)).view(complex)
-        out.reshape(c, -1)[:, r] = y.reshape(count, c, k).transpose(1, 0, 2)
+        out.reshape(-1)[at[:, :c].reshape(-1)] = y.reshape(-1)
+
+
+def _condition(out: np.ndarray, times: np.ndarray) -> None:
+    """Drift-check the (c, dim, dim) group ``out`` of states stored at
+    ``times``, then re-Hermitize and trace-renormalize it in place.
+
+    A state's drift is |tr - 1| plus the largest modulus of gap = out - flip,
+    flip its conjugate transpose; a drift past 1e-6, or NaN, raises
+    :class:`StepSizeError` at the first such state.  Moduli are taken only
+    when the screen |tr - 1| + 2 max(|Re gap|, |Im gap|) passes 1e-6 in
+    some state: |z| <= sqrt(2) max(|Re z|, |Im z|), 2 rather than sqrt(2)
+    covers the modulus's rounding and addition rounds monotonically, so the
+    screen is never below the drift, and a NaN part makes it NaN.
+    A state is then (out + flip) / tr(out + flip), scaled on its float view
+    by the reciprocal of that trace.  That is bit for bit the halved state
+    divided by its trace: halving is exact, and numpy divides a complex by a
+    real as a product with the reciprocal (Smith's rule at a zero imaginary
+    part), save that its sum with the other part times +0 can turn a -0.0
+    part into +0.0.
+    """
+    # flip in C order, so that out - flip and out + flip read both in step
+    flip = np.conjugate(out.transpose(0, 2, 1), out=np.empty_like(out))
+    off = np.abs(np.trace(out, axis1=1, axis2=2) - 1.0)
+    gap = out - flip
+    parts = gap.view(np.float64).reshape(len(out), -1)
+    screen = off + 2.0 * np.maximum(parts.max(axis=1), -parts.min(axis=1))
+    if not np.all(screen <= 1e-6):
+        drift = off + np.abs(gap).max(axis=(1, 2))
+        bad = ~(drift <= 1e-6)
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise StepSizeError(
+                f"invariant drift {drift[j]:.2e} at t={times[j]:.6g}; reduce dt"
+            )
+    out += flip
+    pairs = out.view(np.float64)
+    pairs *= (1.0 / np.trace(out, axis1=1, axis2=2).real)[:, None, None]
 
 
 def _step_states(op, k: int, rho: np.ndarray, out: np.ndarray) -> None:

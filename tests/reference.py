@@ -285,6 +285,36 @@ def rk4_evolve(rho0, h0, gens, weights, t_final, dt=1e-3, d=2, store_every=1):
     return Trajectory(times=times, states=states)
 
 
+def block_group(rows, powers, rho, out, times):
+    """One group of stored states on the orbit-block path in its direct
+    form: per block size the product lands by a 2-D scatter of its
+    transposed view, the drift is the modulus of every entry of out - flip,
+    and each state is halved and divided by its trace as a complex array.
+    The package's placement index, reciprocal scaling and drift screen
+    must agree with it bit for bit (``quantum._block_states`` and
+    ``quantum._condition``)."""
+    c = len(out)
+    flat = rho.reshape(-1)
+    for r, p in zip(rows, powers):
+        count, k = r.shape
+        x = flat[r]
+        if np.iscomplexobj(p):
+            y = p[:, :c * k] @ x[..., None]
+        else:
+            y = (p[:, :c * k] @ x.view(np.float64).reshape(count, k, 2)).view(complex)
+        out.reshape(c, -1)[:, r] = y.reshape(count, c, k).transpose(1, 0, 2)
+    flip = out.conj().transpose(0, 2, 1)
+    drift = (np.abs(np.trace(out, axis1=1, axis2=2) - 1.0)
+             + np.abs(out - flip).max(axis=(1, 2)))
+    bad = ~(drift <= 1e-6)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise StepSizeError(f"invariant drift {drift[j]:.2e} at t={times[j]:.6g}; reduce dt")
+    out += flip
+    out *= 0.5
+    out /= np.trace(out, axis1=1, axis2=2).real[:, None, None]
+
+
 def random_generator_sets(seed: int, count: int, max_n: int) -> list[GeneratorSet]:
     """``count`` seeded generator sets on 3 to ``max_n`` sites: a random
     permutation, then a random transposition in two sets of three and a

@@ -44,12 +44,17 @@ from qconsensus.quantum import (
 from qconsensus.quantum import (
     LQ_DIM_CAP,
     _block_states,
+    _condition,
     _generator,
+    _matrix_power,
     _orbit_step,
+    _placement,
+    _powers,
     _step_operator,
 )
 from qconsensus.spectra import eigenvalues, multiset_contained
 from reference import (
+    block_group,
     decompose,
     dense_lq,
     gellmann_basis,
@@ -360,8 +365,64 @@ def test_block_decision_is_the_sparse_no_fill_rule(gens, weights, d, zsum):
     if blocks is not None:
         rho = random_density(np.random.default_rng(22), d**gens.n)
         out = np.empty((1,) + rho.shape, dtype=complex)
-        _block_states(*blocks, rho, out)
+        _block_states(_placement(blocks[0], 1, len(rho)), blocks[1], rho, out)
         assert_allclose(out[0], (step @ rho.reshape(-1)).reshape(rho.shape), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("name,weights,d,zsum", [
+    ("g1-3", (0.2, 0.2), 2, False),
+    ("g1-3", (0.2, 0.2), 3, False),
+    ("g1-4", (0.46, 0.29, 0.29), 2, False),
+    ("g3-3", (0.3, 0.4), 3, True),
+], ids=["g1-3-d2", "g1-3-d3", "g1-4-d2", "g3-3-d3-zsum"])
+@pytest.mark.parametrize("size", [20, 13], ids=["full", "short"])
+def test_stored_groups_match_the_direct_formulation_bit_for_bit(name, weights, d, zsum, size):
+    # three groups of states 10 steps apart, each placed by the flat index
+    # of 20 states and conditioned on float views, against the 2-D scatter,
+    # the complex division and the modulus of every entry
+    gens = load_topology(name).gens
+    h0 = uniform_site_hamiltonian(d, gens.n) if zsum else None
+    rows, blocks = _orbit_step(h0, gens, np.array(weights), 1e-3, d)
+    assert all(np.iscomplexobj(t) is zsum for t in blocks)
+    powers = [_powers(_matrix_power(t, 10), 20) for t in blocks]
+    dest = _placement(rows, 20, d**gens.n)
+    rho = ref = generic_state(d, gens.n, seed=5)
+    for group in range(3):
+        times = 1e-2 * np.arange(1, size + 1) + group
+        out, want = np.empty((2, size) + rho.shape, dtype=complex)
+        _block_states(dest, powers, rho, out)
+        _condition(out, times)
+        block_group(rows, powers, ref, want, times)
+        assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+        rho, ref = out[-1].copy(), want[-1].copy()
+
+
+@pytest.mark.parametrize("z,excess,message", [
+    (0.1e-6 - 0.2e-6j, 0.0, None),  # screen 0.8e-6, drift 0.45e-6
+    (0.3e-6 + 0.3e-6j, 0.0, None),  # screen 1.2e-6, drift 0.85e-6
+    # parts of at most 0.95e-6 and Re parts of 0.4e-6, drift 1.03e-6
+    (0.2e-6 - 0.475e-6j, 0.0, "invariant drift 1.03e-06 at t=0.2; reduce dt"),
+    # parts of 0.2e-6 and a trace 1 + 0.9e-6, drift 1.18e-6
+    (0.1e-6 + 0.1e-6j, 0.9e-6, "invariant drift 1.18e-06 at t=0.2; reduce dt"),
+], ids=["screen-passes", "drift-passes", "drift-fails", "trace-drift-fails"])
+def test_drift_screen_regions(z, excess, message):
+    # the middle state gets the anti-Hermitian part z, -conj(z) at (0, 1),
+    # (1, 0), so out - flip is 2z, -2conj(z) there: its screen reads
+    # 2 * 2 max(|Re z|, |Im z|) and its drift 2|z|, each plus the excess
+    # trace
+    rho = np.diag([0.5, 0.25, 0.125, 0.125]).astype(complex)
+    rho[0, 2] = rho[2, 0] = 0.0625
+    out = np.stack([rho] * 3)
+    out[1, 0, 1] += z
+    out[1, 1, 0] -= np.conj(z)
+    out[1, 3, 3] += excess
+    times = np.array([0.1, 0.2, 0.3])
+    if message is None:
+        _condition(out, times)
+        assert np.array_equal(out, np.stack([rho] * 3))
+    else:
+        with pytest.raises(StepSizeError, match=f"^{re.escape(message)}$"):
+            _condition(out, times)
 
 
 def test_a_non_diagonal_h0_takes_the_sparse_step():

@@ -15,7 +15,10 @@ d = 2, the largest orbit being N = 8's 2520 tabloids, and N = 3..7 at
 d = 3, where N = 6 and 7 check the ``alternating-removed`` pair on the
 (1^N) shape's 720 and 5040 tabloids), and ``simulate`` to t = 2 (stdout
 and trajectory CSV) on g1-3, g1-4 and g3-3 at d = 2 and g1-3 at d = 3, seeds 0 and 3, plus
-one g1-3 run each with ``--h0 zsum`` and ``--store-every 1``, ``simulate``
+one g1-3 run each with ``--h0 zsum`` and ``--store-every 1``, and g1-3 at
+``0.2,0.2`` to t = 2.003 at ``--store-every 7``, at d = 2 and at d = 3 with
+``--h0 zsum`` (segments of 7 steps and a last one of 1, so two step
+lengths, groups cut short at chunk ends and complex orbit blocks), ``simulate``
 on g1-3 from ``--rho0`` files (one valid 8x8 state, and a 4x4 state,
 eight rows of four, a ragged row, an empty file and trace 2, each exit 2
 with nothing printed), ``rates``
@@ -122,6 +125,11 @@ def commands(work):
             "--out", "@CSV")
     cmds.append(base + ("--h0", "zsum"))
     cmds.append(base + ("--store-every", "1"))
+    # segments of 7 steps and a last one of 1: two step lengths, and groups
+    # cut short of their placement index at chunk ends, real and complex
+    base = ("simulate", "g1-3", "--weights", "0.2,0.2", "--t", "2.003", "--store-every", "7",
+            "--out", "@CSV")
+    cmds += [base, base + ("--d", "3", "--h0", "zsum")]
 
     # --rho0 files: one valid state, then files the state reader refuses
     a = np.random.default_rng(20261019).normal(size=(8, 8, 2)) @ [1.0, 1.0j]
