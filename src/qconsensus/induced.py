@@ -9,10 +9,10 @@ row labels along positions, ``(t . p)[k] = t[p(k)]``, which is
 ``(n-1, 1)`` graph is the site-label Laplacian sum_p w_p (I - P_p) up
 to relabeling vertices by their singleton position.
 
-Partitions compare in the dominance order (prefix sums); enumeration
-orders are fixed (descending lexicographic for partitions, ascending
-lexicographic for tabloids and standard tableaux) so every matrix is
-reproducible bit for bit.
+Partitions compare in the dominance order (prefix sums) and are listed
+descending lexicographically; tabloids and standard tableaux (their
+lattice words) are ascending row words of one growth, found by one
+search, so every matrix is reproducible bit for bit.
 
 By Young's rule the tabloid module of shape mu is the direct sum of the
 irreducible modules S^lambda for lambda dominating mu, so every rate can
@@ -193,16 +193,16 @@ def cover_map(
     Phi[s, t] = 1 iff s is t with one entry moved from row i to row j.
 
     Both vertex lists are whole sorted tabloid sets, so every s is found
-    by one search on :func:`word_keys`.  Phi commutes with the action of
-    S_N, and it is of full column rank (Gottlieb, Proc. AMS 17, 1966;
-    Kantor, Math. Z. 124, 1972): with the other rows fixed it is the
-    inclusion matrix of b-subsets in (b+1)-subsets of a+b points, b < a.
+    by :func:`_search`.  Phi commutes with the action of S_N, and it is
+    of full column rank (Gottlieb, Proc. AMS 17, 1966; Kantor, Math. Z.
+    124, 1972): with the other rows fixed it is the inclusion matrix of
+    b-subsets in (b+1)-subsets of a+b points, b < a.
     """
-    inner = np.asarray(inner_verts, dtype=np.uint8)
+    inner, outer = np.asarray(inner_verts), np.asarray(outer_verts)
     cols, at = np.nonzero(inner == i + 1)
     moved = inner[cols]
     moved[np.arange(len(cols)), at] = j + 1
-    return np.searchsorted(word_keys(outer_verts), word_keys(moved)), cols
+    return _search(outer, [len(outer)], moved[:, None], [len(moved)])[:, 0], cols
 
 
 def word_keys(words) -> np.ndarray:
@@ -216,6 +216,22 @@ def word_keys(words) -> np.ndarray:
         raise ValueError("row labels must lie in 1..255")
     words = np.ascontiguousarray(words, dtype=np.uint8)
     return words.view(f"S{words.shape[1]}")[:, 0]
+
+
+def _search(words, size, probes, asked) -> np.ndarray:
+    """(Q, m) index of each row word of the (Q, m, n) ``probes`` among the
+    sorted ``words`` of its shape, from that shape's first (where it would
+    go if absent); both stack their shapes in one order, ``size[s]`` words
+    and ``asked[s]`` probes of shape s.  The one search of a row word: on
+    :func:`word_keys`, per shape and probe column, which runs near sorted."""
+    keys = word_keys(words)
+    found = np.empty(probes.shape[:2], dtype=np.intp)
+    probes = word_keys(probes.reshape(-1, probes.shape[2])).reshape(found.shape)
+    lo = at = 0
+    for k, q in zip(size, asked):
+        found[at:at + q] = np.searchsorted(keys[lo:lo + k], probes[at:at + q].T).T
+        lo, at = lo + k, at + q
+    return found
 
 
 @dataclass(frozen=True)
@@ -242,76 +258,67 @@ def induced_laplacian(
     return InducedGraph(partition=tuple(parts), vertices=verts, laplacian=lap)
 
 
-def standard_tableaux(shapes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Standard Young tableaux of every shape in ``shapes`` as one (K, n)
-    array of row words (entry k sits in row ``word[k-1]``, like a
-    tabloid's ``row_of``), shape by shape in the order given, each shape's
-    ascending lexicographic, with the (K,) index of each word's shape and
-    the (K, n) 0-based column of each entry.
-
-    Words grow one entry at a time: each prefix is extended by every row
-    that may take the next entry (shorter than its part and than the row
-    above it), in ascending row order, so extending sorted prefixes keeps
-    them sorted.  The entry's column is the count its row held before it.
-    ValueError unless the shapes partition the same n.
+def _row_words(shapes, lattice: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (V, n) sorted row words of ``shapes``, shape by shape in the
+    order given, in the least unsigned type of the largest row label, with
+    the (S,) count of each shape's and, for ``lattice``, each entry's (V, n)
+    0-based column (the count its row held before it).  The one growth of
+    a row word: each prefix takes its next entry in every row with room
+    left, in ascending order, so the words stay sorted.  That lists the
+    tabloids (whose rows are sets, so no columns); ``lattice`` lets a row
+    below the first grow only while shorter than the row above it, which
+    lists the standard tableaux (Sagan, *The Symmetric Group*, 2nd ed.,
+    ch. 2).  ValueError unless the shapes partition one n.
     """
     shapes = [tuple(p) for p in shapes]
     n = sum(shapes[0]) if shapes else 0
     for p in shapes:
         check_partition(p, n)
     parts = _parts_table(shapes)
-    shape_of = np.arange(len(shapes))
-    words = cols = np.zeros((len(shapes), 0), dtype=np.intp)
-    # entries placed per row, after a column for a full row above the first
-    filled = np.zeros((len(shapes), parts.shape[1] + 1), dtype=np.intp)
-    filled[:, 0] = n
-    for _ in range(n):
-        at, row = np.nonzero((filled[:, 1:] < parts[shape_of]) & (filled[:, 1:] < filled[:, :-1]))
-        shape_of, filled = shape_of[at], filled[at]
-        col = filled[np.arange(len(at)), row + 1]
-        words, cols = np.column_stack([words[at], row + 1]), np.column_stack([cols[at], col])
-        filled[np.arange(len(at)), row + 1] += 1
-    return words, shape_of, cols
+    room = parts.astype(np.min_scalar_type(n))
+    shape_of = np.arange(len(shapes), dtype=np.min_scalar_type(len(shapes)))
+    words = np.zeros((len(shapes), n), dtype=np.min_scalar_type(parts.shape[1]))
+    cols = np.zeros((len(shapes), n if lattice else 0), dtype=room.dtype)
+    for k in range(n):
+        free = room > 0
+        if lattice:
+            filled = parts[shape_of] - room
+            free[:, 1:] &= filled[:, 1:] < filled[:, :-1]
+        at, row = np.nonzero(free)
+        # gathered two at a time, so the old room is gone before words come
+        shape_of, room = shape_of[at], room[at]
+        words, cols = words[at], cols[at]
+        words[:, k] = row + 1
+        if lattice:
+            cols[:, k] = parts[shape_of, row] - room[np.arange(len(at)), row]
+        room[np.arange(len(at)), row] -= 1
+    return words, np.bincount(shape_of, minlength=len(shapes)), cols
+
+
+def standard_tableaux(shapes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Standard Young tableaux of ``shapes`` (:func:`_row_words`): one (K, n)
+    array of row words (entry k sits in row ``word[k-1]``, like a tabloid's
+    ``row_of``), each shape's ascending lexicographic in the order given,
+    the (K,) index of each word's shape and the (K, n) 0-based column of
+    each entry.  ValueError unless the shapes partition one n."""
+    words, size, cols = _row_words(shapes, lattice=True)
+    return words, np.repeat(np.arange(len(size)), size), cols
 
 
 def tabloid_sets(shapes, perms) -> list[tuple[np.ndarray, np.ndarray]]:
     """One (words, table) pair per shape of ``shapes``, in the order given:
-    its tabloids as a (V, n) uint8 array of row words, ascending
-    lexicographic, and their (V, m) image table under ``perms``.  For
-    generators of S_N that is the sorted :func:`~qconsensus.permgroup.orbit`
-    of the canonical tabloid, bit for bit.
-
-    All shapes are built in one array pass.  Words grow one entry at a
-    time, as in :func:`standard_tableaux`, each prefix extended by every
-    row with room left in ascending order, so they stay sorted.  A
-    generator's images are one column gather, found by one search on
-    :func:`word_keys` per shape.  ValueError unless the shapes partition
-    the same n.
-    """
-    shapes = [tuple(p) for p in shapes]
+    its tabloids as (V, n) uint8 row words, ascending lexicographic
+    (:func:`_row_words`), and their (V, m) image table under ``perms``
+    (:func:`_search`), for generators of S_N the sorted
+    :func:`~qconsensus.permgroup.orbit` of the canonical tabloid bit for
+    bit.  ValueError unless the shapes partition one n."""
     if not shapes:
         return []
-    n = sum(shapes[0])
-    for p in shapes:
-        check_partition(p, n)
-    room = _parts_table(shapes).astype(np.min_scalar_type(n))
-    shape_of = np.arange(len(shapes))
-    words = np.zeros((len(shapes), 0), dtype=np.uint8)
-    for _ in range(n):
-        at, row = np.nonzero(room)
-        words = np.column_stack([words[at], (row + 1).astype(np.uint8)])
-        shape_of, room = shape_of[at], room[at]
-        room[np.arange(len(at)), row] -= 1
-    keys = word_keys(words)
-    moved = [word_keys(words[:, np.subtract(p, 1)]) for p in perms]
-    size = np.bincount(shape_of, minlength=len(shapes))
-    out = []
-    for lo, k in zip(np.cumsum(size) - size, size):
-        img = np.empty((k, len(perms)), dtype=np.intp)
-        for g, images in enumerate(moved):
-            img[:, g] = np.searchsorted(keys[lo:lo + k], images[lo:lo + k])
-        out.append((words[lo:lo + k], img))
-    return out
+    words, size, _ = _row_words(shapes, lattice=False)
+    # column g of each word's images is its word pulled along perms[g]
+    pulls = np.array(perms, dtype=np.intp).reshape(len(perms), words.shape[1]) - 1
+    img = _search(words, size, np.take(words, pulls, axis=1), size)
+    return [(words[lo:lo + k], img[lo:lo + k]) for lo, k in zip(np.cumsum(size) - size, size)]
 
 
 def irrep_dim(parts: Partition) -> int:
@@ -344,36 +351,29 @@ def young_orthogonal(shapes, perms) -> list[np.ndarray]:
     rho(s_i) maps tableau T to T / r + sqrt(1 - 1/r^2) s_i T, where r is the
     axial distance c(i+1) - c(i) of the contents c = column - row; s_i T,
     T's row word with entries i and i + 1 swapped, is standard iff
-    |r| > 1.  Contents, axial distances and the partner s_i T of every
-    letter are computed for all the shapes at once: words of different
-    shapes never coincide, so one search on the sorted :func:`word_keys`
-    of every tableau finds them all.  rho(p) is the product along
-    :func:`_bubble_word`, applied as row operations shape by shape in
-    place, each in its row of one preallocated (m, k, k) stack.
+    |r| > 1, and then of T's shape.  Contents, axial distances and the
+    partner s_i T of every letter are computed for all the shapes at once,
+    the partners by one :func:`_search` among each shape's tableaux.
+    rho(p) is the product along :func:`_bubble_word`, applied as row
+    operations shape by shape in place, each in its row of one
+    preallocated (m, k, k) stack.
     """
-    words, shape_of, cols = standard_tableaux(shapes)
-    total, n = words.shape
-    keys = word_keys(words)
-    size = np.bincount(shape_of, minlength=len(shapes))
-    start = np.cumsum(size) - size
-    # letter i reads column i - 1 of r, its axial distance
-    content = cols + 1 - words
-    r = (content[:, 1:] - content[:, :-1]).T
-    # row i - 1 of swaps reads a word with entries i and i + 1 exchanged,
-    # gathered straight into (letter, tableau, entry) order; a swap that
-    # is not standard is in no shape and keeps its own row
+    words, size, cols = _row_words(shapes, lattice=True)
+    n = words.shape[1]
+    # letter i reads column i - 1 of r, its axial distance: the contents
+    # shifted by one (column - word), which no difference sees
+    r = np.diff(np.subtract(cols, words, dtype=np.intp)).T
+    # row i - 1 of swaps reads a word with entries i and i + 1 exchanged
     swaps = np.arange(n) + np.eye(n - 1, n, dtype=np.intp) - np.eye(n - 1, n, 1, dtype=np.intp)
-    gathered = words.astype(np.uint8)[np.arange(total)[:, None], swaps[:, None]]
-    swapped = word_keys(gathered.reshape(-1, n))
-    order = np.argsort(keys)
-    found = order.take(np.searchsorted(keys, swapped, sorter=order), mode="clip")
-    partner = np.where(np.abs(r) > 1, found.reshape(n - 1, total), np.arange(total))
+    found = _search(words, size, np.take(words, swaps, axis=1), size).T
     diag, off = 1.0 / r[:, :, None], np.sqrt(1.0 - 1.0 / r**2)[:, :, None]
     bubbles = [_bubble_word(p) for p in perms]
     out = []
-    for lo, k in zip(start, size):
-        # letter i of this shape is row i - 1 of each, partners shape-local
-        keep, mix, swap = diag[:, lo:lo + k], off[:, lo:lo + k], partner[:, lo:lo + k] - lo
+    for lo, k in zip(np.cumsum(size) - size, size):
+        # letter i of this shape is row i - 1 of each; a swap that is not
+        # standard keeps its own row
+        keep, mix = diag[:, lo:lo + k], off[:, lo:lo + k]
+        swap = np.where(np.abs(r[:, lo:lo + k]) > 1, found[:, lo:lo + k], np.arange(k))
         stack = np.zeros((len(bubbles), k, k))
         stack[:, np.arange(k), np.arange(k)] = 1.0
         for rho, word in zip(stack, bubbles):

@@ -104,13 +104,6 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     return tuple(p[q[i] - 1] for i in range(len(p)))
 
 
-def inverse(p: Permutation) -> Permutation:
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v - 1] = i + 1
-    return tuple(out)
-
-
 def effective_cycle_length(p: Permutation) -> int:
     """Summed length of all cycles of length >= 2 (fixed points cost nothing)."""
     return sum(len(c) for c in to_cycles(p))

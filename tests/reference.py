@@ -113,6 +113,14 @@ def reconstruct(coeffs: np.ndarray, d: int = 2) -> np.ndarray:
     return t.reshape(dim, dim)
 
 
+def inverse(p: Permutation) -> Permutation:
+    """The permutation that undoes ``p``: inverse(p)(p(i)) = i."""
+    out = [0] * len(p)
+    for i, v in enumerate(p):
+        out[v - 1] = i + 1
+    return tuple(out)
+
+
 def permutation_unitary(p: Permutation, d: int) -> np.ndarray:
     """Unitary that transports the state of site j to site p(j).
 

@@ -510,6 +510,40 @@ def test_standard_tableaux_equal_the_recursion():
         standard_tableaux([(2, 1), (2, 2)])
 
 
+def _lattice(word):
+    """True iff every prefix of the row word fills each row, below the
+    first, no more than the row above it."""
+    filled = [0] * (max(word) + 1)
+    for row in word:
+        filled[row] += 1
+        if row > 1 and filled[row] > filled[row - 1]:
+            return False
+    return True
+
+
+def test_standard_tableaux_are_the_lattice_tabloids():
+    # one family: for every partition of n <= 8 the tableaux are the
+    # tabloids that are lattice words, in the tabloids' order
+    for n in range(1, 9):
+        for parts in partitions_of(n, n) + [(n,)]:
+            lattice = [t for t in tabloid_sets([parts], ())[0][0].tolist() if _lattice(t)]
+            assert standard_tableaux([parts])[0].tolist() == lattice, parts
+
+
+def test_standard_tableaux_keep_row_labels_past_a_byte():
+    # (2,1^258) has 259 rows: its 259 tableaux hold labels up to 259, which
+    # a byte would wrap, and Young's letters still refuse them
+    parts = (2,) + (1,) * 258
+    words, shape_of, cols = standard_tableaux([parts])
+    want = standard_tableaux_loops(parts)
+    assert len(want) == 259 and words.tolist() == [list(w) for w in want]
+    assert words.max() == 259 and shape_of.tolist() == [0] * 259
+    assert cols.tolist() == _columns(want)
+    perms = [from_cycles(260, [list(range(1, 261))]), from_cycles(260, [[1, 260]])]
+    with pytest.raises(ValueError, match="row labels must lie in 1..255"):
+        young_orthogonal([parts], perms)
+
+
 class _Built(Exception):
     """Raised by a stub block builder once the cap check has passed."""
 

@@ -18,7 +18,6 @@ from qconsensus.permgroup import (
     generate_group,
     generator_set,
     identity,
-    inverse,
     is_full_symmetric,
     is_valid,
     laplacian_rows,
@@ -31,7 +30,7 @@ from qconsensus.induced import rate_shapes
 from qconsensus.optimize import BudgetConstraint, maximize_rate, pareto_scan
 from qconsensus.quantum import _pull_map, build_lq, check_steps, evolve_chunks
 from qconsensus.spectra import rate_structure
-from reference import random_generator_sets
+from reference import inverse, random_generator_sets
 
 
 @st.composite

@@ -57,8 +57,11 @@ step), and on g1-3 and g3-3 at d = 3 with ``--h0 zsum`` (complex orbit
 blocks).  ``rates`` runs on ring+swap N = 8 and 9 at d = 2 and 3, whose
 transposition proves the group S_N so no block takes the fixed-space
 decomposition, and on (1 2 3),(1 2 3 4) and (1 2 3 4 5 6 7),(1 2 3),
-which generate S_4 and S_7 without a transposition, so every block takes
-it.  ``rates`` runs at the zero rule's edges at
+which generate S_4 and A_7 without a transposition, so every block takes
+it.  ``spectrum --all`` runs on both at d = 2 and 3: each orbit is
+searched one shape at a time, comes out whole and has each cover proved
+by its ``cover_map``, except A_7's (1^7) orbit at d = 3, half its
+tabloids, where every pair reads dense spectra.  ``rates`` runs at the zero rule's edges at
 d = 2 and 3: g1-4 at ``0,0,0`` and at ``1e300,2e300,1.5e300``, and g1-3
 at ``1e300,0``, where the even 3-cycle leaves a second zero in the sign
 block.  ``optimize`` (consensus) runs at d = 3
@@ -304,13 +307,19 @@ def commands(work):
                  "generator: (1 2 3 4) weight w1234\n")
     cmds += [("rates", path, "--weights", wa(w), "--d", d)
              for w in PRESETS["g3-3"][1] for d in ("2", "3")]
-    # S_7 without a transposition: every block of the one builder call
-    # then takes the decomposition
+    # no transposition proves S_4, so spectrum --all searches each orbit,
+    # finds it whole and proves each cover by its map
+    cmds += [("spectrum", path, "--weights", wa(PRESETS["g3-3"][1][0]), "--d", d, "--all")
+             for d in ("2", "3")]
+    # A_7 (both generators are even) without a transposition: every block
+    # of the one builder call takes the decomposition, and at d = 3 the
+    # (1^7) orbit is half its tabloids, so spectrum --all reads dense spectra
     path = os.path.join(work, "no-swap-7.txt")
     with open(path, "w") as fh:
         fh.write("name: no-swap-7\nN: 7\ngenerator: (1 2 3 4 5 6 7) weight w1234567\n"
                  "generator: (1 2 3) weight w123\n")
     cmds += [("rates", path, "--weights", wa(draws[0]), "--d", d) for d in ("2", "3")]
+    cmds += [("spectrum", path, "--weights", wa(draws[0]), "--d", d, "--all") for d in ("2", "3")]
 
     # the zero rule at its edges: all-zero weights, weights near the top
     # of the float range, and g1-3's even 3-cycle alone, which leaves a
